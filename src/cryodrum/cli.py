@@ -26,7 +26,8 @@ from . import __version__, calibration, datasets, device, dynamics, \
     squeezing, tomography
 from . import config as config_mod
 from . import reproduce as reproduce_mod
-from .errors import ConfigError, CryodrumError, SchemaMismatch
+from .errors import (ConfigError, CryodrumError, InvalidArgument,
+                     SchemaMismatch)
 
 DEVICE_COLUMNS = ["axis", "factor", "omega_m_hz", "m_eff_kg", "m_phys_kg",
                   "xi_mass", "x_zpf_m", "xi_cap", "g0_hz", "lambda", "d_q",
@@ -475,7 +476,8 @@ def main(argv=None) -> int:
     _apply_outdir(args)
     try:
         return args.func(args)
-    except (ConfigError, SchemaMismatch, FileNotFoundError) as exc:
+    except (ConfigError, SchemaMismatch, InvalidArgument,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CryodrumError as exc:

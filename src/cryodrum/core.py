@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from scipy.constants import h as PLANCK_H, k as BOLTZMANN_K
 
 from .errors import (
+    InvalidArgument,
     LinewidthMismatch,
     NonPositiveFrequency,
     NonPositiveRate,
@@ -161,8 +162,8 @@ class DriveTone:
 
     def __post_init__(self):
         if self.role not in DRIVE_ROLES:
-            raise ValueError(f"unknown drive role {self.role!r}; "
-                             f"expected one of {DRIVE_ROLES}")
+            raise InvalidArgument(f"unknown drive role {self.role!r}; "
+                                  f"expected one of {DRIVE_ROLES}")
         if self.gamma_opt < 0.0:
             raise NonPositiveRate("gamma_opt must be >= 0")
         if self.cooperativity < 0.0:

@@ -12,6 +12,10 @@ class CryodrumError(Exception):
 
 # ---- parameter validation ----
 
+class InvalidArgument(CryodrumError, ValueError):
+    """An input outside its documented domain (a usage error)."""
+
+
 class NonPositiveRate(CryodrumError):
     """A rate or frequency that must be > 0 is zero or negative."""
 

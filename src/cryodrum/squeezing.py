@@ -26,6 +26,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .core import TWO_PI
 from .errors import (
+    InvalidArgument,
     NonMonotoneCurve,
     NonPositiveRate,
     StepRejectionOverflow,
@@ -227,20 +228,8 @@ def initial_slope_delta(model: DephasingModel) -> float:
 
 # ---- truncated-Fock density-matrix solver ----
 
-def _fock_operators(dim: int):
-    lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
-    number = sp.diags(np.arange(dim, dtype=float), 0, format="csr")
-    return lower, number
-
-
-def _dissipator(op) -> sp.spmatrix:
-    """Row-major vectorised Lindblad dissipator for collapse operator op."""
-    dim = op.shape[0]
-    eye = sp.identity(dim, format="csr")
-    opd_op = (op.conjugate().T @ op).tocsr()
-    return (sp.kron(op, op.conjugate())
-            - 0.5 * sp.kron(opd_op, eye)
-            - 0.5 * sp.kron(eye, opd_op.T)).tocsc()
+#: step between the rungs of the truncation-dimension ladder
+LADDER_STEP = 32
 
 
 def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
@@ -264,29 +253,58 @@ def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
     return rho
 
 
-def _liouvillian_parts(model: DephasingModel, dim: int):
-    """Thermal Liouvillian plus the diagonal dephasing generator.
+def _offset_blocks(dim: int):
+    """Fock indices (j, l) of the entries x_m = rho_{m+k, m} of the
+    even-offset blocks k = 0, 2, 4, ... < dim, stored block after block
+    with m = 0 ... dim - 1 - k inside each block."""
+    offsets = np.arange(0, dim, 2)
+    lengths = dim - offsets
+    k = np.repeat(offsets, lengths)
+    m = np.arange(k.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return m + k, m
 
-    The dephasing dissipator acts as the scalar -(j - k)^2/2 on each
-    coherence rho_jk, i.e. it is constant on every coherence-offset block;
-    the thermal dissipators preserve the offset, so the two parts commute
-    exactly and the dephasing factor can be applied elementwise.  Splitting
-    them keeps the stiff (j - k)^2 diagonal out of the Krylov propagation.
+
+def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
+                     dim: int) -> sp.csr_matrix:
+    """Thermal Lindblad generator on the stacked offset blocks.
+
+    Down- and up-jumps (D[b] and D[b^dag]) keep k = j - l fixed, so the
+    generator is block diagonal with one tridiagonal block per offset: x_m
+    is fed from x_{m+1} at down sqrt((j+1)(l+1)) and from x_{m-1} at
+    up sqrt(j l), and decays at down (j+l)/2 + up (a_j + a_l)/2 with
+    a_j = j + 1 the diagonal of the truncated b b^dag (a_{dim-1} = 0, which
+    keeps the trace exact).
     """
-    lower, _ = _fock_operators(dim)
     if model.mode == "high_temperature":
-        down = TWO_PI * model.gamma_th
-        up = TWO_PI * model.gamma_th
+        down = up = TWO_PI * model.gamma_th
     else:
         down = TWO_PI * model.gamma_m * (model.n_m_th + 1.0)
         up = TWO_PI * model.gamma_m * model.n_m_th
-    thermal = (down * _dissipator(lower)
-               + up * _dissipator(lower.conjugate().T.tocsr())).tocsc()
-    levels = np.arange(dim)
-    offsets_sq = (levels[:, None] - levels[None, :]) ** 2
-    dephasing_diag = (-TWO_PI * model.gamma_phi
-                      * offsets_sq.reshape(-1).astype(float))
-    return thermal, dephasing_diag
+    j = j.astype(float)
+    l = l.astype(float)
+    top = j == dim - 1
+    fill_j = np.where(top, 0.0, j + 1.0)
+    fill_l = np.where(l == dim - 1, 0.0, l + 1.0)
+    diagonal = -0.5 * down * (j + l) - 0.5 * up * (fill_j + fill_l)
+    from_above = np.where(top, 0.0, down * np.sqrt((j + 1.0) * (l + 1.0)))
+    from_below = up * np.sqrt(j * l)
+    return sp.diags([from_below[1:], diagonal, from_above[:-1]], [-1, 0, 1],
+                    format="csr")
+
+
+def _min_eigenvalue(row: np.ndarray, sectors) -> float:
+    """Smallest eigenvalue of rho from its even- and odd-level sectors.
+
+    Even offsets never mix the parities, so rho is the direct sum of the
+    two sectors; each is filled in its lower triangle (the k >= 0 blocks),
+    which is the triangle eigvalsh reads.
+    """
+    least = math.inf
+    for select, size, position in sectors:
+        sector = np.zeros((size, size), dtype=complex)
+        sector.flat[position] = row[select]
+        least = min(least, float(np.linalg.eigvalsh(sector)[0]))
+    return least
 
 
 @dataclass(frozen=True)
@@ -306,52 +324,68 @@ class LindbladTrajectory:
 
 def _propagate(model: DephasingModel, times: np.ndarray,
                dim: int) -> LindbladTrajectory:
+    """Evolve the even-offset blocks of rho at one truncation dimension.
+
+    The initial squeezed thermal state has only even offsets k = j - l, and
+    the master equation keeps each offset, so the k >= 0 even blocks carry
+    the whole state (k < 0 are their complex conjugates): about dim^2 / 4
+    entries.  The thermal part is one sparse block-diagonal generator
+    applied by expm_multiply, in a single call over a uniform time grid
+    starting at 0 and step by step otherwise.  Pure dephasing acts as the
+    scalar -2 pi Gphi k^2 on block k; it commutes with the thermal part and
+    is applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates
+    out of the Krylov propagation.  <n>, the trace and the top population
+    come from block 0, <b^2> from block 2, and the minimum eigenvalue from
+    rho's two parity sectors.
+    """
     n_th0, r0 = model.initial.squeezed_thermal_params
     theta0 = model.initial.squeezed_axis_angle
-    rho = _squeezed_thermal_rho(n_th0, r0, theta0, dim)
-    thermal, dephasing_diag = _liouvillian_parts(model, dim)
+    j, l = _offset_blocks(dim)
+    state = _squeezed_thermal_rho(n_th0, r0, theta0, dim)[j, l]
+    generator = _block_generator(model, j, l, dim)
+    dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
 
-    lower, number = _fock_operators(dim)
-    b2_op = (lower @ lower).toarray()
-    n_op = number.toarray()
-
-    out_n = np.empty(times.size)
-    out_b2 = np.empty(times.size, dtype=complex)
-    trace_dev = np.empty(times.size)
-    min_eig = np.empty(times.size)
-    top_pop = np.empty(times.size)
-
-    vec = rho.reshape(-1)
     steps = np.diff(times, prepend=0.0)
     uniform = times.size > 1 and np.allclose(
         steps[1:], steps[1], rtol=1e-10, atol=0.0) and times[0] == 0.0
     if uniform:
-        stack = expm_multiply(thermal, vec, start=0.0, stop=float(times[-1]),
-                              num=times.size, endpoint=True)
-        stack = stack * np.exp(np.outer(times, dephasing_diag))
+        stack = expm_multiply(generator, state, start=0.0,
+                              stop=float(times[-1]), num=times.size,
+                              endpoint=True)
+        stack = stack * np.exp(np.outer(times, dephasing))
     else:
-        stack = np.empty((times.size, vec.size), dtype=complex)
+        stack = np.empty((times.size, state.size), dtype=complex)
         prev_t = 0.0
         for idx, t in enumerate(times):
             span = t - prev_t
             if span > 0.0:
-                vec = expm_multiply(thermal * span, vec)
-                vec = vec * np.exp(dephasing_diag * span)
+                state = expm_multiply(generator * span, state)
+                state = state * np.exp(dephasing * span)
                 prev_t = t
-            stack[idx] = vec
+            stack[idx] = state
 
-    for idx, t in enumerate(times):
-        row = stack[idx]
-        if not np.all(np.isfinite(row)):
-            raise StepRejectionOverflow(
-                f"non-finite density matrix at t = {t:g} s (dim {dim})")
-        rho_t = row.reshape(dim, dim)
-        herm = 0.5 * (rho_t + rho_t.conjugate().T)
-        out_n[idx] = float(np.real(np.trace(n_op @ herm)))
-        out_b2[idx] = complex(np.trace(b2_op @ herm))
-        trace_dev[idx] = abs(float(np.real(np.trace(rho_t))) - 1.0)
-        min_eig[idx] = float(np.linalg.eigvalsh(herm)[0])
-        top_pop[idx] = float(np.real(rho_t[-1, -1]))
+    finite = np.all(np.isfinite(stack), axis=1)
+    if not np.all(finite):
+        raise StepRejectionOverflow(
+            f"non-finite density matrix at t = {times[np.argmin(finite)]:g}"
+            f" s (dim {dim})")
+
+    levels = np.arange(dim)
+    populations = stack[:, :dim].real
+    out_n = populations @ levels
+    trace_dev = np.abs(populations.sum(axis=1) - 1.0)
+    top_pop = populations[:, -1]
+    pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
+    out_b2 = stack[:, dim:2 * dim - 2] @ pair
+
+    sectors = []
+    for parity in (0, 1):
+        select = l % 2 == parity
+        size = (dim + 1 - parity) // 2
+        if size:
+            sectors.append((select, size,
+                            j[select] // 2 * size + l[select] // 2))
+    min_eig = np.array([_min_eigenvalue(row, sectors) for row in stack])
 
     mag = np.abs(out_b2)
     return LindbladTrajectory(
@@ -363,20 +397,35 @@ def _propagate(model: DephasingModel, times: np.ndarray,
         top_population=top_pop)
 
 
-def _tail_dimension(model: DephasingModel, max_dim: int = 1024) -> int:
-    """Smallest Fock dimension whose *initial-state* top populations are
-    below 1e-10 (100x margin under the trajectory requirement; the thermal
-    evolution over ms scales only shifts the tail by a few quanta)."""
+def _tail_dimension(model: DephasingModel, times: np.ndarray,
+                    max_dim: int) -> int:
+    """First rung of the dimension ladder.
+
+    It starts at eight times the largest anti-squeezed variance along the
+    moment trajectory (the initial state included), rounded up to a
+    multiple of LADDER_STEP, and rises by LADDER_STEP until the initial
+    state's two top populations are below 1e-10.  The moments only place
+    the start; acceptance rests on the solver's own tests.  A start above
+    max_dim raises TruncationNonConvergence before any propagation.
+    """
+    v_asq = float(np.max(moments_evolve(model, np.append(0.0, times)).v_asq))
+    dim = max(LADDER_STEP,
+              LADDER_STEP * math.ceil(8.0 * v_asq / LADDER_STEP))
+    if dim > max_dim:
+        raise TruncationNonConvergence(
+            f"the trajectory reaches an anti-squeezed variance of "
+            f"{v_asq:.4g}, which needs about {dim} Fock levels, above the "
+            f"dimension cap {max_dim}")
     n_th0, r0 = model.initial.squeezed_thermal_params
-    v_asq = (n_th0 + 0.5) * math.exp(2.0 * r0)
-    dim = max(32, 32 * math.ceil(8.0 * v_asq / 32.0))
     while dim <= max_dim:
         rho = _squeezed_thermal_rho(n_th0, r0, 0.0, dim)
         if float(np.real(rho[-1, -1])) < 1e-10 \
                 and float(np.real(rho[-2, -2])) < 1e-10:
             return dim
-        dim += 32
-    return max_dim
+        dim += LADDER_STEP
+    raise TruncationNonConvergence(
+        f"initial-state tail not below 1e-10 within the dimension cap "
+        f"{max_dim}")
 
 
 def _moment_drift(a: LindbladTrajectory, b: LindbladTrajectory) -> float:
@@ -390,14 +439,14 @@ def lindblad_evolve(model: DephasingModel, times,
                     max_dim: int = 1024) -> LindbladTrajectory:
     """Density-matrix evolution in a truncated Fock basis.
 
-    The time-independent Liouvillian is applied exactly through a sparse
-    Krylov matrix exponential between requested times (the dephasing part,
-    diagonal per coherence offset, commutes with the thermal part and is
-    folded in elementwise).  The truncation dimension starts from the
-    initial state's own population tail and doubles until the top-level
-    population stays below 1e-8 along the whole trajectory and the reported
-    moments agree with the half-dimension run to 1e-4 relative; an explicit
-    model.truncation_dim bypasses the adaptation but is still checked.
+    The state is propagated as its even coherence-offset blocks (see
+    _propagate), an independent oracle for the moment equations.  The
+    truncation dimension climbs a ladder in steps of LADDER_STEP from the
+    start set by _tail_dimension; each rung is the stability reference for
+    the next, and rung i >= 1 is accepted once its top-level population
+    stays below 1e-8 along the whole trajectory and its moments agree with
+    rung i - 1 to 1e-4 relative.  An explicit model.truncation_dim bypasses
+    the ladder but is still checked.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
@@ -411,17 +460,14 @@ def lindblad_evolve(model: DephasingModel, times,
                 f"at fixed dim {model.truncation_dim}")
         return traj
 
-    dim = _tail_dimension(model)
-    while dim <= max_dim:
+    reference = None
+    for dim in range(_tail_dimension(model, times, max_dim), max_dim + 1,
+                     LADDER_STEP):
         traj = _propagate(model, times, dim)
-        if traj.top_population.max() < 1e-8:
-            # stability against an independent (smaller but still
-            # tail-converged) truncation
-            ref_dim = max(16, dim - 64 if dim > 96 else dim // 2)
-            reference = _propagate(model, times, ref_dim)
-            if _moment_drift(traj, reference) < 1e-4:
-                return traj
-        dim *= 2
+        if (reference is not None and traj.top_population.max() < 1e-8
+                and _moment_drift(traj, reference) < 1e-4):
+            return traj
+        reference = traj
     raise TruncationNonConvergence(
         f"moments not stable below the dimension cap {max_dim}")
 
@@ -437,35 +483,29 @@ class DephasingExtraction:
     curve_delta: np.ndarray     # corresponding rate differences
 
 
-#: forward-curve cache keyed by (initial-state params, gamma_th, time grid)
-_CURVE_CACHE: dict = {}
-
-
-def _delta_of_phi(gamma_phi, initial, gamma_th, times):
+def _delta_of_phi(gamma_phi, initial, gamma_th, times, memo):
+    """Forward-curve point delta(Gamma_phi), kept in `memo` under the
+    rounded state parameters and Gamma_phi (gamma_th and times are fixed
+    within one extraction)."""
     n_th, r = initial.squeezed_thermal_params
-    key = (round(n_th, 12), round(r, 12), gamma_th, times.tobytes(),
-           round(float(gamma_phi), 12))
-    cached = _CURVE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    model = DephasingModel(gamma_th=gamma_th, gamma_phi=gamma_phi,
-                           initial=initial)
-    traj = moments_evolve(model, times)
-    delta = decoherence_rates(times, traj.v_sq, traj.v_asq).delta
-    if len(_CURVE_CACHE) > 4096:
-        _CURVE_CACHE.clear()
-    _CURVE_CACHE[key] = delta
-    return delta
+    key = (round(n_th, 12), round(r, 12), round(float(gamma_phi), 12))
+    if key not in memo:
+        model = DephasingModel(gamma_th=gamma_th, gamma_phi=gamma_phi,
+                               initial=initial)
+        traj = moments_evolve(model, times)
+        memo[key] = decoherence_rates(times, traj.v_sq, traj.v_asq).delta
+    return memo[key]
 
 
-def _invert_delta(target, initial, gamma_th, times, tol):
+def _invert_delta(target, initial, gamma_th, times, tol, memo):
     if target == 0.0:
         return 0.0
     if target < 0.0:
-        raise ValueError("rate difference must be >= 0 for a squeezed state")
+        raise InvalidArgument(
+            "rate difference must be >= 0 for a squeezed state")
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if _delta_of_phi(hi, initial, gamma_th, times) >= target:
+        if _delta_of_phi(hi, initial, gamma_th, times, memo) >= target:
             break
         hi *= 2.0
     else:
@@ -473,7 +513,7 @@ def _invert_delta(target, initial, gamma_th, times, tol):
                          "achievable range for this initial state")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _delta_of_phi(mid, initial, gamma_th, times) < target:
+        if _delta_of_phi(mid, initial, gamma_th, times, memo) < target:
             lo = mid
         else:
             hi = mid
@@ -504,22 +544,25 @@ def extract_dephasing(observed, initial: GaussianMechState, *,
         times = np.linspace(0.0, 5e-3, 11)
     times = np.asarray(times, dtype=float)
 
+    # curve points of this call only; with delta_err = 0 the bound
+    # inversions repeat the nominal bisection and are served from here
+    memo: dict = {}
     phi_probe = max(target, delta_err, 1e-3)
     curve_phi = np.linspace(0.0, 4.0 * phi_probe, curve_points)
-    curve_delta = np.array([_delta_of_phi(p, initial, gamma_th, times)
+    curve_delta = np.array([_delta_of_phi(p, initial, gamma_th, times, memo)
                             for p in curve_phi])
     if np.any(np.diff(curve_delta) < -1e-12):
         raise NonMonotoneCurve("delta(Gamma_phi) curve is not monotone")
 
     n_th, r = initial.squeezed_thermal_params
-    gamma_phi = _invert_delta(target, initial, gamma_th, times, tol)
+    gamma_phi = _invert_delta(target, initial, gamma_th, times, tol, memo)
 
     lo_target = max(target - delta_err, 0.0)
     hi_target = target + delta_err
     stiff = GaussianMechState.squeezed_thermal(n_th + n_th_err, r + r_err)
     soft = GaussianMechState.squeezed_thermal(max(n_th - n_th_err, 0.0),
                                               max(r - r_err, 1e-6))
-    lo = _invert_delta(lo_target, stiff, gamma_th, times, tol)
-    hi = _invert_delta(hi_target, soft, gamma_th, times, tol)
+    lo = _invert_delta(lo_target, stiff, gamma_th, times, tol, memo)
+    hi = _invert_delta(hi_target, soft, gamma_th, times, tol, memo)
     return DephasingExtraction(gamma_phi=gamma_phi, lo=lo, hi=hi,
                                curve_phi=curve_phi, curve_delta=curve_delta)

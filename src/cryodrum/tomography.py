@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import gammaincinv
 
 from .core import TWO_PI, BathOccupations, SystemParams
 from .errors import (
     DegenerateDesign,
+    InvalidArgument,
     LowGainWarning,
     NegativeVarianceEstimate,
     NonPositiveAmplification,
@@ -277,7 +278,7 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     correlation is g_opt Im<b^2>.  Deterministic per seed.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise InvalidArgument("n_samples must be >= 1")
     cov = g_opt * np.array([
         [state.var_x1 + n_add_opt + 0.5, state.cov_x1x2],
         [state.cov_x1x2, state.var_x2 + n_add_opt + 0.5]])
@@ -291,16 +292,22 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
                                        "b2_im": state.b2.imag})
 
 
+def _chi2_ppf(q: float, dof: int) -> float:
+    return 2.0 * float(gammaincinv(0.5 * dof, q))
+
+
 def variance_interval(second_moment: float, n_samples: int,
                       confidence: float = 0.6827):
     """Chi-squared confidence interval of a raw Gaussian second moment.
 
     N vhat / v ~ chi^2_N for zero-mean Gaussian samples, giving exact
-    asymmetric intervals (lo, hi) around the estimate.
+    asymmetric intervals (lo, hi) around the estimate.  The chi^2_N
+    quantile is 2 P^-1(N/2, q), with P^-1 the inverse regularized lower
+    incomplete gamma function.
     """
     alpha = 0.5 * (1.0 - confidence)
-    lo = second_moment * n_samples / chi2_dist.ppf(1.0 - alpha, n_samples)
-    hi = second_moment * n_samples / chi2_dist.ppf(alpha, n_samples)
+    lo = second_moment * n_samples / _chi2_ppf(1.0 - alpha, n_samples)
+    hi = second_moment * n_samples / _chi2_ppf(alpha, n_samples)
     return lo, hi
 
 

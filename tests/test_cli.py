@@ -231,6 +231,31 @@ def test_config_error_exit(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_unknown_drive_role_exit(tmp_path, capsys):
+    path = tmp_path / "purple.cfg"
+    path.write_text(CONFIG + "\n[drives.purple]\ngamma_opt = 1\ndelta = 0\n")
+    assert_usage_error(capsys, ["psd", "--config", str(path), "--out",
+                                str(tmp_path / "o.csv")])
+
+
+def test_negative_rate_difference_exit(tmp_path, capsys):
+    assert_usage_error(capsys, [
+        "dephase", "--out", str(tmp_path / "n.csv"), "--gamma-th", "17.1",
+        "--n-th", "0.4", "--r", "0.6", "--delta", "-1"])
+
+
+def test_zero_samples_exit(tmp_path, capsys):
+    assert_usage_error(capsys, ["amplify", "--out", str(tmp_path / "z.csv"),
+                                "--seed", "7", "--samples", "0"])
+
+
 def test_reproduce_subset(capsys):
     assert main(["reproduce", "--criteria", "4,7"]) == 0
     captured = capsys.readouterr()

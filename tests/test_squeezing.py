@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from cryodrum import squeezing
 from cryodrum.core import TWO_PI
@@ -190,6 +192,97 @@ def test_lindblad_truncation_guard():
         squeezing.lindblad_evolve(model, np.linspace(0.0, 2e-3, 3))
 
 
+def _kron_reference(model, times, dim):
+    """The full dim^2 x dim^2 row-major Liouvillian, thermal and dephasing
+    dissipators built with sp.kron, propagated over a uniform grid."""
+    lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
+    number = sp.diags(np.arange(dim, dtype=float), 0, format="csr")
+    eye = sp.identity(dim, format="csr")
+
+    def dissipator(op):
+        opd_op = (op.conjugate().T @ op).tocsr()
+        return (sp.kron(op, op.conjugate()) - 0.5 * sp.kron(opd_op, eye)
+                - 0.5 * sp.kron(eye, opd_op.T))
+
+    if model.mode == "high_temperature":
+        down = up = TWO_PI * model.gamma_th
+    else:
+        down = TWO_PI * model.gamma_m * (model.n_m_th + 1.0)
+        up = TWO_PI * model.gamma_m * model.n_m_th
+    liouvillian = (down * dissipator(lower)
+                   + up * dissipator(lower.T.tocsr())
+                   + 2.0 * TWO_PI * model.gamma_phi * dissipator(number))
+    n_th, r = model.initial.squeezed_thermal_params
+    rho0 = squeezing._squeezed_thermal_rho(
+        n_th, r, model.initial.squeezed_axis_angle, dim)
+    stack = expm_multiply(liouvillian.tocsc(), rho0.reshape(-1), start=0.0,
+                          stop=float(times[-1]), num=times.size,
+                          endpoint=True)
+    b2_op = (lower @ lower).toarray()
+    out = {"n": [], "b2": [], "trace": [], "min_eig": []}
+    for row in stack:
+        rho = row.reshape(dim, dim)
+        herm = 0.5 * (rho + rho.conjugate().T)
+        out["n"].append(float(np.real(np.trace(number.toarray() @ herm))))
+        out["b2"].append(complex(np.trace(b2_op @ herm)))
+        out["trace"].append(float(np.real(np.trace(rho))))
+        out["min_eig"].append(float(np.linalg.eigvalsh(herm)[0]))
+    return {key: np.array(value) for key, value in out.items()}
+
+
+@pytest.mark.parametrize("dim, kwargs, state", [
+    (24, dict(gamma_th=17.1, gamma_phi=0.09), (0.4, 0.6, 0.0)),
+    (40, dict(gamma_th=30.0, gamma_phi=0.7), (0.2, 0.5, 0.4)),
+    (48, dict(gamma_th=6.0, gamma_phi=0.3, mode="finite_temperature",
+              gamma_m=2.0, n_m_th=2.0), (0.3, 0.4, 0.0)),
+])
+def test_offset_blocks_match_kron_liouvillian(dim, kwargs, state):
+    n_th, r, theta = state
+    initial = GaussianMechState.squeezed_thermal(n_th, r).rotated(theta)
+    model = squeezing.DephasingModel(initial=initial, **kwargs)
+    times = np.linspace(0.0, 5e-3, 6)
+    blocks = squeezing._propagate(model, times, dim)
+    reference = _kron_reference(model, times, dim)
+    assert np.max(np.abs(blocks.n - reference["n"])) < 1e-12
+    assert np.max(np.abs(blocks.b2 - reference["b2"])) < 1e-12
+    assert np.max(np.abs(blocks.trace_dev
+                         - np.abs(reference["trace"] - 1.0))) < 1e-12
+    assert np.max(np.abs(blocks.min_eigenvalue
+                         - reference["min_eig"])) < 1e-12
+
+
+@pytest.mark.parametrize("n_th, r, gamma_th", [(0.36, 0.95, 6.75),
+                                               (0.66, 0.79, 23.2)])
+def test_lindblad_ladder_stops_where_converged(n_th, r, gamma_th):
+    # the 128-level solution of these states is already converged; the
+    # former doubling ladder climbed to 256 levels
+    initial = GaussianMechState.squeezed_thermal(n_th, r)
+    model = squeezing.DephasingModel(gamma_th=gamma_th, gamma_phi=0.5,
+                                     initial=initial)
+    times = np.linspace(0.0, 5e-3, 6)
+    lind = squeezing.lindblad_evolve(model, times)
+    mom = squeezing.moments_evolve(model, times)
+    assert lind.dim < 256
+    assert lind.top_population.max() < 1e-8
+    for a, b in ((lind.n, mom.n), (lind.v_sq, mom.v_sq),
+                 (lind.v_asq, mom.v_asq)):
+        assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)) < 1e-3
+
+
+def test_lindblad_dimension_estimate_above_cap(monkeypatch):
+    # relaxing to n_m_th = 255 needs ~2048 levels: refuse before propagating
+    def no_propagation(*args):
+        raise AssertionError("propagated despite the dimension estimate")
+
+    monkeypatch.setattr(squeezing, "_propagate", no_propagation)
+    model = squeezing.DephasingModel(
+        gamma_th=20.5, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6),
+        mode="finite_temperature", gamma_m=0.08, n_m_th=255.0)
+    with pytest.raises(TruncationNonConvergence, match="2048"):
+        squeezing.lindblad_evolve(model, np.linspace(0.0, 30.0, 4))
+
+
 # ---- dephasing extraction ----
 
 def test_extract_dephasing_roundtrip():
@@ -202,6 +295,29 @@ def test_extract_dephasing_roundtrip():
     result = squeezing.extract_dephasing(rates, initial, gamma_th=17.1,
                                          times=times)
     assert result.gamma_phi == pytest.approx(0.05, abs=1e-3)
+
+
+def test_extract_dephasing_memo_is_per_call(monkeypatch):
+    # no state survives a call, and within one call the bound inversions at
+    # zero input errors are served from the nominal bisection
+    calls = []
+    moments_evolve = squeezing.moments_evolve
+
+    def counted(model, times):
+        calls.append(model.gamma_phi)
+        return moments_evolve(model, times)
+
+    monkeypatch.setattr(squeezing, "moments_evolve", counted)
+    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    counts = []
+    for delta_err in (0.0, 0.0, 0.3):
+        calls.clear()
+        squeezing.extract_dephasing(1.1, initial, gamma_th=17.1,
+                                    delta_err=delta_err)
+        counts.append(len(calls))
+        assert len(set(calls)) == len(calls)
+    assert counts[0] == counts[1]
+    assert counts[0] < counts[2]
 
 
 def test_extract_dephasing_zero():

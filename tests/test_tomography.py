@@ -164,6 +164,18 @@ def test_sampling_reference_variance():
     assert var_i == pytest.approx(2.034, abs=4.0 * 2.034 * math.sqrt(2 / 12000))
 
 
+def test_variance_interval_matches_chi2_quantiles():
+    # the chi^2_N quantile is taken as 2 P^-1(N/2, q), without scipy.stats;
+    # it must equal chi2.ppf bit for bit
+    from scipy.stats import chi2
+    for n in (1, 2, 3, 17, 500, 12000, 400000):
+        for confidence in (0.5, 0.6827, 0.9545, 0.9973):
+            alpha = 0.5 * (1.0 - confidence)
+            lo, hi = tomography.variance_interval(1.3, n, confidence)
+            assert lo == 1.3 * n / chi2.ppf(1.0 - alpha, n)
+            assert hi == 1.3 * n / chi2.ppf(alpha, n)
+
+
 def test_estimate_exact_inversion():
     batch = exact_moment_batch(GaussianMechState.vacuum(), 1.13, 0.80, 2000,
                                seed=1)
