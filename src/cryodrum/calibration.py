@@ -19,9 +19,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import h as PLANCK_H, k as BOLTZMANN_K
 
-from .core import TWO_PI, SystemParams, bose_occupation_linear
+from .core import (BOLTZMANN_K, PLANCK_H, TWO_PI, SystemParams,
+                   bose_occupation_linear)
 from .errors import (
     BackActionDominated,
     InconsistentBudget,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -85,13 +86,11 @@ def cmd_device(args):
     else:
         rows.append(("-", 1.0, device.mode_figures(geom, omega_c)))
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEVICE_COLUMNS)
-        for axis, factor, res in rows:
-            writer.writerow([axis, repr(factor)] + [repr(v) for v in (
-                res.omega_m, res.m_eff, res.m_phys, res.xi_mass, res.x_zpf,
-                res.xi_cap, res.g0, res.lam, res.d_q, res.q_m)])
+    datasets._write_table(args.out, DEVICE_COLUMNS, (
+        [axis, *datasets._float_cells([
+            factor, res.omega_m, res.m_eff, res.m_phys, res.xi_mass,
+            res.x_zpf, res.xi_cap, res.g0, res.lam, res.d_q, res.q_m])]
+        for axis, factor, res in rows))
     _write_manifest(args.out, "device", args, inputs=[args.config],
                     outputs=[args.out], snapshot=_config_snapshot(cp))
     return 0
@@ -103,13 +102,12 @@ def cmd_psd(args):
     grid = np.linspace(-half, half, args.points)
     comps = dynamics.output_psd(params, baths, drives, grid,
                                 simplified=args.simplified)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "value", "component"])
-        for label in ("cavity", "pump", "red", "blue"):
-            spec = comps[label]
-            for f, v in zip(spec.freq, spec.values):
-                writer.writerow([repr(float(f)), repr(float(v)), label])
+    labels = ("cavity", "pump", "red", "blue")
+    rows = itertools.chain.from_iterable(
+        zip(datasets._float_cells(comps[label].freq),
+            datasets._float_cells(comps[label].values),
+            itertools.repeat(label)) for label in labels)
+    datasets._write_table(args.out, ["freq_hz", "value", "component"], rows)
     state = dynamics.steady_state(params, baths, drives)
     summary = {
         "n_m": state.n_m,
@@ -118,7 +116,7 @@ def cmd_psd(args):
         "resolved_sideband_param": params.resolved_sideband_param,
         "floor": comps["floor"],
         "peak_heights": {label: float(np.max(np.abs(comps[label].values)))
-                         for label in ("cavity", "pump", "red", "blue")},
+                         for label in labels},
     }
     summary_path = args.summary or str(Path(args.out).with_suffix(".json"))
     _json_out(summary_path, summary)
@@ -131,13 +129,10 @@ def cmd_psd(args):
 def cmd_cool(args):
     cp, params, baths, _ = _load_stack(args.config)
     coops = np.geomspace(args.cmin, args.cmax, args.points)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cooperativity", "n_m"])
-        for c in coops:
-            n_m = dynamics.cooling_occupation(baths.n_m_th, baths.n_c,
-                                              float(c))
-            writer.writerow([repr(float(c)), repr(n_m)])
+    n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
+           for c in coops.tolist()]
+    datasets._write_table(args.out, ["cooperativity", "n_m"], zip(
+        datasets._float_cells(coops), datasets._float_cells(n_m)))
     _write_manifest(args.out, "cool", args, inputs=[args.config],
                     outputs=[args.out], snapshot=_config_snapshot(cp))
     return 0
@@ -202,11 +197,9 @@ def cmd_thermalize(args):
         tomography.GaussianMechState.vacuum(),
         (baths.n_m_th + 1.0) * params.gamma_m, params.gamma_m, baths.n_m_th,
         times, readout, n_samples=args.samples, seed=args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "n_est", "n_err"])
-        for t, n, e in zip(result.times, result.n_est, result.n_err):
-            writer.writerow([repr(float(t)), repr(float(n)), repr(float(e))])
+    datasets._write_table(args.out, ["t_s", "n_est", "n_err"], zip(*[
+        datasets._float_cells(column)
+        for column in (result.times, result.n_est, result.n_err)]))
     fit_path = str(Path(args.out).with_suffix(".json"))
     _json_out(fit_path, {
         "gamma_th_fit_hz": result.gamma_th_fit,
@@ -322,7 +315,7 @@ def cmd_reproduce(args):
     print(reproduce_mod.format_table(results))
     if args.json:
         _json_out(args.json, [
-            {"index": r.index, "name": r.name, "passed": r.passed,
+            {"index": r.index, "name": r.name, "passed": bool(r.passed),
              "detail": r.detail} for r in results])
     return 0 if all(r.passed for r in results) else 1
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from scipy.constants import h as PLANCK_H, k as BOLTZMANN_K
-
 from .errors import (
     InvalidArgument,
     LinewidthMismatch,
@@ -26,6 +24,9 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+#: exact SI values (2019 redefinition), equal to scipy.constants.h and .k
+PLANCK_H = 6.62607015e-34      # [J s]
+BOLTZMANN_K = 1.380649e-23     # [J / K]
 
 #: drive roles understood by the three-tone model
 DRIVE_ROLES = ("cooling_pump", "red_probe", "blue_probe")

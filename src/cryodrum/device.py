@@ -15,16 +15,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar as HBAR
-from scipy.special import jn, jn_zeros
 
-from .core import TWO_PI, bose_occupation_linear
+from .core import PLANCK_H, TWO_PI, bose_occupation_linear
 from .errors import (
     InvalidModeIndex,
     MissingParticipation,
     NonPositiveRate,
     QuadratureNonConvergence,
 )
+
+HBAR = PLANCK_H / TWO_PI      # reduced Planck constant [J s]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def bessel_root(n: int, m: int) -> float:
     """m-th positive root of J_n (m >= 1), accurate to machine precision."""
     if m < 1 or n < 0:
         raise InvalidModeIndex(f"need m >= 1 and n >= 0, got (n={n}, m={m})")
+    from scipy.special import jn_zeros
     return float(jn_zeros(n, m)[m - 1])
 
 
@@ -93,6 +94,7 @@ def drum_mode(geom: DrumGeometry, n: int = 0, m: int = 1):
     mode_shape : callable
         u(r[, phi]) = J_n(alpha_nm r / R) cos(n phi); u(0) = 1 for n = 0.
     """
+    from scipy.special import jn
     alpha = bessel_root(n, m)
     omega_m = alpha / geom.radius * math.sqrt(geom.stress / geom.density) / TWO_PI
 

@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import wofz
 
 from .dynamics import Spectrum
 from .errors import (
@@ -46,6 +44,7 @@ def voigt_eval(omega, gamma: float, sigma_rbw: float):
     x = np.asarray(omega, dtype=float)
     if sigma_rbw == 0.0:
         return gamma / (math.pi * (x**2 + gamma**2))
+    from scipy.special import wofz
     z = (x + 1j * gamma) / (sigma_rbw * math.sqrt(2.0))
     return np.real(wofz(z)) / (sigma_rbw * SQRT_2PI)
 
@@ -107,6 +106,7 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian",
     allowed.  Parameter covariance comes from the Jacobian at the solution,
     scaled by the residual variance.
     """
+    from scipy.optimize import least_squares
     if model not in ("lorentzian", "voigt"):
         raise ValueError(f"unknown model {model!r}")
     sigma_rbw = sigma_from_rbw(spec.rbw) if model == "voigt" else 0.0

@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .core import TWO_PI
 from .errors import (
@@ -235,6 +232,7 @@ LADDER_STEP = 32
 def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
                           dim: int) -> np.ndarray:
     """Density matrix of a squeezed thermal state in a truncated Fock basis."""
+    from scipy.linalg import expm
     levels = np.arange(dim)
     if n_th > 0.0:
         q = n_th / (1.0 + n_th)
@@ -265,7 +263,7 @@ def _offset_blocks(dim: int):
 
 
 def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
-                     dim: int) -> sp.csr_matrix:
+                     dim: int):
     """Thermal Lindblad generator on the stacked offset blocks.
 
     Down- and up-jumps (D[b] and D[b^dag]) keep k = j - l fixed, so the
@@ -275,6 +273,7 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     a_j = j + 1 the diagonal of the truncated b b^dag (a_{dim-1} = 0, which
     keeps the trace exact).
     """
+    import scipy.sparse as sp
     if model.mode == "high_temperature":
         down = up = TWO_PI * model.gamma_th
     else:
@@ -338,6 +337,7 @@ def _propagate(model: DephasingModel, times: np.ndarray,
     come from block 0, <b^2> from block 2, and the minimum eigenvalue from
     rho's two parity sectors.
     """
+    from scipy.sparse.linalg import expm_multiply
     n_th0, r0 = model.initial.squeezed_thermal_params
     theta0 = model.initial.squeezed_axis_angle
     j, l = _offset_blocks(dim)

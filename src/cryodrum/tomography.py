@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import gammaincinv
 
 from .core import TWO_PI, BathOccupations, SystemParams
 from .errors import (
@@ -155,14 +153,6 @@ class AmplifierSpec:
         return 10.0 * math.log10(self.gain)
 
 
-def amplifier_spec(gamma_opt_b: float, gamma_m: float, tau: float, dt: float,
-                   **kwargs) -> AmplifierSpec:
-    """Build an AmplifierSpec with gamma_amp derived from the bare damping."""
-    return AmplifierSpec(gamma_opt_b=gamma_opt_b,
-                         gamma_amp=gamma_opt_b - gamma_m,
-                         tau=tau, dt=dt, **kwargs)
-
-
 @dataclass(frozen=True)
 class MatchedFilter:
     """Discrete matched-filter weights m(t) on [0, tau]."""
@@ -293,6 +283,7 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
 
 
 def _chi2_ppf(q: float, dof: int) -> float:
+    from scipy.special import gammaincinv
     return 2.0 * float(gammaincinv(0.5 * dof, q))
 
 
@@ -479,7 +470,6 @@ def evolve_moments_free(state: GaussianMechState, t: float, gamma_m: float,
 @dataclass(frozen=True)
 class FreeEvolutionResult:
     times: np.ndarray
-    batches: tuple
     n_est: np.ndarray
     n_err: np.ndarray
     gamma_th_fit: float          # short-time heating rate [Hz, cyclic]
@@ -504,10 +494,10 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     reach one quantum.  gamma_th is the expected (n_m_th + 1) gamma_m rate
     and is only carried through for reporting; the evolution uses gamma_m.
     """
+    from scipy.optimize import least_squares
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
         raise ValueError("evolution times must be >= 0")
-    batches = []
     n_est = np.empty_like(times)
     n_err = np.empty_like(times)
     for idx, t in enumerate(times):
@@ -517,7 +507,6 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
                                    readout.n_add_opt, n_samples,
                                    seed=[seed, idx])
         est = estimate_state(batch)
-        batches.append(batch)
         n_est[idx] = est.n_m
         n_err[idx] = est.n_m_err
 
@@ -545,7 +534,7 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
         t_one = math.inf
 
     return FreeEvolutionResult(
-        times=times, batches=tuple(batches), n_est=n_est, n_err=n_err,
+        times=times, n_est=n_est, n_err=n_err,
         gamma_th_fit=float(gamma_th_fit), gamma_th_err=float(gamma_th_err),
         gamma_m_fit=float(gamma_m_fit), n_eq_fit=float(n_eq_fit),
         t_one_quantum=float(t_one))

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cryodrum
 from cryodrum import calibration, datasets
 from cryodrum.cli import main
 
@@ -55,6 +59,18 @@ def cfg(tmp_path):
 
 def manifest_of(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text())
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays the import; scipy loads only where a call needs it
+    src = str(Path(cryodrum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import cryodrum.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand():
@@ -256,12 +272,15 @@ def test_zero_samples_exit(tmp_path, capsys):
                                 "--seed", "7", "--samples", "0"])
 
 
-def test_reproduce_subset(capsys):
-    assert main(["reproduce", "--criteria", "4,7"]) == 0
+def test_reproduce_subset(capsys, tmp_path):
+    out = tmp_path / "criteria.json"
+    assert main(["reproduce", "--criteria", "4,7", "--json", str(out)]) == 0
     captured = capsys.readouterr()
     assert "[PASS] 4." in captured.out
     assert "[PASS] 7." in captured.out
     assert "2/2 criteria passed" in captured.out
+    assert [(r["index"], r["passed"]) for r in json.loads(out.read_text())] \
+        == [(4, True), (7, True)]
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

@@ -16,6 +16,17 @@ from cryodrum.errors import (
 BOSE_1P8MHZ_11MK = 126.8355491
 
 
+def test_physical_constants_equal_scipy():
+    from scipy import constants
+
+    from cryodrum import device
+
+    assert core.PLANCK_H == constants.h
+    assert core.BOLTZMANN_K == constants.k
+    assert core.PLANCK_H / core.TWO_PI == constants.hbar
+    assert device.HBAR == constants.hbar
+
+
 def test_validate_params_populates_eta():
     p = core.validate_params(dict(omega_c=5.5e9, kappa=250e3, kappa_ex=200e3,
                                   kappa_0=50e3, omega_m=1.8e6, gamma_m=0.045,
