@@ -25,6 +25,7 @@ from .core import (BOLTZMANN_K, PLANCK_H, TWO_PI, SystemParams,
 from .errors import (
     BackActionDominated,
     InconsistentBudget,
+    InvalidArgument,
     NegativeOccupation,
     NonPositiveRate,
     SingularAsymmetry,
@@ -225,7 +226,7 @@ def tone_cancellation_floor(delta_phi: float, delta_att_db: float,
     dB).  Returns -inf for perfect trimming.
     """
     if branches < 1:
-        raise ValueError("branches must be >= 1")
+        raise InvalidArgument("branches must be >= 1")
     residual = delta_phi**2 + (LN10_OVER_20 * delta_att_db) ** 2
     if residual == 0.0:
         return -math.inf

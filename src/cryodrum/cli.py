@@ -3,8 +3,11 @@
 Every run writes its outputs plus a JSON manifest sidecar
 (`<output>.manifest.json`) recording the command, config, inputs, outputs,
 seed, tool version, timestamp and the parameter snapshot, so identical
-manifests (timestamp aside) regenerate byte-identical outputs.  Stochastic
-commands require an explicit --seed.
+manifests (timestamp aside) regenerate byte-identical outputs.  Each command
+except `reproduce` takes the parsed arguments and the config (read once by
+`main` when there is a --config), writes its outputs and returns their
+paths; `main` then writes every manifest.  Stochastic commands require an
+explicit --seed.
 
 Exit codes: 0 success, 1 reproduction-suite failure, 2 configuration or
 usage error, 3 numerical failure.
@@ -34,70 +37,80 @@ DEVICE_COLUMNS = ["axis", "factor", "omega_m_hz", "m_eff_kg", "m_phys_kg",
                   "xi_mass", "x_zpf_m", "xi_cap", "g0_hz", "lambda", "d_q",
                   "q_m"]
 
+#: options naming input files, in the order a manifest lists them
+INPUT_OPTIONS = ("config", "sweep", "peaks", "calibrate")
+_STOCHASTIC = {"amplify", "thermalize"}
 
-def _write_manifest(out_path, command, args, *, inputs=(), outputs=(),
-                    seed=None, snapshot=None):
+
+def _sampling(args) -> bool:
+    """A stochastic command that draws samples (not a --calibrate fit)."""
+    return args.command in _STOCHASTIC and not getattr(args, "calibrate",
+                                                       None)
+
+
+def _write_manifest(args, outputs, cp):
     options = {key: value for key, value in vars(args).items()
                if key != "func" and not callable(value)}
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
         "config": options.get("config"),
-        "inputs": [str(p) for p in inputs],
+        "inputs": [str(options[key]) for key in INPUT_OPTIONS
+                   if options.get(key)],
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": args.seed if _sampling(args) else None,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "parameters": snapshot or {},
+        "parameters": {section: dict(cp.items(section))
+                       for section in cp.sections()}
+                      if cp is not None else {},
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _json_out(str(args.out) + ".manifest.json", manifest)
 
 
-def _config_snapshot(cp):
-    return {section: dict(cp.items(section)) for section in cp.sections()}
-
-
-def _load_stack(config_path):
-    cp = config_mod.read_config(config_path)
+def _load_stack(cp):
     params = config_mod.load_system(cp)
     baths = config_mod.load_baths(cp, params)
     drives = config_mod.load_drives(cp, params)
-    return cp, params, baths, drives
+    return params, baths, drives
+
+
+def _numbers(text, kind, option):
+    """Comma-separated numbers of a list option; InvalidArgument if any
+    token does not parse."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InvalidArgument(f"{option} expects comma-separated numbers, "
+                              f"got {text!r}") from None
 
 
 def _json_out(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_device(args):
-    cp = config_mod.read_config(args.config)
+def cmd_device(args, cp):
     geom = config_mod.load_geometry(cp)
-    omega_c = config_mod.load_system(cp).omega_c
-    rows = []
+    params = config_mod.load_system(cp)
     if args.sweep_axis:
-        factors = [float(f) for f in args.factors.split(",")]
+        factors = _numbers(args.factors, float, "--factors")
         sweep = device.scaling_sweep(geom, args.sweep_axis, factors,
-                                     omega_c=omega_c,
-                                     kappa=config_mod.load_system(cp).kappa)
-        for row in sweep:
-            rows.append((row.axis, row.factor, row.result))
+                                     omega_c=params.omega_c,
+                                     kappa=params.kappa)
+        rows = [(row.axis, row.factor, row.result) for row in sweep]
     else:
-        rows.append(("-", 1.0, device.mode_figures(geom, omega_c)))
+        rows = [("-", 1.0, device.mode_figures(geom, params.omega_c))]
 
     datasets._write_table(args.out, DEVICE_COLUMNS, (
         [axis, *datasets._float_cells([
             factor, res.omega_m, res.m_eff, res.m_phys, res.xi_mass,
             res.x_zpf, res.xi_cap, res.g0, res.lam, res.d_q, res.q_m])]
         for axis, factor, res in rows))
-    _write_manifest(args.out, "device", args, inputs=[args.config],
-                    outputs=[args.out], snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out]
 
 
-def cmd_psd(args):
-    cp, params, baths, drives = _load_stack(args.config)
+def cmd_psd(args, cp):
+    params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
     grid = np.linspace(-half, half, args.points)
     comps = dynamics.output_psd(params, baths, drives, grid,
@@ -120,25 +133,22 @@ def cmd_psd(args):
     }
     summary_path = args.summary or str(Path(args.out).with_suffix(".json"))
     _json_out(summary_path, summary)
-    _write_manifest(args.out, "psd", args, inputs=[args.config],
-                    outputs=[args.out, summary_path],
-                    snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out, summary_path]
 
 
-def cmd_cool(args):
-    cp, params, baths, _ = _load_stack(args.config)
+def cmd_cool(args, cp):
+    _, baths, _ = _load_stack(cp)
+    if args.cmin <= 0.0 or args.cmax <= 0.0:
+        raise InvalidArgument("--cmin and --cmax must be > 0")
     coops = np.geomspace(args.cmin, args.cmax, args.points)
     n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
            for c in coops.tolist()]
     datasets._write_table(args.out, ["cooperativity", "n_m"], zip(
         datasets._float_cells(coops), datasets._float_cells(n_m)))
-    _write_manifest(args.out, "cool", args, inputs=[args.config],
-                    outputs=[args.out], snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out]
 
 
-def cmd_asymmetry(args):
+def cmd_asymmetry(args, cp):
     peaks = datasets.load_dataset(args.peaks, "peaks")
     records = []
     for row in peaks:
@@ -154,12 +164,10 @@ def cmd_asymmetry(args):
         mean, err = calibration.combine_calibrations(g_etas, errors)
         payload["g_eta_combined"] = {"value": mean, "error": err}
     _json_out(args.out, payload)
-    _write_manifest(args.out, "asymmetry", args, inputs=[args.peaks],
-                    outputs=[args.out])
-    return 0
+    return [args.out]
 
 
-def cmd_amplify(args):
+def cmd_amplify(args, cp):
     if args.calibrate:
         with open(args.calibrate) as fh:
             reader = csv.reader(fh)
@@ -173,21 +181,17 @@ def cmd_amplify(args):
             "g_opt_uv2_per_quanta": cal.g_opt, "g_opt_err": cal.g_opt_err,
             "n_add_opt": cal.n_add_opt, "n_add_err": cal.n_add_err,
             "chi2": cal.fit.chi2, "dof": cal.fit.dof})
-        _write_manifest(args.out, "amplify", args, inputs=[args.calibrate],
-                        outputs=[args.out])
-        return 0
+        return [args.out]
 
     state = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     batch = tomography.sample_quadratures(state, args.g_opt, args.n_add,
                                           args.samples, seed=args.seed)
     datasets.write_quadratures(args.out, batch)
-    _write_manifest(args.out, "amplify", args, outputs=[args.out],
-                    seed=args.seed)
-    return 0
+    return [args.out]
 
 
-def cmd_thermalize(args):
-    cp, params, baths, _ = _load_stack(args.config)
+def cmd_thermalize(args, cp):
+    params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
         gamma_opt_b=args.gamma_amp + params.gamma_m, gamma_amp=args.gamma_amp,
         tau=args.tau, dt=args.tau / 2048.0, eta_kappa=params.eta_kappa,
@@ -207,14 +211,11 @@ def cmd_thermalize(args):
         "gamma_m_fit_hz": result.gamma_m_fit,
         "n_eq_fit": result.n_eq_fit,
         "t_one_quantum_s": result.t_one_quantum})
-    _write_manifest(args.out, "thermalize", args, inputs=[args.config],
-                    outputs=[args.out, fit_path], seed=args.seed,
-                    snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out, fit_path]
 
 
-def cmd_squeeze(args):
-    cp, params, baths, _ = _load_stack(args.config)
+def cmd_squeeze(args, cp):
+    params, baths, _ = _load_stack(cp)
     drive = squeezing.squeeze_drive(args.gamma_r, args.gamma_b, params.kappa)
     r, v_sq, v_asq = squeezing.squeeze_target(drive)
     coop = args.gamma_r / params.gamma_m
@@ -228,12 +229,10 @@ def cmd_squeeze(args):
         "squeezing_limit_db": squeezing.squeezing_limit(baths.n_m_th, coop),
     }
     _json_out(args.out, payload)
-    _write_manifest(args.out, "squeeze", args, inputs=[args.config],
-                    outputs=[args.out], snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out]
 
 
-def cmd_dephase(args):
+def cmd_dephase(args, cp):
     initial = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     times = np.linspace(0.0, args.tmax, args.points)
     gamma_phi = args.gamma_phi if args.gamma_phi is not None else 0.0
@@ -241,7 +240,6 @@ def cmd_dephase(args):
                                      gamma_phi=gamma_phi, initial=initial)
     traj = squeezing.moments_evolve(model, times)
     datasets.write_trajectory(args.out, times, traj.v_sq, traj.v_asq, traj.n)
-    outputs = [args.out]
 
     result_path = str(Path(args.out).with_suffix(".json"))
     payload = {"gamma_th_hz": args.gamma_th, "gamma_phi_hz": gamma_phi}
@@ -259,13 +257,10 @@ def cmd_dephase(args):
             "curve_gamma_phi_hz": extraction.curve_phi.tolist(),
             "curve_delta_hz": extraction.curve_delta.tolist()}
     _json_out(result_path, payload)
-    outputs.append(result_path)
-    _write_manifest(args.out, "dephase", args, outputs=outputs)
-    return 0
+    return [args.out, result_path]
 
 
-def cmd_g0fit(args):
-    cp = config_mod.read_config(args.config)
+def cmd_g0fit(args, cp):
     params = config_mod.load_system(cp)
     sweep = datasets.load_dataset(args.sweep, "sweep")
     result = calibration.g0_from_sweep(sweep, params,
@@ -274,12 +269,10 @@ def cmd_g0fit(args):
         "g0_hz": result.g0, "g0_err_hz": result.g0_err,
         "slope": result.fit.slope, "slope_err": result.fit.slope_err,
         "n_ba": [x if x is None else float(x) for x in result.n_ba]})
-    _write_manifest(args.out, "g0fit", args, inputs=[args.config, args.sweep],
-                    outputs=[args.out], snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out]
 
 
-def cmd_budget(args):
+def cmd_budget(args, cp):
     budget = calibration.chain_noise_budget(calibration.ChainBudget(
         snri_db=args.snri_db, n_add_h=args.n_add_h, eta_t_db=args.eta_t_db,
         eta_db=args.eta_db))
@@ -287,12 +280,11 @@ def cmd_budget(args):
         "n_add_t": budget.n_add_t,
         "total_background": budget.total_background,
         "n_add": budget.total_background - 1.0})
-    _write_manifest(args.out, "budget", args, outputs=[args.out])
-    return 0
+    return [args.out]
 
 
-def cmd_limits(args):
-    cp, params, baths, _ = _load_stack(args.config)
+def cmd_limits(args, cp):
+    params, baths, _ = _load_stack(cp)
     limit = calibration.phase_noise_requirement(params, baths.n_m_th,
                                                 args.n_min)
     payload = {
@@ -302,15 +294,13 @@ def cmd_limits(args):
             args.delta_phi, args.delta_att_db, args.branches),
     }
     _json_out(args.out, payload)
-    _write_manifest(args.out, "limits", args, inputs=[args.config],
-                    outputs=[args.out], snapshot=_config_snapshot(cp))
-    return 0
+    return [args.out]
 
 
 def cmd_reproduce(args):
     indices = None
     if args.criteria:
-        indices = {int(tok) for tok in args.criteria.split(",")}
+        indices = set(_numbers(args.criteria, int, "--criteria"))
     results = reproduce_mod.run_criteria(indices)
     print(reproduce_mod.format_table(results))
     if args.json:
@@ -439,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STOCHASTIC = {"amplify", "thermalize"}
-
 #: relative output paths resolve under this directory when set
 OUTDIR_ENV = "CRYODRUM_OUTDIR"
 
@@ -461,14 +449,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command in _STOCHASTIC and getattr(args, "seed", None) is None \
-            and not getattr(args, "calibrate", None):
+    if _sampling(args) and args.seed is None:
         print("error: --seed is required for stochastic commands",
               file=sys.stderr)
         return 2
     _apply_outdir(args)
     try:
-        return args.func(args)
+        if args.command == "reproduce":
+            return args.func(args)
+        cp = config_mod.read_config(args.config) \
+            if getattr(args, "config", None) else None
+        _write_manifest(args, args.func(args, cp), cp)
+        return 0
     except (ConfigError, SchemaMismatch, InvalidArgument,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ to share across concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidArgument,
@@ -271,8 +271,3 @@ def thermal_decoherence_rate(n_m_th: float, gamma_m: float) -> float:
     if n_m_th < 0.0 or gamma_m < 0.0:
         raise NonPositiveRate("n_m_th and gamma_m must be >= 0")
     return (n_m_th + 1.0) * gamma_m
-
-
-def with_params(params: SystemParams, **changes) -> SystemParams:
-    """Return a revalidated copy of params with the given fields replaced."""
-    return validate_params(replace(params, **changes))

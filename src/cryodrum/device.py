@@ -238,13 +238,16 @@ SCALING_EXPONENTS = {
     ("m_eff", "radius"): 2.0, ("m_eff", "thickness"): 1.0,
 }
 
+#: bath temperature of the sweep's thermal decoherence column [K]
+SWEEP_TEMPERATURE = 0.011
+
 _AXIS_FIELD = {"R": "radius", "sigma_m": "stress", "t": "thickness",
                "d": "gap", "radius": "radius", "stress": "stress",
                "thickness": "thickness", "gap": "gap"}
 
 
 def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
-                  kappa: float, temperature: float = 0.011) -> list[SweepRow]:
+                  kappa: float) -> list[SweepRow]:
     """Recompute all figures while scaling one geometry axis.
 
     axis is one of R/sigma_m/t/d (or the field names radius/stress/
@@ -252,8 +255,9 @@ def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
     radius follows, keeping xi_cap fixed (the scaling laws hold for
     geometrically similar drums).  Gamma_m is derived as Omega_m/Q_m; the
     thermal decoherence rate uses the *linear* bath occupancy k_B T/h Omega
-    so that every column is an exact power law of the sweep factor (the
-    exact Bose occupation would bend the log-log slope at the 1e-3 level).
+    at T = SWEEP_TEMPERATURE so that every column is an exact power law of
+    the sweep factor (the exact Bose occupation would bend the log-log
+    slope at the 1e-3 level).
     """
     field = _AXIS_FIELD.get(axis)
     if field is None:
@@ -268,7 +272,7 @@ def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
         geom = replace(base, **changes)
         res = mode_figures(geom, omega_c)
         gamma_m = res.omega_m / res.q_m
-        n_th = bose_occupation_linear(res.omega_m, temperature)
+        n_th = bose_occupation_linear(res.omega_m, SWEEP_TEMPERATURE)
         gamma_th = n_th * gamma_m
         c0 = 4.0 * res.g0**2 / (kappa * gamma_m)
         rows.append(SweepRow(axis=field, factor=float(factor), result=res,

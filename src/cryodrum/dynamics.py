@@ -21,12 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import TWO_PI, BathOccupations, DriveSet, SystemParams
-from .errors import (
-    GridTooNarrow,
-    OverlapWarning,
-    WeakCouplingWarning,
-    ZeroCavityOccupation,
-)
+from .errors import InvalidArgument, OverlapWarning, WeakCouplingWarning
 
 #: Gamma_tot/kappa above which the weak-coupling forms start to degrade
 WEAK_COUPLING_LIMIT = 0.01
@@ -55,7 +50,7 @@ class Spectrum:
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "values", values)
         if freq.ndim != 1 or freq.size < 2:
-            raise ValueError("freq must be a 1-d grid with >= 2 points")
+            raise InvalidArgument("freq must be a 1-d grid with >= 2 points")
         if values.shape != freq.shape:
             raise ValueError("values must match the freq grid")
         if np.any(np.diff(freq) <= 0.0):
@@ -64,55 +59,6 @@ class Spectrum:
             raise ValueError("PSD values must be finite")
         if self.rbw < 0.0:
             raise ValueError("rbw must be >= 0")
-
-
-@dataclass(frozen=True)
-class SusceptibilitySet:
-    """Cavity/mechanical susceptibilities on a grid (internal check object).
-
-    Inverse susceptibilities are chi_x^-1(nu) = -i(nu - delta_x) + kappa/2
-    for the tones, chi_0^-1 = -i nu + kappa/2 and chi_m^-1 = -i nu +
-    Gamma_m/2, all in the cyclic-unit convention.  The effective mechanical
-    susceptibility obeys
-
-        chi_eff^-1 = chi_m^-1 + chi_p g_p^2 + chi_r g_r^2 - chi_b g_b^2
-
-    with g_x^2 = Gamma_opt^x kappa / 4.
-    """
-
-    freq: np.ndarray
-    chi_m: np.ndarray
-    chi_0: np.ndarray
-    chi_p: np.ndarray
-    chi_r: np.ndarray
-    chi_b: np.ndarray
-    chi_eff: np.ndarray
-
-
-def susceptibilities(params: SystemParams, drives: DriveSet,
-                     freq) -> SusceptibilitySet:
-    """Evaluate the susceptibility set on a cyclic-frequency grid."""
-    nu = np.asarray(freq, dtype=float)
-    half_kappa = params.kappa / 2.0
-
-    def chi_tone(delta):
-        return 1.0 / (-1j * (nu - delta) + half_kappa)
-
-    def delta_of(role):
-        tone = drives.tone(role)
-        return tone.delta if tone is not None else 0.0
-
-    chi_m = 1.0 / (-1j * nu + drives.gamma_m / 2.0)
-    chi_0 = 1.0 / (-1j * nu + half_kappa)
-    chi_p = chi_tone(delta_of("cooling_pump"))
-    chi_r = chi_tone(delta_of("red_probe"))
-    chi_b = chi_tone(delta_of("blue_probe"))
-    g2 = {role: drives.gamma_opt(role) * params.kappa / 4.0
-          for role in ("cooling_pump", "red_probe", "blue_probe")}
-    chi_eff = 1.0 / (1.0 / chi_m + chi_p * g2["cooling_pump"]
-                     + chi_r * g2["red_probe"] - chi_b * g2["blue_probe"])
-    return SusceptibilitySet(freq=nu, chi_m=chi_m, chi_0=chi_0, chi_p=chi_p,
-                             chi_r=chi_r, chi_b=chi_b, chi_eff=chi_eff)
 
 
 def cooling_occupation(n_m_th: float, n_c: float, cooperativity: float) -> float:
@@ -152,74 +98,6 @@ def steady_state(params: SystemParams, baths: BathOccupations,
     n_m = (g_p * baths.n_c + drives.gamma_m * baths.n_m_th
            + g_r * baths.n_c + g_b * (baths.n_c + 1.0)) / drives.gamma_tot
     return replace(baths, n_m=n_m)
-
-
-def mechanical_psd(params: SystemParams, baths: BathOccupations,
-                   drives: DriveSet, grid) -> Spectrum:
-    """Phonon-number PSD: Lorentzian of FWHM Gamma_tot around zero.
-
-    Normalised so the integral over the cyclic grid equals the steady-state
-    occupation:  S(nu) = Gamma_tot n_m / (2 pi (nu^2 + (Gamma_tot/2)^2)).
-    """
-    _check_weak_coupling(params, drives)
-    n_m = steady_state(params, baths, drives).n_m
-    nu = np.asarray(grid, dtype=float)
-    gt = drives.gamma_tot
-    values = gt * n_m / (TWO_PI * (nu**2 + (gt / 2.0) ** 2))
-    return Spectrum(freq=nu, values=values, label="mechanical")
-
-
-def extend_and_integrate(psd_func, grid, *, rel_tail: float = 1e-8,
-                         max_doublings: int = 20,
-                         wing_points: int = 513) -> float:
-    """Trapezoid integral of psd_func with symmetric x2 span extension.
-
-    After integrating on the caller's grid, the span is doubled repeatedly;
-    each doubling adds two wing segments sampled with wing_points each
-    (the wings vary slowly, so a fixed per-segment point count keeps the
-    discretization error far below the tail threshold).  Stops when the
-    added tail contributes less than rel_tail of the running integral;
-    raises GridTooNarrow at the doubling cap.
-    """
-    nu = np.asarray(grid, dtype=float)
-    total = float(np.trapezoid(psd_func(nu), nu))
-    lo, hi = float(nu[0]), float(nu[-1])
-    for _ in range(max_doublings):
-        span = hi - lo
-        left = np.linspace(lo - span / 2.0, lo, wing_points)
-        right = np.linspace(hi, hi + span / 2.0, wing_points)
-        tail = (float(np.trapezoid(psd_func(left), left))
-                + float(np.trapezoid(psd_func(right), right)))
-        total += tail
-        lo, hi = float(left[0]), float(right[-1])
-        if abs(tail) < rel_tail * abs(total):
-            return total
-    raise GridTooNarrow(
-        f"spectral integral tail still above {rel_tail:g} of the total "
-        f"after {max_doublings} span doublings")
-
-
-def mechanical_occupation(params: SystemParams, baths: BathOccupations,
-                          drives: DriveSet, grid) -> float:
-    """Numerical integral of the mechanical PSD (with grid auto-extension).
-
-    The caller's grid is widened to at least +/- 64 Gamma_tot before the
-    doubling ladder starts: narrower seeds cannot push the 1/nu^2 tail
-    below the 1e-8 threshold within the doubling cap.
-    """
-    def psd(nu):
-        return mechanical_psd(params, baths, drives, nu).values
-
-    nu = np.asarray(grid, dtype=float)
-    half_min = 64.0 * drives.gamma_tot
-    if nu[0] > -half_min or nu[-1] < half_min:
-        step = nu[1] - nu[0]
-        half = max(half_min, abs(nu[0]), abs(nu[-1]))
-        count = min(int(round(2.0 * half / step)) + 1, 200001)
-        nu = np.linspace(-half, half, count)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        return extend_and_integrate(psd, nu)
 
 
 def _sideband_bracket(nu, delta, sign, params, baths, drives):
@@ -325,16 +203,6 @@ def output_psd(params: SystemParams, baths: BathOccupations,
     return components
 
 
-def total_output_psd(params: SystemParams, baths: BathOccupations,
-                     drives: DriveSet, grid,
-                     simplified: bool = False) -> Spectrum:
-    """Sum of all output components on one grid (floor kept as metadata)."""
-    comps = output_psd(params, baths, drives, grid, simplified=simplified)
-    total = sum(comps[k].values for k in ("cavity", "pump", "red", "blue"))
-    return Spectrum(freq=np.asarray(grid, dtype=float), values=total,
-                    floor=comps["floor"], label="total")
-
-
 def component_fluxes(params: SystemParams, baths: BathOccupations,
                      drives: DriveSet) -> dict:
     """Analytic device-referred photon fluxes of each component [quanta/s].
@@ -355,44 +223,3 @@ def component_fluxes(params: SystemParams, baths: BathOccupations,
                 * (n_m + 1.0 + 2.0 * n_c),
         "cavity": TWO_PI * eta * params.kappa * n_c,
     }
-
-
-def sideband_ratios(n_m: float, n_c: float, gamma_r: float, gamma_b: float,
-                    kappa: float):
-    """Probe sideband powers normalised by the cavity thermal emission.
-
-    P_b/P_c = (Gamma_b/kappa)(n_m + 1 + 2 n_c)/n_c and
-    P_r/P_c = (Gamma_r/kappa)(n_m - 2 n_c)/n_c.  Undefined at n_c = 0.
-    """
-    if n_c <= 0.0:
-        raise ZeroCavityOccupation(
-            "ratios are undefined at n_c = 0; use absolute powers")
-    pb_over_pc = gamma_b / kappa * (n_m + 1.0 + 2.0 * n_c) / n_c
-    pr_over_pc = gamma_r / kappa * (n_m - 2.0 * n_c) / n_c
-    return pb_over_pc, pr_over_pc
-
-
-def detector_spectrum(spec: Spectrum, gain: float,
-                      n_add_chain: float = 0.0) -> Spectrum:
-    """Compose a device-referred spectrum with the measurement chain.
-
-    Measured PSD = G (S + 1/2 + n_add): values scale by the chain gain and
-    the floor becomes G (floor + n_add), with the device floor normally the
-    half-quantum vacuum.  n_add_chain is the budget's total added noise
-    (ChainBudget.total_background - 1).
-    """
-    return Spectrum(freq=spec.freq, values=gain * spec.values,
-                    rbw=spec.rbw, floor=gain * (spec.floor + n_add_chain),
-                    label=spec.label)
-
-
-def cavity_occupation_from_spectrum(spec: Spectrum, kappa_ex: float) -> float:
-    """Thermal cavity occupation from a measured/synthetic emission spectrum.
-
-    n_c = integral(S_c) / (2 pi kappa_ex) with the spectrum device referred
-    and the floor already subtracted.  The grid should span several kappa;
-    no wing correction is applied here (see fitting.integrate_peak for the
-    corrected integral).
-    """
-    flux = float(np.trapezoid(spec.values, spec.freq))
-    return flux / (TWO_PI * kappa_ex)

@@ -46,16 +46,6 @@ class MissingParticipation(CryodrumError):
     """Capacitive participation ratio xi_par required but not supplied."""
 
 
-# ---- spectra ----
-
-class GridTooNarrow(CryodrumError):
-    """Spectral integral not converged after the grid-extension cap."""
-
-
-class ZeroCavityOccupation(CryodrumError):
-    """Sideband power ratios are undefined at n_c = 0."""
-
-
 # ---- fitting ----
 
 class FitNonConvergence(CryodrumError):

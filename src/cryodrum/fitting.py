@@ -25,6 +25,8 @@ from .errors import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: samples above half maximum that integrate_peak needs to call a peak resolved
+MIN_RESOLVED_POINTS = 5
 
 
 def sigma_from_rbw(rbw: float) -> float:
@@ -97,8 +99,7 @@ def _initial_guess(freq, values, sigma_rbw):
     return np.array([center0, fwhm0, area0, floor0])
 
 
-def fit_peak(spec: Spectrum, model: str = "lorentzian",
-             init=None) -> PeakFit:
+def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
     """Trust-region least squares of one peak over (center, width, area, floor).
 
     model is "lorentzian" or "voigt"; for "voigt" the Gaussian width is fixed
@@ -113,8 +114,7 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian",
     freq = spec.freq
     values = spec.values
 
-    p0 = np.asarray(init, dtype=float) if init is not None \
-        else _initial_guess(freq, values, sigma_rbw)
+    p0 = _initial_guess(freq, values, sigma_rbw)
 
     scale = np.array([max(abs(p0[0]), freq[-1] - freq[0]),
                       max(p0[1], 1e-12),
@@ -151,21 +151,22 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian",
 
 
 def integrate_peak(spec: Spectrum, floor_estimate: float = 0.0, *,
-                   min_points: int = 5, wing_correction: bool = True) -> float:
+                   wing_correction: bool = True) -> float:
     """Photon flux of a resolved peak: trapezoid of (values - floor).
 
-    The grid must resolve the peak (at least min_points samples above half
-    maximum, else PeakUnresolved points the caller to fit_peak).  With
-    wing_correction the truncated 1/nu^2 Lorentzian tails are estimated from
-    the outermost samples and added, which brings wide-grid integrals of
-    noiseless Lorentzians/Voigts to ~1e-8 relative of the true area.
+    The grid must resolve the peak (at least MIN_RESOLVED_POINTS samples
+    above half maximum, else PeakUnresolved points the caller to
+    fit_peak).  With wing_correction the truncated 1/nu^2 Lorentzian tails
+    are estimated from the outermost samples and added, which brings
+    wide-grid integrals of noiseless Lorentzians/Voigts to ~1e-8 relative
+    of the true area.
     """
     freq = spec.freq
     resid = spec.values - floor_estimate
     peak = float(np.max(np.abs(resid)))
     if peak > 0.0:
         n_above = int(np.count_nonzero(np.abs(resid) >= 0.5 * peak))
-        if n_above < min_points:
+        if n_above < MIN_RESOLVED_POINTS:
             raise PeakUnresolved(
                 f"only {n_above} samples above half maximum; fit_peak "
                 "should be used for under-resolved lines")

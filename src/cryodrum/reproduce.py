@@ -17,7 +17,7 @@ import numpy as np
 
 from . import calibration, device, dynamics, fitting, squeezing, tomography
 from .core import BathOccupations, DriveSet, drive_tone, validate_params
-from .errors import LowGainWarning, WeakCouplingWarning
+from .errors import InvalidArgument, LowGainWarning, WeakCouplingWarning
 
 #: characterized reference-device constants (cyclic rates, Hz)
 REFERENCE_SYSTEM = dict(omega_c=5.5e9, kappa=250e3, kappa_ex=200e3,
@@ -186,7 +186,7 @@ def criterion_4_squeezing_bookkeeping():
     subtracted = [m / g_opt - n_add - 0.5 for m in measured]
     db = [10.0 * math.log10(v / 0.5) for v in subtracted]
     ok_db = abs(db[0] - (-2.7)) <= 0.1 and abs(db[1] - 8.1) <= 0.1
-    n_th, r = squeezing.squeezed_thermal_from_variances(*v_pair)
+    n_th, r = tomography.squeezed_thermal_from_variances(*v_pair)
     ok_state = abs(n_th - 0.4) <= 0.2 and abs(r - 0.6) <= 0.1
     detail = (f"noise-subtracted pair -> ({_fmt(db[0], 3)}, {_fmt(db[1], 3)})"
               f" dB (targets -2.7, +8.1); inversion (n_th, r) = "
@@ -348,6 +348,11 @@ CRITERIA = (
 
 def run_criteria(indices=None) -> list:
     """Run the acceptance criteria (all by default), returning the results."""
+    if indices is not None:
+        unknown = sorted(set(indices) - set(range(1, len(CRITERIA) + 1)))
+        if unknown:
+            raise InvalidArgument(f"no criteria {unknown}; the criteria are "
+                                  f"numbered 1-{len(CRITERIA)}")
     results = []
     for idx, func in enumerate(CRITERIA, start=1):
         if indices is not None and idx not in indices:

@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveRate,
     StepRejectionOverflow,
     TruncationNonConvergence,
-    UnphysicalVariances,
     UnstableSqueeze,
 )
 from .fitting import linear_fit
@@ -50,13 +49,6 @@ class SqueezeDrive:
     ratio_db: float
     r_target: float
     coupling_g: float
-
-    def __post_init__(self):
-        if self.gamma_b < 0.0 or self.gamma_r <= 0.0:
-            raise NonPositiveRate("need gamma_r > 0 and gamma_b >= 0")
-        if self.gamma_b >= self.gamma_r:
-            raise UnstableSqueeze(
-                "gamma_b >= gamma_r: the Bogoliubov mode is not damped")
 
 
 def squeeze_drive(gamma_r: float, gamma_b: float,
@@ -92,25 +84,6 @@ def squeezing_limit(n_m_th: float, cooperativity: float) -> float:
     if n_m_th < 0.0:
         raise NonPositiveRate("n_m_th must be >= 0")
     return 10.0 * math.log10(math.sqrt((1.0 + 2.0 * n_m_th) / cooperativity))
-
-
-def squeezed_thermal_from_variances(v_sq: float, v_asq: float):
-    """(n_th, r) of the squeezed thermal state with the given axis variances.
-
-    n_th = sqrt(v_sq v_asq) - 1/2 and r = -ln(v_sq/v_asq)/4; the product
-    must satisfy the Heisenberg bound v_sq v_asq >= 1/4.
-    """
-    if v_sq > v_asq:
-        raise ValueError("expected v_sq <= v_asq")
-    if v_sq <= 0.0:
-        raise UnphysicalVariances("v_sq must be > 0")
-    product = v_sq * v_asq
-    if product < 0.25 - 1e-9:
-        raise UnphysicalVariances(
-            f"v_sq * v_asq = {product:.6g} < 1/4 violates Heisenberg")
-    n_th = math.sqrt(product) - 0.5
-    r = -0.25 * math.log(v_sq / v_asq)
-    return n_th, r
 
 
 @dataclass(frozen=True)
@@ -227,6 +200,8 @@ def initial_slope_delta(model: DephasingModel) -> float:
 
 #: step between the rungs of the truncation-dimension ladder
 LADDER_STEP = 32
+#: Fock-dimension cap of the density-matrix solver
+MAX_DIM = 1024
 
 
 def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
@@ -397,8 +372,7 @@ def _propagate(model: DephasingModel, times: np.ndarray,
         top_population=top_pop)
 
 
-def _tail_dimension(model: DephasingModel, times: np.ndarray,
-                    max_dim: int) -> int:
+def _tail_dimension(model: DephasingModel, times: np.ndarray) -> int:
     """First rung of the dimension ladder.
 
     It starts at eight times the largest anti-squeezed variance along the
@@ -406,18 +380,18 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray,
     multiple of LADDER_STEP, and rises by LADDER_STEP until the initial
     state's two top populations are below 1e-10.  The moments only place
     the start; acceptance rests on the solver's own tests.  A start above
-    max_dim raises TruncationNonConvergence before any propagation.
+    MAX_DIM raises TruncationNonConvergence before any propagation.
     """
     v_asq = float(np.max(moments_evolve(model, np.append(0.0, times)).v_asq))
     dim = max(LADDER_STEP,
               LADDER_STEP * math.ceil(8.0 * v_asq / LADDER_STEP))
-    if dim > max_dim:
+    if dim > MAX_DIM:
         raise TruncationNonConvergence(
             f"the trajectory reaches an anti-squeezed variance of "
             f"{v_asq:.4g}, which needs about {dim} Fock levels, above the "
-            f"dimension cap {max_dim}")
+            f"dimension cap {MAX_DIM}")
     n_th0, r0 = model.initial.squeezed_thermal_params
-    while dim <= max_dim:
+    while dim <= MAX_DIM:
         rho = _squeezed_thermal_rho(n_th0, r0, 0.0, dim)
         if float(np.real(rho[-1, -1])) < 1e-10 \
                 and float(np.real(rho[-2, -2])) < 1e-10:
@@ -425,7 +399,7 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray,
         dim += LADDER_STEP
     raise TruncationNonConvergence(
         f"initial-state tail not below 1e-10 within the dimension cap "
-        f"{max_dim}")
+        f"{MAX_DIM}")
 
 
 def _moment_drift(a: LindbladTrajectory, b: LindbladTrajectory) -> float:
@@ -435,8 +409,7 @@ def _moment_drift(a: LindbladTrajectory, b: LindbladTrajectory) -> float:
                float(np.max(np.abs(a.v_asq - b.v_asq))) / scale)
 
 
-def lindblad_evolve(model: DephasingModel, times,
-                    max_dim: int = 1024) -> LindbladTrajectory:
+def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     """Density-matrix evolution in a truncated Fock basis.
 
     The state is propagated as its even coherence-offset blocks (see
@@ -461,7 +434,7 @@ def lindblad_evolve(model: DephasingModel, times,
         return traj
 
     reference = None
-    for dim in range(_tail_dimension(model, times, max_dim), max_dim + 1,
+    for dim in range(_tail_dimension(model, times), MAX_DIM + 1,
                      LADDER_STEP):
         traj = _propagate(model, times, dim)
         if (reference is not None and traj.top_population.max() < 1e-8
@@ -469,10 +442,14 @@ def lindblad_evolve(model: DephasingModel, times,
             return traj
         reference = traj
     raise TruncationNonConvergence(
-        f"moments not stable below the dimension cap {max_dim}")
+        f"moments not stable below the dimension cap {MAX_DIM}")
 
 
 # ---- dephasing extraction ----
+
+#: samples of the forward curve delta(Gamma_phi) kept in an extraction
+CURVE_POINTS = 33
+
 
 @dataclass(frozen=True)
 class DephasingExtraction:
@@ -523,8 +500,7 @@ def _invert_delta(target, initial, gamma_th, times, tol, memo):
 def extract_dephasing(observed, initial: GaussianMechState, *,
                       gamma_th: float, times=None, delta_err: float = 0.0,
                       n_th_err: float = 0.0, r_err: float = 0.0,
-                      tol: float = 1e-4, curve_points: int = 33
-                      ) -> DephasingExtraction:
+                      tol: float = 1e-4) -> DephasingExtraction:
     """Invert the slope-difference curve to the pure dephasing rate.
 
     observed is a DecoherenceRates record or the rate difference in Hz
@@ -548,7 +524,7 @@ def extract_dephasing(observed, initial: GaussianMechState, *,
     # inversions repeat the nominal bisection and are served from here
     memo: dict = {}
     phi_probe = max(target, delta_err, 1e-3)
-    curve_phi = np.linspace(0.0, 4.0 * phi_probe, curve_points)
+    curve_phi = np.linspace(0.0, 4.0 * phi_probe, CURVE_POINTS)
     curve_delta = np.array([_delta_of_phi(p, initial, gamma_th, times, memo)
                             for p in curve_phi])
     if np.any(np.diff(curve_delta) < -1e-12):

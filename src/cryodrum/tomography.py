@@ -7,10 +7,9 @@ the mechanical quadratures as <I^2> = G_opt (<X1^2> + n_add_opt + 1/2) with
 the quadrature convention X = (b + b^dag)/sqrt(2), vacuum variance 1/2.
 
 Monte-Carlo sampling happens directly at the level of the final (I, Q)
-Gaussians; full time-trace synthesis exists only as a generator for filter
-diagnostics.  All Monte-Carlo draws are seeded deterministically; per-point
-streams derive from (seed, point index) so results do not depend on how work
-is partitioned.
+Gaussians; no time traces are synthesized.  All Monte-Carlo draws are seeded
+deterministically; per-point streams derive from (seed, point index) so
+results do not depend on how work is partitioned.
 """
 
 from __future__ import annotations
@@ -30,8 +29,28 @@ from .errors import (
     NegativeVarianceEstimate,
     NonPositiveAmplification,
     NonPositiveRate,
+    UnphysicalVariances,
 )
 from .fitting import LinearFitResult, linear_fit
+
+
+def squeezed_thermal_from_variances(v_sq: float, v_asq: float):
+    """(n_th, r) of the squeezed thermal state with the given axis variances.
+
+    n_th = sqrt(v_sq v_asq) - 1/2 and r = -ln(v_sq/v_asq)/4; the product
+    must satisfy the Heisenberg bound v_sq v_asq >= 1/4.
+    """
+    if v_sq > v_asq:
+        raise ValueError("expected v_sq <= v_asq")
+    if v_sq <= 0.0:
+        raise UnphysicalVariances("v_sq must be > 0")
+    product = v_sq * v_asq
+    if product < 0.25 - 1e-9:
+        raise UnphysicalVariances(
+            f"v_sq * v_asq = {product:.6g} < 1/4 violates Heisenberg")
+    n_th = math.sqrt(product) - 0.5
+    r = -0.25 * math.log(v_sq / v_asq)
+    return n_th, r
 
 
 @dataclass(frozen=True)
@@ -101,11 +120,9 @@ class GaussianMechState:
 
     @property
     def squeezed_thermal_params(self):
-        """(n_th, r) of the squeezed-thermal parametrisation."""
-        v_sq, v_asq = self.principal_variances
-        n_th = math.sqrt(max(v_sq * v_asq, 0.0)) - 0.5
-        r = -0.25 * math.log(v_sq / v_asq) if v_sq > 0 else math.inf
-        return n_th, r
+        """(n_th, r) of the squeezed-thermal parametrisation; raises
+        UnphysicalVariances for a state below the Heisenberg bound."""
+        return squeezed_thermal_from_variances(*self.principal_variances)
 
     @property
     def is_physical(self) -> bool:
@@ -538,23 +555,3 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
         gamma_th_fit=float(gamma_th_fit), gamma_th_err=float(gamma_th_err),
         gamma_m_fit=float(gamma_m_fit), n_eq_fit=float(n_eq_fit),
         t_one_quantum=float(t_one))
-
-
-def synthesize_readout_trace(spec: AmplifierSpec, initial=(1.0, 0.0),
-                             noise_std: float = 0.0, seed=None):
-    """Generate an exponentially growing (I, Q) trace with white noise.
-
-    Diagnostic generator for filter studies only: the statistics pipelines
-    sample final (I, Q) amplitudes directly.  Returns (times, traces) with
-    traces of shape (nsteps, 2).
-    """
-    if spec.gamma_amp <= 0.0:
-        raise NonPositiveAmplification("gamma_amp must be > 0")
-    nsteps = int(round(spec.tau / spec.dt))
-    t = (np.arange(nsteps) + 0.5) * spec.dt
-    envelope = np.exp(TWO_PI * spec.gamma_amp * t / 2.0)
-    traces = np.outer(envelope, np.asarray(initial, dtype=float))
-    if noise_std > 0.0:
-        rng = np.random.default_rng(seed)
-        traces = traces + rng.standard_normal(traces.shape) * noise_std
-    return t, traces

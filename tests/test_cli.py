@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import os
@@ -249,9 +250,10 @@ def test_config_error_exit(tmp_path):
 
 def assert_usage_error(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_drive_role_exit(tmp_path, capsys):
@@ -292,3 +294,77 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
                  "--eta-db", "1.55"]) == 0
     assert (outdir / "budget.json").exists()
     assert (outdir / "budget.json.manifest.json").exists()
+
+
+#: (command line, inputs, outputs, seed) of every manifest-writing form;
+#: {cfg} is the config path and {d} the output directory
+MANIFEST_CASES = {
+    "device": ("device --config {cfg} --out {d}/o.csv",
+               ["{cfg}"], ["{d}/o.csv"], None),
+    "psd-summary": ("psd --config {cfg} --out {d}/o.csv --simplified "
+                    "--points 101 --summary {d}/s.json",
+                    ["{cfg}"], ["{d}/o.csv", "{d}/s.json"], None),
+    "cool": ("cool --config {cfg} --out {d}/o.csv --points 5",
+             ["{cfg}"], ["{d}/o.csv"], None),
+    "asymmetry": ("asymmetry --peaks {d}/peaks.csv --out {d}/o.json",
+                  ["{d}/peaks.csv"], ["{d}/o.json"], None),
+    "amplify": ("amplify --out {d}/o.csv --seed 7 --samples 50",
+                [], ["{d}/o.csv"], 7),
+    "amplify-calibrate": ("amplify --out {d}/o.json --calibrate "
+                          "{d}/line.csv --seed 3",
+                          ["{d}/line.csv"], ["{d}/o.json"], None),
+    "thermalize": ("thermalize --config {cfg} --out {d}/o.csv --seed 11 "
+                   "--samples 200 --points 5 --tmax 2e-3",
+                   ["{cfg}"], ["{d}/o.csv", "{d}/o.json"], 11),
+    "squeeze": ("squeeze --config {cfg} --out {d}/o.json --gamma-r 75 "
+                "--gamma-b 23.7", ["{cfg}"], ["{d}/o.json"], None),
+    "dephase": ("dephase --out {d}/o.csv --gamma-th 17.1 --n-th 0.4 --r 0.6",
+                [], ["{d}/o.csv", "{d}/o.json"], None),
+    "g0fit": ("g0fit --config {cfg} --sweep {d}/sweep.csv --out {d}/o.json",
+              ["{cfg}", "{d}/sweep.csv"], ["{d}/o.json"], None),
+    "budget": ("budget --out {d}/o.json --snri-db 11.3 --n-add-h 8.7 "
+               "--eta-t-db 2.5 --eta-db 1.55", [], ["{d}/o.json"], None),
+    "limits": ("limits --config {cfg} --out {d}/o.json",
+               ["{cfg}"], ["{d}/o.json"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_fields(case, cfg, tmp_path, params):
+    argv, inputs, outputs, seed = MANIFEST_CASES[case]
+    (tmp_path / "peaks.csv").write_text(
+        "N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,1.0\n")
+    (tmp_path / "line.csv").write_text(
+        "n_m,var_uV2\n0.1,2.147\n0.5,2.599\n2.0,4.294\n8.0,11.074\n")
+    datasets.write_sweep(tmp_path / "sweep.csv",
+                         calibration.synthesize_g0_sweep(
+                             params, 13.4, np.linspace(0.05, 0.4, 6)))
+
+    def fill(text):
+        return text.format(cfg=cfg, d=tmp_path)
+
+    assert main(fill(argv).split()) == 0
+    manifest = manifest_of(fill(outputs[0]))
+    assert manifest["command"] == argv.split()[0]
+    assert manifest["inputs"] == [fill(p) for p in inputs]
+    assert manifest["outputs"] == [fill(p) for p in outputs]
+    assert manifest["seed"] == seed
+    sections = configparser.ConfigParser()
+    sections.read_string(CONFIG)
+    expected = {name: dict(sections.items(name))
+                for name in sections.sections()} if "{cfg}" in inputs else {}
+    assert manifest["parameters"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    "cool --config {cfg} --out {d}/o.csv --cmin -1",
+    "limits --config {cfg} --out {d}/o.json --branches 0",
+    "psd --config {cfg} --out {d}/o.csv --points 1",
+    "device --config {cfg} --out {d}/o.csv --sweep-axis gap --factors a,b",
+    "reproduce --criteria x",
+    "reproduce --criteria 10",
+    "reproduce --criteria 0,4",
+], ids=["cool-cmin", "limits-branches", "psd-points", "device-factors",
+        "criteria-text", "criteria-above", "criteria-zero"])
+def test_usage_error_exit(argv, cfg, tmp_path, capsys):
+    assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from cryodrum import squeezing
+from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     TruncationNonConvergence,
@@ -58,15 +58,15 @@ def test_squeezing_limit_values():
 
 
 def test_squeezed_thermal_inversion():
-    n_th, r = squeezing.squeezed_thermal_from_variances(0.27, 3.27)
+    n_th, r = tomography.squeezed_thermal_from_variances(0.27, 3.27)
     assert n_th == pytest.approx(0.4396, abs=1e-4)
     assert r == pytest.approx(0.6236, abs=1e-4)
-    assert squeezing.squeezed_thermal_from_variances(0.5, 0.5) \
+    assert tomography.squeezed_thermal_from_variances(0.5, 0.5) \
         == (pytest.approx(0.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
     with pytest.raises(UnphysicalVariances):
-        squeezing.squeezed_thermal_from_variances(0.2, 0.3)
+        tomography.squeezed_thermal_from_variances(0.2, 0.3)
     with pytest.raises(ValueError):
-        squeezing.squeezed_thermal_from_variances(3.0, 0.3)
+        tomography.squeezed_thermal_from_variances(3.0, 0.3)
 
 
 # ---- moment evolution ----

@@ -11,6 +11,7 @@ from cryodrum.errors import (
     LowGainWarning,
     NegativeVarianceEstimate,
     NonPositiveAmplification,
+    UnphysicalVariances,
 )
 from cryodrum.tomography import GaussianMechState
 
@@ -47,6 +48,16 @@ def test_squeezed_thermal_moments():
     n_th, r = state.squeezed_thermal_params
     assert n_th == pytest.approx(0.4, rel=1e-12)
     assert r == pytest.approx(0.6, rel=1e-12)
+
+
+def test_squeezed_thermal_params_flags_unphysical_state():
+    # below the Heisenberg bound the parametrisation is refused, where it
+    # used to come back clamped as n_th = -0.5 or r = inf
+    for state in (GaussianMechState(n=-0.3),
+                  GaussianMechState(n=0.1, b2=0.7 + 0j)):
+        assert not state.is_physical
+        with pytest.raises(UnphysicalVariances):
+            state.squeezed_thermal_params
 
 
 def test_state_rotation_moves_axes():
@@ -100,9 +111,9 @@ def test_matched_filter_snr_optimality():
     trace; the optimum must sit at Gamma_amp within the 1% grid.
     """
     spec = make_spec(tau=22e-3, dt=5e-5)
-    t, traces = tomography.synthesize_readout_trace(spec, initial=(1.0, 0.0))
-    signal = traces[:, 0]
     dt = spec.dt
+    t = (np.arange(int(round(spec.tau / dt))) + 0.5) * dt
+    signal = np.exp(TWO_PI * spec.gamma_amp * t / 2.0)
     ratios = np.arange(0.70, 1.30, 0.01)
     snrs = []
     for ratio in ratios:
