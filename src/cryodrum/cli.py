@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, calibration, datasets, device, dynamics, \
-    squeezing, tomography
+from . import __version__, calibration, core, datasets, device, \
+    dynamics, squeezing, tomography
 from . import config as config_mod
 from . import reproduce as reproduce_mod
 from .errors import (ConfigError, CryodrumError, InvalidArgument,
@@ -85,6 +85,18 @@ def _numbers(text, kind, option):
                               f"got {text!r}") from None
 
 
+def _check(args, low, *options, above=False):
+    """InvalidArgument, a usage error, unless every named option that is
+    set is finite and >= low (> low when above)."""
+    for option in options:
+        value = getattr(args, option)
+        if value is not None and not (np.isfinite(value) and (
+                value > low if above else value >= low)):
+            raise InvalidArgument(
+                f"--{option.replace('_', '-')} must be finite and "
+                f"{'>' if above else '>='} {low:g}, got {value!r}")
+
+
 def _json_out(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -94,6 +106,8 @@ def cmd_device(args, cp):
     params = config_mod.load_system(cp)
     if args.sweep_axis:
         factors = _numbers(args.factors, float, "--factors")
+        if not all(np.isfinite(f) and f > 0.0 for f in factors):
+            raise InvalidArgument("--factors must be finite and > 0")
         sweep = device.scaling_sweep(geom, args.sweep_axis, factors,
                                      omega_c=params.omega_c,
                                      kappa=params.kappa)
@@ -110,6 +124,7 @@ def cmd_device(args, cp):
 
 
 def cmd_psd(args, cp):
+    _check(args, 0.0, "span_widths", above=True)
     params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
     grid = np.linspace(-half, half, args.points)
@@ -138,8 +153,7 @@ def cmd_psd(args, cp):
 
 def cmd_cool(args, cp):
     _, baths, _ = _load_stack(cp)
-    if args.cmin <= 0.0 or args.cmax <= 0.0:
-        raise InvalidArgument("--cmin and --cmax must be > 0")
+    _check(args, 0.0, "cmin", "cmax", above=True)
     coops = np.geomspace(args.cmin, args.cmax, args.points)
     n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
            for c in coops.tolist()]
@@ -197,10 +211,10 @@ def cmd_thermalize(args, cp):
         tau=args.tau, dt=args.tau / 2048.0, eta_kappa=params.eta_kappa,
         g_opt_uv2=args.g_opt, n_add_opt=args.n_add)
     times = np.linspace(0.0, args.tmax, args.points)
+    gamma_th = core.thermal_decoherence_rate(baths.n_m_th, params.gamma_m)
     result = tomography.free_evolution_experiment(
-        tomography.GaussianMechState.vacuum(),
-        (baths.n_m_th + 1.0) * params.gamma_m, params.gamma_m, baths.n_m_th,
-        times, readout, n_samples=args.samples, seed=args.seed)
+        tomography.GaussianMechState.vacuum(), gamma_th, params.gamma_m,
+        baths.n_m_th, times, readout, n_samples=args.samples, seed=args.seed)
     datasets._write_table(args.out, ["t_s", "n_est", "n_err"], zip(*[
         datasets._float_cells(column)
         for column in (result.times, result.n_est, result.n_err)]))
@@ -233,6 +247,10 @@ def cmd_squeeze(args, cp):
 
 
 def cmd_dephase(args, cp):
+    _check(args, 0.0, "gamma_th", "n_th", "gamma_phi", "delta_err")
+    _check(args, -np.inf, "r")
+    _check(args, 0.0, "tmax", above=True)
+    _check(args, 2, "points")
     initial = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     times = np.linspace(0.0, args.tmax, args.points)
     gamma_phi = args.gamma_phi if args.gamma_phi is not None else 0.0

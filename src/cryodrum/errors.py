@@ -102,10 +102,6 @@ class StepRejectionOverflow(CryodrumError):
     """Density-matrix propagation produced non-finite values."""
 
 
-class NonMonotoneCurve(CryodrumError):
-    """Rate-difference curve is not monotone; inversion would be ambiguous."""
-
-
 # ---- datasets / CLI ----
 
 class SchemaMismatch(CryodrumError):

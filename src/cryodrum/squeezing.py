@@ -24,7 +24,6 @@ import numpy as np
 from .core import TWO_PI
 from .errors import (
     InvalidArgument,
-    NonMonotoneCurve,
     NonPositiveRate,
     StepRejectionOverflow,
     TruncationNonConvergence,
@@ -460,21 +459,18 @@ class DephasingExtraction:
     curve_delta: np.ndarray     # corresponding rate differences
 
 
-def _delta_of_phi(gamma_phi, initial, gamma_th, times, memo):
-    """Forward-curve point delta(Gamma_phi), kept in `memo` under the
-    rounded state parameters and Gamma_phi (gamma_th and times are fixed
-    within one extraction)."""
-    n_th, r = initial.squeezed_thermal_params
-    key = (round(n_th, 12), round(r, 12), round(float(gamma_phi), 12))
-    if key not in memo:
-        model = DephasingModel(gamma_th=gamma_th, gamma_phi=gamma_phi,
-                               initial=initial)
-        traj = moments_evolve(model, times)
-        memo[key] = decoherence_rates(times, traj.v_sq, traj.v_asq).delta
-    return memo[key]
+def _delta_curve(gamma_phi, initial: GaussianMechState, times):
+    """Slope difference [Hz, cyclic] of the unweighted fits over `times` of
+    v = 1/2 + n -+ |b2_0| e^{-8 pi Gphi t}, for one Gphi or an array: <n>
+    cancels, leaving -2 |b2_0| sum (t - tbar) e^{-8 pi Gphi t}
+    / (2 pi sum (t - tbar)^2)."""
+    centred = times - times.mean()
+    decay = np.exp(-4.0 * TWO_PI * np.multiply.outer(gamma_phi, times))
+    return (-2.0 * abs(initial.b2) * (decay @ centred)
+            / (TWO_PI * (centred @ centred)))
 
 
-def _invert_delta(target, initial, gamma_th, times, tol, memo):
+def _invert_delta(target, initial, times, tol):
     if target == 0.0:
         return 0.0
     if target < 0.0:
@@ -482,15 +478,15 @@ def _invert_delta(target, initial, gamma_th, times, tol, memo):
             "rate difference must be >= 0 for a squeezed state")
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if _delta_of_phi(hi, initial, gamma_th, times, memo) >= target:
+        if _delta_curve(hi, initial, times) >= target:
             break
         hi *= 2.0
     else:
-        raise ValueError(f"rate difference {target:.4g} Hz beyond the "
-                         "achievable range for this initial state")
+        raise InvalidArgument(f"rate difference {target:.4g} Hz beyond the "
+                              "achievable range for this initial state")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _delta_of_phi(mid, initial, gamma_th, times, memo) < target:
+        if _delta_curve(mid, initial, times) < target:
             lo = mid
         else:
             hi = mid
@@ -504,11 +500,13 @@ def extract_dephasing(observed, initial: GaussianMechState, *,
     """Invert the slope-difference curve to the pure dephasing rate.
 
     observed is a DecoherenceRates record or the rate difference in Hz
-    (cyclic).  The forward curve delta(Gamma_phi) is built from the moment
-    equations with slopes fitted over `times` (default 0-5 ms); it is
-    monotone, so bisection inverts it to `tol` Hz.  Input errors propagate
-    by interval arithmetic: the upper dephasing bound pairs the high rate
-    difference with the least-sensitive initial state and vice versa.
+    (cyclic).  The forward curve over `times` (default 0-5 ms) is
+    _delta_curve, from which gamma_th cancels.  It rises to one maximum and
+    falls (its derivative is a sum of exponentials whose coefficients
+    (t_i - tbar) t_i change sign once); doubling then bisection returns the
+    rising-branch root to `tol` Hz.  Input errors propagate by interval
+    arithmetic: the upper bound pairs the high rate difference with the
+    least-sensitive initial state and vice versa.
     """
     if isinstance(observed, DecoherenceRates):
         target = observed.delta
@@ -516,29 +514,26 @@ def extract_dephasing(observed, initial: GaussianMechState, *,
             delta_err = observed.delta_err
     else:
         target = float(observed)
+    if not (math.isfinite(target) and math.isfinite(delta_err)):
+        raise InvalidArgument("rate difference and its error must be finite")
     if times is None:
         times = np.linspace(0.0, 5e-3, 11)
     times = np.asarray(times, dtype=float)
 
-    # curve points of this call only; with delta_err = 0 the bound
-    # inversions repeat the nominal bisection and are served from here
-    memo: dict = {}
     phi_probe = max(target, delta_err, 1e-3)
     curve_phi = np.linspace(0.0, 4.0 * phi_probe, CURVE_POINTS)
-    curve_delta = np.array([_delta_of_phi(p, initial, gamma_th, times, memo)
-                            for p in curve_phi])
-    if np.any(np.diff(curve_delta) < -1e-12):
-        raise NonMonotoneCurve("delta(Gamma_phi) curve is not monotone")
+    curve_delta = _delta_curve(curve_phi, initial, times)
 
     n_th, r = initial.squeezed_thermal_params
-    gamma_phi = _invert_delta(target, initial, gamma_th, times, tol, memo)
+    n_th = max(n_th, 0.0)       # a pure state's n_th can round below 0
+    gamma_phi = _invert_delta(target, initial, times, tol)
 
     lo_target = max(target - delta_err, 0.0)
     hi_target = target + delta_err
     stiff = GaussianMechState.squeezed_thermal(n_th + n_th_err, r + r_err)
     soft = GaussianMechState.squeezed_thermal(max(n_th - n_th_err, 0.0),
                                               max(r - r_err, 1e-6))
-    lo = _invert_delta(lo_target, stiff, gamma_th, times, tol, memo)
-    hi = _invert_delta(hi_target, soft, gamma_th, times, tol, memo)
+    lo = _invert_delta(lo_target, stiff, times, tol)
+    hi = _invert_delta(hi_target, soft, times, tol)
     return DephasingExtraction(gamma_phi=gamma_phi, lo=lo, hi=hi,
                                curve_phi=curve_phi, curve_delta=curve_delta)

@@ -469,21 +469,6 @@ def calibrate_amplifier(points, sigma=None) -> AmplifierCalibration:
                                 n_add_err=float(n_add_err), fit=fit)
 
 
-def evolve_moments_free(state: GaussianMechState, t: float, gamma_m: float,
-                        n_m_th: float,
-                        gamma_phi: float = 0.0) -> GaussianMechState:
-    """Free thermalization of the second moments (finite-temperature form).
-
-    n(t) = n_th + (n0 - n_th) e^{-2 pi Gamma_m t};
-    b2(t) = b2(0) e^{-(2 pi Gamma_m + 8 pi Gamma_phi) t}.
-    """
-    decay = math.exp(-TWO_PI * gamma_m * t)
-    n_t = n_m_th + (state.n - n_m_th) * decay
-    b2_t = state.b2 * math.exp(-(TWO_PI * gamma_m
-                                 + 4.0 * TWO_PI * gamma_phi) * t)
-    return GaussianMechState(n=n_t, b2=b2_t)
-
-
 @dataclass(frozen=True)
 class FreeEvolutionResult:
     times: np.ndarray
@@ -503,26 +488,31 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
                               linear_window: float = 2e-3) -> FreeEvolutionResult:
     """Simulated thermalization run: evolve, sample, estimate, fit.
 
-    For each evolution time the second moments are propagated, a quadrature
-    batch of n_samples is drawn through the calibrated readout, and the
-    occupation re-estimated.  The short-time linear fit (t <= linear_window)
-    returns the thermal decoherence rate; an exponential fit over the full
-    window gives the relaxation rate, equilibrium occupation and the time to
-    reach one quantum.  gamma_th is the expected (n_m_th + 1) gamma_m rate
-    and is only carried through for reporting; the evolution uses gamma_m.
+    The states come from one finite-temperature squeezing.moments_evolve
+    trajectory; gamma_th, the expected (n_m_th + 1) gamma_m, is validated
+    there, and the evolution uses gamma_m.  Each time's batch of n_samples
+    is re-estimated; a linear fit over t <= linear_window (two distinct
+    times at least) gives the thermal decoherence rate, an exponential fit
+    over all times the relaxation rate, equilibrium occupation and the
+    time to reach one quantum.
     """
     from scipy.optimize import least_squares
+
+    from .squeezing import DephasingModel, moments_evolve
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("evolution times must be >= 0")
+    if not (np.all(np.isfinite(times) & (times >= 0.0))
+            and np.unique(times[times <= linear_window]).size >= 2):
+        raise InvalidArgument("evolution times must be finite and >= 0, "
+                              "two distinct ones in the linear window")
+    traj = moments_evolve(DephasingModel(
+        gamma_th=gamma_th, gamma_phi=gamma_phi, initial=prep,
+        mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
     n_est = np.empty_like(times)
     n_err = np.empty_like(times)
-    for idx, t in enumerate(times):
-        evolved = evolve_moments_free(prep, float(t), gamma_m, n_m_th,
-                                      gamma_phi)
-        batch = sample_quadratures(evolved, readout.g_opt_uv2,
-                                   readout.n_add_opt, n_samples,
-                                   seed=[seed, idx])
+    for idx, (n, b2) in enumerate(zip(traj.n.tolist(), traj.b2.tolist())):
+        batch = sample_quadratures(GaussianMechState(n=n, b2=b2),
+                                   readout.g_opt_uv2, readout.n_add_opt,
+                                   n_samples, seed=[seed, idx])
         est = estimate_state(batch)
         n_est[idx] = est.n_m
         n_err[idx] = est.n_m_err

@@ -205,6 +205,20 @@ def test_dephase_command(tmp_path):
     assert len(payload["extraction"]["curve_delta_hz"]) == 33
 
 
+DEPHASE = "dephase --out {d}/o.csv --gamma-th 17.1 --n-th 0.4 --r 0.6"
+THERMALIZE = "thermalize --config {cfg} --out {d}/o.csv --seed 11"
+
+
+def test_dephase_inverts_past_the_curve_maximum(tmp_path):
+    # the sampled curve runs to 4 delta = 40 Hz in Gamma_phi, past the
+    # maximum of delta(Gamma_phi) at 23.7 Hz where it turns down; the
+    # root on the rising branch is still found
+    assert main(DEPHASE.format(d=tmp_path).split() + ["--delta", "10"]) == 0
+    payload = json.loads((tmp_path / "o.json").read_text())
+    assert payload["extraction"]["gamma_phi_hz"] == pytest.approx(0.978,
+                                                                  abs=1e-3)
+
+
 def test_g0fit_command(cfg, tmp_path, params):
     rows = calibration.synthesize_g0_sweep(params, 13.4,
                                            np.linspace(0.05, 0.4, 6))
@@ -358,13 +372,28 @@ def test_manifest_fields(case, cfg, tmp_path, params):
 
 @pytest.mark.parametrize("argv", [
     "cool --config {cfg} --out {d}/o.csv --cmin -1",
+    "cool --config {cfg} --out {d}/o.csv --cmin nan",
     "limits --config {cfg} --out {d}/o.json --branches 0",
     "psd --config {cfg} --out {d}/o.csv --points 1",
+    "psd --config {cfg} --out {d}/o.csv --span-widths 0",
     "device --config {cfg} --out {d}/o.csv --sweep-axis gap --factors a,b",
+    "device --config {cfg} --out {d}/o.csv --sweep-axis gap --factors 0",
+    DEPHASE + " --delta 200",
+    DEPHASE + " --delta nan",
+    DEPHASE + " --delta inf",
+    DEPHASE + " --points 1",
+    DEPHASE + " --tmax 0",
+    DEPHASE.replace("17.1", "nan"),
+    THERMALIZE + " --points 1",
+    THERMALIZE + " --tmax nan",
     "reproduce --criteria x",
     "reproduce --criteria 10",
     "reproduce --criteria 0,4",
-], ids=["cool-cmin", "limits-branches", "psd-points", "device-factors",
-        "criteria-text", "criteria-above", "criteria-zero"])
+], ids=["cool-cmin", "cool-cmin-nan", "limits-branches", "psd-points",
+        "psd-span", "device-factors", "device-factors-zero",
+        "dephase-delta-above", "dephase-delta-nan", "dephase-delta-inf",
+        "dephase-points", "dephase-tmax", "dephase-gamma-th-nan",
+        "thermalize-points", "thermalize-tmax-nan", "criteria-text",
+        "criteria-above", "criteria-zero"])
 def test_usage_error_exit(argv, cfg, tmp_path, capsys):
     assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from cryodrum import squeezing, tomography
@@ -297,29 +299,6 @@ def test_extract_dephasing_roundtrip():
     assert result.gamma_phi == pytest.approx(0.05, abs=1e-3)
 
 
-def test_extract_dephasing_memo_is_per_call(monkeypatch):
-    # no state survives a call, and within one call the bound inversions at
-    # zero input errors are served from the nominal bisection
-    calls = []
-    moments_evolve = squeezing.moments_evolve
-
-    def counted(model, times):
-        calls.append(model.gamma_phi)
-        return moments_evolve(model, times)
-
-    monkeypatch.setattr(squeezing, "moments_evolve", counted)
-    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
-    counts = []
-    for delta_err in (0.0, 0.0, 0.3):
-        calls.clear()
-        squeezing.extract_dephasing(1.1, initial, gamma_th=17.1,
-                                    delta_err=delta_err)
-        counts.append(len(calls))
-        assert len(set(calls)) == len(calls)
-    assert counts[0] == counts[1]
-    assert counts[0] < counts[2]
-
-
 def test_extract_dephasing_zero():
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
     result = squeezing.extract_dephasing(0.0, initial, gamma_th=17.1)
@@ -356,20 +335,61 @@ def test_lindblad_rotated_initial_state():
     assert traj.b2[0].imag == pytest.approx(initial.b2.imag, rel=1e-6)
 
 
-def test_finite_temperature_matches_tomography_evolution():
-    # the readout module's free-evolution law and the squeezing module's
-    # finite-temperature moments are the same dynamics
-    from cryodrum import tomography as tomo
-    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
-    gamma_m, n_m_th, gamma_phi = 0.08, 255.0, 0.09
-    times = np.linspace(0.0, 5e-3, 7)
-    model = squeezing.DephasingModel(
-        gamma_th=(n_m_th + 1.0) * gamma_m, gamma_phi=gamma_phi,
-        initial=initial, mode="finite_temperature", gamma_m=gamma_m,
-        n_m_th=n_m_th)
-    traj = squeezing.moments_evolve(model, times)
-    for idx, t in enumerate(times):
-        evolved = tomo.evolve_moments_free(initial, float(t), gamma_m,
-                                           n_m_th, gamma_phi)
-        assert evolved.n == pytest.approx(traj.n[idx], rel=1e-12)
-        assert abs(evolved.b2) == pytest.approx(abs(traj.b2[idx]), rel=1e-12)
+# ---- the closed-form dephasing curve
+
+#: (n_th, r, Gamma_th [Hz], Gamma_phi [Hz], time grid [s]); the grids start
+#: at 0, as every grid of the package does, with steps within a factor 2 of
+#: each other
+dephasing_cases = st.tuples(
+    st.floats(0.0, 3.0), st.floats(0.05, 1.5), st.floats(0.0, 60.0),
+    st.floats(0.0, 5.0),
+    st.builds(lambda steps, span: np.append(0.0, np.cumsum(steps))
+              * span / sum(steps),
+              st.lists(st.floats(0.5, 1.0), min_size=2, max_size=40),
+              st.floats(1e-3, 2e-2)))
+curve_property = settings(max_examples=80, deadline=None)
+
+
+@curve_property
+@given(case=dephasing_cases)
+def test_delta_curve_matches_fitted_moments(case):
+    # the closed form is the fitted slope difference of the moment
+    # trajectory; the fits round at the scale of the variances over the
+    # window, so the tolerance is relative to that rate as well
+    n_th, r, gamma_th, gamma_phi, times = case
+    initial = GaussianMechState.squeezed_thermal(n_th, r)
+    traj = squeezing.moments_evolve(squeezing.DephasingModel(
+        gamma_th=gamma_th, gamma_phi=gamma_phi, initial=initial), times)
+    rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
+    scale = float(np.max(traj.v_asq)) / (TWO_PI * times[-1])
+    assert squeezing._delta_curve(gamma_phi, initial, times) \
+        == pytest.approx(rates.delta, rel=1e-12, abs=1e-12 * scale)
+
+    # one maximum: rising, then falling, never rising again
+    steps = np.diff(squeezing._delta_curve(
+        np.linspace(0.0, 20.0 / times[-1], 400), initial, times))
+    falling = np.flatnonzero(steps < 0.0)
+    assert falling.size == 0 or np.all(steps[falling[0]:] <= 0.0)
+
+
+@curve_property
+@given(case=dephasing_cases)
+@example(case=(0.0, 1.0, 17.1, 0.09, np.linspace(0.0, 5e-3, 11)))
+def test_extract_dephasing_roundtrip_property(case):
+    # on the rising branch, where doubling from 1 Hz cannot step over the
+    # maximum (delta(2 Gphi) >= delta(Gphi)), the inversion returns Gphi;
+    # Gphi = 0 has its own test, since the fitted delta then rounds to
+    # either side of 0 and a negative one is rejected
+    n_th, r, gamma_th, gamma_phi, times = case
+    assume(gamma_phi >= 1e-3)
+    initial = GaussianMechState.squeezed_thermal(n_th, r)
+    assume(squeezing._delta_curve(2.0 * gamma_phi, initial, times)
+           >= squeezing._delta_curve(gamma_phi, initial, times))
+    traj = squeezing.moments_evolve(squeezing.DephasingModel(
+        gamma_th=gamma_th, gamma_phi=gamma_phi, initial=initial), times)
+    rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
+    tol = 1e-4
+    result = squeezing.extract_dephasing(rates.delta, initial,
+                                         gamma_th=gamma_th, times=times,
+                                         tol=tol)
+    assert abs(result.gamma_phi - gamma_phi) <= tol

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cryodrum import tomography
+from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI, BathOccupations
 from cryodrum.errors import (
     DegenerateDesign,
@@ -292,12 +292,18 @@ def test_calibrate_amplifier_rank():
 
 # ---- free evolution ----
 
+def free_trajectory(prep, times, gamma_m, n_m_th):
+    """The finite-temperature moments free_evolution_experiment samples."""
+    return squeezing.moments_evolve(squeezing.DephasingModel(
+        gamma_th=(n_m_th + 1.0) * gamma_m, gamma_phi=0.0, initial=prep,
+        mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
+
+
 def test_evolve_moments_equilibrium():
-    state = GaussianMechState.vacuum()
-    evolved = tomography.evolve_moments_free(state, 1e3, gamma_m=0.08,
-                                             n_m_th=255.0)
-    assert evolved.n == pytest.approx(255.0, rel=1e-12)
-    assert abs(evolved.b2) == 0.0
+    traj = free_trajectory(GaussianMechState.vacuum(), [1e3], gamma_m=0.08,
+                           n_m_th=255.0)
+    assert traj.n[0] == pytest.approx(255.0, rel=1e-12)
+    assert abs(traj.b2[0]) == 0.0
 
 
 def test_free_evolution_recovers_heating(params):
@@ -323,8 +329,9 @@ def test_counter_based_seeding_contract():
     result = tomography.free_evolution_experiment(
         GaussianMechState.vacuum(), gamma_th, gamma_m, n_m_th, times,
         readout, n_samples=300, seed=123)
-    evolved = tomography.evolve_moments_free(
-        GaussianMechState.vacuum(), float(times[3]), gamma_m, n_m_th)
+    traj = free_trajectory(GaussianMechState.vacuum(), times, gamma_m,
+                           n_m_th)
+    evolved = GaussianMechState(n=float(traj.n[3]), b2=complex(traj.b2[3]))
     standalone = tomography.sample_quadratures(evolved, 1.13, 0.80, 300,
                                                seed=[123, 3])
     assert tomography.estimate_state(standalone).n_m == result.n_est[3]
