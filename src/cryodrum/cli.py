@@ -182,6 +182,9 @@ def cmd_asymmetry(args, cp):
 
 
 def cmd_amplify(args, cp):
+    _check(args, 0.0, "n_th", "n_add")
+    _check(args, -np.inf, "r")
+    _check(args, 0.0, "g_opt", above=True)
     if args.calibrate:
         with open(args.calibrate) as fh:
             reader = csv.reader(fh)
@@ -205,6 +208,8 @@ def cmd_amplify(args, cp):
 
 
 def cmd_thermalize(args, cp):
+    _check(args, 0.0, "n_add", "gamma_amp")
+    _check(args, 0.0, "g_opt", "tau", above=True)
     params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
         gamma_opt_b=args.gamma_amp + params.gamma_m, gamma_amp=args.gamma_amp,

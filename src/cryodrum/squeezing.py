@@ -17,7 +17,7 @@ density-matrix solver is the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,11 +201,23 @@ def initial_slope_delta(model: DephasingModel) -> float:
 LADDER_STEP = 32
 #: Fock-dimension cap of the density-matrix solver
 MAX_DIM = 1024
+#: series weight left out of a propagation, at its latest output time
+SERIES_TAIL = 1e-16
+#: series terms whose contributions are summed in one matrix product
+_CHUNK = 32
 
 
 def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
                           dim: int) -> np.ndarray:
-    """Density matrix of a squeezed thermal state in a truncated Fock basis."""
+    """Density matrix of a squeezed thermal state in a truncated Fock basis.
+
+    The squeeze generator r/2 (b^2 - b^dag^2) is real and couples level n
+    only to n -+ 2, so its exponential S is block diagonal in the even and
+    odd levels: each parity sector is (S p) @ S^T with S one real half-size
+    expm and p the sector's thermal populations.  The rotation phase
+    e^{i theta (j - l)} is applied afterwards; the matrix is real when
+    theta is 0 and complex otherwise.
+    """
     from scipy.linalg import expm
     levels = np.arange(dim)
     if n_th > 0.0:
@@ -214,15 +226,23 @@ def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
     else:
         populations = np.zeros(dim)
         populations[0] = 1.0
-    rho = np.diag(populations).astype(complex)
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    generator = 0.5 * r * (lower @ lower - lower.T @ lower.T)
-    squeeze_op = expm(generator)
-    rho = squeeze_op @ rho @ squeeze_op.conjugate().T
+    rho = np.zeros((dim, dim))
+    for parity in range(min(dim, 2)):
+        sector = levels[parity::2]
+        pair = np.diag(np.sqrt(sector[1:] * (sector[1:] - 1.0)), 1)
+        squeeze = expm(0.5 * r * (pair - pair.T))
+        rho[np.ix_(sector, sector)] = (squeeze * populations[sector]) \
+            @ squeeze.T
     if theta != 0.0:
         phase = np.exp(1j * theta * levels)
         rho = (phase[:, None] * rho) * phase.conjugate()[None, :]
     return rho
+
+
+def _initial_rho(model: DephasingModel, dim: int) -> np.ndarray:
+    n_th, r = model.initial.squeezed_thermal_params
+    return _squeezed_thermal_rho(n_th, r, model.initial.squeezed_axis_angle,
+                                 dim)
 
 
 def _offset_blocks(dim: int):
@@ -245,9 +265,10 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     is fed from x_{m+1} at down sqrt((j+1)(l+1)) and from x_{m-1} at
     up sqrt(j l), and decays at down (j+l)/2 + up (a_j + a_l)/2 with
     a_j = j + 1 the diagonal of the truncated b b^dag (a_{dim-1} = 0, which
-    keeps the trace exact).
+    keeps the trace exact).  Returned as its three diagonals (below,
+    diagonal, above): row i reads below[i - 1] x_{i-1} and above[i] x_{i+1}.
+    Both vanish across a block boundary (l = 0 below, j = dim - 1 above).
     """
-    import scipy.sparse as sp
     if model.mode == "high_temperature":
         down = up = TWO_PI * model.gamma_th
     else:
@@ -261,22 +282,113 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     diagonal = -0.5 * down * (j + l) - 0.5 * up * (fill_j + fill_l)
     from_above = np.where(top, 0.0, down * np.sqrt((j + 1.0) * (l + 1.0)))
     from_below = up * np.sqrt(j * l)
-    return sp.diags([from_below[1:], diagonal, from_above[:-1]], [-1, 0, 1],
-                    format="csr")
+    return from_below[1:], diagonal, from_above[:-1]
 
 
-def _min_eigenvalue(row: np.ndarray, sectors) -> float:
-    """Smallest eigenvalue of rho from its even- and odd-level sectors.
+def _series_weights(chebyshev: bool, scale: float,
+                    times: np.ndarray) -> np.ndarray:
+    """Weights w_n(t), terms x times, of exp(tA) v = sum_n w_n(t) u_n.
+
+    Chebyshev: (2 - delta_n0) ive(n, scale t / 2); uniformization: the
+    Poisson weights of mean scale t, taken in logs.  Each set is a
+    probability distribution in n (of |D|, D the difference of two Poisson
+    counts of mean scale t / 4, and of one Poisson count) whose tail grows
+    with t, so the latest time sets the cut: the series ends where the
+    weight left out is below SERIES_TAIL at every time.  The kept weights
+    are scaled to sum to 1 at each time, which keeps the trace: the logs
+    round the Poisson weights' sum by 2e-12 at a mean of 2600.
+    """
+    from scipy.special import gammaln, ive, xlogy
+
+    def weights(terms, x):
+        n = np.arange(terms)[:, None]
+        if chebyshev:
+            return np.where(n == 0, 1.0, 2.0) * ive(n, 0.5 * x)
+        return np.exp(xlogy(n, x) - x - gammaln(n + 1.0))
+
+    last = scale * float(np.max(times))
+    mean = 0.0 if chebyshev else last     # |D| has spread sqrt(last / 2)
+    size = math.ceil(mean + 10.0 * math.sqrt(last) + 40.0)
+    while True:
+        left_out = np.cumsum(weights(size, np.array([last]))[::-1, 0])[::-1]
+        cut = np.flatnonzero(left_out < SERIES_TAIL)
+        if cut.size:
+            kept = weights(max(int(cut[0]), 1), scale * times)
+            return kept / kept.sum(axis=0)
+        size *= 2
+
+
+def _tridiagonal(coefficients, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = T x on each row of x, with T given by its three diagonals."""
+    below, diagonal, above = coefficients
+    np.multiply(diagonal, x, out=out)
+    out[:, 1:] += below * x[:, :-1]
+    out[:, :-1] += above * x[:, 1:]
+    return out
+
+
+def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
+                    symmetric: bool):
+    """exp(tA) on `rows` at every time, from one pass of a three-term
+    series in the thermal generator A: (stack of times x rows, terms).
+
+    A is contractive and trace preserving, so its real spectrum lies in
+    [a, 0], with a the Gershgorin lower end.  For symmetric blocks the
+    series is Chebyshev's: u_n = T_n(X) v with X = I + 2A/(-a), and
+    |T_n(X)| <= 1 in the 2-norm.  Otherwise it is uniformization: u_n =
+    P^n v with P = I + A/lam and lam = max |diag A|; P is entrywise >= 0
+    with column sums <= 1, so |P^n| <= 1 in the 1-norm.  The terms are
+    summed into all times _CHUNK at a time, as one matrix product.
+    """
+    below, diagonal, above = generator
+    if symmetric:
+        gershgorin = diagonal.copy()
+        gershgorin[1:] -= below
+        gershgorin[:-1] -= above
+        scale = -min(float(gershgorin.min()), 0.0)
+        shift, gain = 2.0, 4.0      # step = 2X = 2I + 4A/(-a)
+    else:
+        scale = -min(float(diagonal.min()), 0.0)
+        shift, gain = 1.0, 1.0      # step = P = I + A/lam
+    factor = gain / scale if scale > 0.0 else 0.0
+    step = (factor * below, shift + factor * diagonal, factor * above)
+    weights = _series_weights(symmetric, scale, times)
+    terms = weights.shape[0]
+    basis = np.empty((min(_CHUNK, terms),) + rows.shape)
+    basis[0] = rows
+    stack = np.zeros((times.size, rows.size))
+    for n in range(1, terms):
+        slot = n % _CHUNK
+        if slot == 0:
+            stack += weights[n - _CHUNK:n].T @ basis.reshape(_CHUNK, -1)
+        term = _tridiagonal(step, basis[(n - 1) % _CHUNK], basis[slot])
+        if symmetric:   # T_1 = X v, T_n = 2X T_{n-1} - T_{n-2}
+            if n == 1:
+                term *= 0.5
+            else:
+                term -= basis[(n - 2) % _CHUNK]
+    done = (terms - 1) // _CHUNK * _CHUNK
+    stack += weights[done:].T @ basis[:terms - done].reshape(terms - done, -1)
+    return stack.reshape((times.size,) + rows.shape), terms
+
+
+def _min_eigenvalues(stack: np.ndarray, j: np.ndarray, l: np.ndarray,
+                     dim: int) -> np.ndarray:
+    """Smallest eigenvalue of rho at every time, from its even- and
+    odd-level sectors.
 
     Even offsets never mix the parities, so rho is the direct sum of the
     two sectors; each is filled in its lower triangle (the k >= 0 blocks),
     which is the triangle eigvalsh reads.
     """
-    least = math.inf
-    for select, size, position in sectors:
-        sector = np.zeros((size, size), dtype=complex)
-        sector.flat[position] = row[select]
-        least = min(least, float(np.linalg.eigvalsh(sector)[0]))
+    least = np.full(stack.shape[0], np.inf)
+    for parity in (0, 1):
+        select = l % 2 == parity
+        size = (dim + 1 - parity) // 2
+        if size:
+            sector = np.zeros((stack.shape[0], size, size), dtype=stack.dtype)
+            sector[:, j[select] // 2, l[select] // 2] = stack[:, select]
+            least = np.minimum(least, np.linalg.eigvalsh(sector)[:, 0])
     return least
 
 
@@ -293,50 +405,41 @@ class LindbladTrajectory:
     trace_dev: np.ndarray        # |Tr rho - 1| per step
     min_eigenvalue: np.ndarray   # smallest eigenvalue per step
     top_population: np.ndarray   # highest-level population per step
+    terms: int                   # series terms of the propagation
+    rungs: tuple                 # truncation dimensions tried, in order
 
 
 def _propagate(model: DephasingModel, times: np.ndarray,
-               dim: int) -> LindbladTrajectory:
-    """Evolve the even-offset blocks of rho at one truncation dimension.
+               rho: np.ndarray) -> LindbladTrajectory:
+    """Evolve the even-offset blocks of rho at its truncation dimension.
 
     The initial squeezed thermal state has only even offsets k = j - l, and
     the master equation keeps each offset, so the k >= 0 even blocks carry
     the whole state (k < 0 are their complex conjugates): about dim^2 / 4
-    entries.  The thermal part is one sparse block-diagonal generator
-    applied by expm_multiply, in a single call over a uniform time grid
-    starting at 0 and step by step otherwise.  Pure dephasing acts as the
-    scalar -2 pi Gphi k^2 on block k; it commutes with the thermal part and
-    is applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates
-    out of the Krylov propagation.  <n>, the trace and the top population
-    come from block 0, <b^2> from block 2, and the minimum eigenvalue from
-    rho's two parity sectors.
+    entries.  The thermal part acts on them through the tridiagonal
+    generator of _block_generator, and every output time comes from one
+    pass of _thermal_series: Chebyshev in high-temperature mode, where
+    down == up makes every block symmetric, and uniformization in
+    finite-temperature mode, where the blocks are symmetric only up to a
+    diagonal similarity of condition number (down/up)^{dim/2}, which can
+    cost a Chebyshev series all its digits.  Pure dephasing acts as the scalar
+    -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
+    applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
+    of the series.  <n>, the trace and the top population come from block
+    0, <b^2> from block 2, and the minimum eigenvalue from rho's two
+    parity sectors.
     """
-    from scipy.sparse.linalg import expm_multiply
-    n_th0, r0 = model.initial.squeezed_thermal_params
-    theta0 = model.initial.squeezed_axis_angle
+    dim = rho.shape[0]
     j, l = _offset_blocks(dim)
-    state = _squeezed_thermal_rho(n_th0, r0, theta0, dim)[j, l]
-    generator = _block_generator(model, j, l, dim)
+    state = rho[j, l]
+    rows = np.stack([state.real, state.imag]) if np.iscomplexobj(state) \
+        else state[None, :]
+    series, terms = _thermal_series(_block_generator(model, j, l, dim), rows,
+                                    times, model.mode == "high_temperature")
+    stack = series[:, 0] + 1j * series[:, 1] if rows.shape[0] == 2 \
+        else series[:, 0]
     dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
-
-    steps = np.diff(times, prepend=0.0)
-    uniform = times.size > 1 and np.allclose(
-        steps[1:], steps[1], rtol=1e-10, atol=0.0) and times[0] == 0.0
-    if uniform:
-        stack = expm_multiply(generator, state, start=0.0,
-                              stop=float(times[-1]), num=times.size,
-                              endpoint=True)
-        stack = stack * np.exp(np.outer(times, dephasing))
-    else:
-        stack = np.empty((times.size, state.size), dtype=complex)
-        prev_t = 0.0
-        for idx, t in enumerate(times):
-            span = t - prev_t
-            if span > 0.0:
-                state = expm_multiply(generator * span, state)
-                state = state * np.exp(dephasing * span)
-                prev_t = t
-            stack[idx] = state
+    stack = stack * np.exp(np.outer(times, dephasing))
 
     finite = np.all(np.isfinite(stack), axis=1)
     if not np.all(finite):
@@ -350,16 +453,7 @@ def _propagate(model: DephasingModel, times: np.ndarray,
     trace_dev = np.abs(populations.sum(axis=1) - 1.0)
     top_pop = populations[:, -1]
     pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-    out_b2 = stack[:, dim:2 * dim - 2] @ pair
-
-    sectors = []
-    for parity in (0, 1):
-        select = l % 2 == parity
-        size = (dim + 1 - parity) // 2
-        if size:
-            sectors.append((select, size,
-                            j[select] // 2 * size + l[select] // 2))
-    min_eig = np.array([_min_eigenvalue(row, sectors) for row in stack])
+    out_b2 = (stack[:, dim:2 * dim - 2] @ pair).astype(complex)
 
     mag = np.abs(out_b2)
     return LindbladTrajectory(
@@ -367,12 +461,13 @@ def _propagate(model: DephasingModel, times: np.ndarray,
         v_asq=0.5 + out_n + mag,
         var_x1=0.5 + out_n + np.real(out_b2),
         var_x2=0.5 + out_n - np.real(out_b2),
-        dim=dim, trace_dev=trace_dev, min_eigenvalue=min_eig,
-        top_population=top_pop)
+        dim=dim, trace_dev=trace_dev,
+        min_eigenvalue=_min_eigenvalues(stack, j, l, dim),
+        top_population=top_pop, terms=terms, rungs=(dim,))
 
 
-def _tail_dimension(model: DephasingModel, times: np.ndarray) -> int:
-    """First rung of the dimension ladder.
+def _tail_dimension(model: DephasingModel, times: np.ndarray):
+    """First rung of the dimension ladder and its initial state: (dim, rho).
 
     It starts at eight times the largest anti-squeezed variance along the
     moment trajectory (the initial state included), rounded up to a
@@ -389,12 +484,11 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray) -> int:
             f"the trajectory reaches an anti-squeezed variance of "
             f"{v_asq:.4g}, which needs about {dim} Fock levels, above the "
             f"dimension cap {MAX_DIM}")
-    n_th0, r0 = model.initial.squeezed_thermal_params
     while dim <= MAX_DIM:
-        rho = _squeezed_thermal_rho(n_th0, r0, 0.0, dim)
+        rho = _initial_rho(model, dim)
         if float(np.real(rho[-1, -1])) < 1e-10 \
                 and float(np.real(rho[-2, -2])) < 1e-10:
-            return dim
+            return dim, rho
         dim += LADDER_STEP
     raise TruncationNonConvergence(
         f"initial-state tail not below 1e-10 within the dimension cap "
@@ -411,32 +505,37 @@ def _moment_drift(a: LindbladTrajectory, b: LindbladTrajectory) -> float:
 def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     """Density-matrix evolution in a truncated Fock basis.
 
-    The state is propagated as its even coherence-offset blocks (see
+    The state is propagated as its even coherence-offset blocks by one
+    Chebyshev or uniformization series per truncation dimension (see
     _propagate), an independent oracle for the moment equations.  The
     truncation dimension climbs a ladder in steps of LADDER_STEP from the
-    start set by _tail_dimension; each rung is the stability reference for
-    the next, and rung i >= 1 is accepted once its top-level population
-    stays below 1e-8 along the whole trajectory and its moments agree with
-    rung i - 1 to 1e-4 relative.  An explicit model.truncation_dim bypasses
-    the ladder but is still checked.
+    start set by _tail_dimension, whose initial state the first rung
+    reuses; each rung is the stability reference for the next, and rung
+    i >= 1 is accepted once its top-level population stays below 1e-8
+    along the whole trajectory and its moments agree with rung i - 1 to
+    1e-4 relative.  An explicit model.truncation_dim bypasses the ladder
+    but is still checked.  The trajectory records the dimensions tried
+    (rungs) and the series length of the accepted one (terms).
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be >= 0 and sorted")
 
     if model.truncation_dim is not None:
-        traj = _propagate(model, times, int(model.truncation_dim))
+        traj = _propagate(model, times,
+                          _initial_rho(model, int(model.truncation_dim)))
         if traj.top_population.max() > 1e-8:
             raise TruncationNonConvergence(
                 f"top-level population {traj.top_population.max():.3g} > 1e-8 "
                 f"at fixed dim {model.truncation_dim}")
         return traj
 
-    reference = None
-    for dim in range(_tail_dimension(model, times), MAX_DIM + 1,
-                     LADDER_STEP):
-        traj = _propagate(model, times, dim)
-        if (reference is not None and traj.top_population.max() < 1e-8
+    start, rho = _tail_dimension(model, times)
+    reference = _propagate(model, times, rho)
+    for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
+        traj = _propagate(model, times, _initial_rho(model, dim))
+        traj = replace(traj, rungs=reference.rungs + traj.rungs)
+        if (traj.top_population.max() < 1e-8
                 and _moment_drift(traj, reference) < 1e-4):
             return traj
         reference = traj
@@ -470,20 +569,43 @@ def _delta_curve(gamma_phi, initial: GaussianMechState, times):
             / (TWO_PI * (centred @ centred)))
 
 
+def _delta_peak(times, hi, tol):
+    """Gphi of the maximum of _delta_curve below `hi`, to `tol`: the
+    curve's slope has the sign of sum_i (t_i - tbar) t_i e^{-8 pi Gphi t_i},
+    which changes once, from + at 0 to -."""
+    weights = (times - times.mean()) * times
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if weights @ np.exp(-4.0 * TWO_PI * mid * times) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _invert_delta(target, initial, times, tol):
     if target == 0.0:
         return 0.0
     if target < 0.0:
         raise InvalidArgument(
             "rate difference must be >= 0 for a squeezed state")
-    lo, hi = 0.0, 1.0
+    beyond = InvalidArgument(f"rate difference {target:.4g} Hz beyond the "
+                             "achievable range for this initial state")
+    lo, hi, last = 0.0, 1.0, -math.inf
     for _ in range(60):
-        if _delta_curve(hi, initial, times) >= target:
+        value = _delta_curve(hi, initial, times)
+        if value >= target:
             break
+        if value < last:        # doubling stepped over the maximum
+            hi = _delta_peak(times, hi, tol)
+            if _delta_curve(hi, initial, times) < target:
+                raise beyond
+            break
+        last = value
         hi *= 2.0
     else:
-        raise InvalidArgument(f"rate difference {target:.4g} Hz beyond the "
-                              "achievable range for this initial state")
+        raise beyond
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _delta_curve(mid, initial, times) < target:

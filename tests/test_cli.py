@@ -74,6 +74,25 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_lindblad_solve_loads_no_scipy_sparse():
+    # the solver applies its tridiagonal generator itself
+    src = str(Path(cryodrum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy as np\n"
+            "from cryodrum import squeezing, tomography\n"
+            "squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
+            "    gamma_th=17.1, gamma_phi=0.09,\n"
+            "    initial=tomography.GaussianMechState.squeezed_thermal("
+            "0.4, 0.6)),\n"
+            "    np.linspace(0.0, 5e-3, 6))\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
@@ -207,6 +226,7 @@ def test_dephase_command(tmp_path):
 
 DEPHASE = "dephase --out {d}/o.csv --gamma-th 17.1 --n-th 0.4 --r 0.6"
 THERMALIZE = "thermalize --config {cfg} --out {d}/o.csv --seed 11"
+AMPLIFY = "amplify --out {d}/o.csv --seed 7 --samples 10"
 
 
 def test_dephase_inverts_past_the_curve_maximum(tmp_path):
@@ -386,6 +406,15 @@ def test_manifest_fields(case, cfg, tmp_path, params):
     DEPHASE.replace("17.1", "nan"),
     THERMALIZE + " --points 1",
     THERMALIZE + " --tmax nan",
+    THERMALIZE + " --g-opt nan",
+    THERMALIZE + " --n-add -1",
+    THERMALIZE + " --tau nan",
+    THERMALIZE + " --gamma-amp -1",
+    AMPLIFY + " --r nan",
+    AMPLIFY + " --g-opt inf",
+    AMPLIFY + " --g-opt 0",
+    AMPLIFY + " --n-th -1",
+    AMPLIFY + " --n-add nan",
     "reproduce --criteria x",
     "reproduce --criteria 10",
     "reproduce --criteria 0,4",
@@ -393,7 +422,11 @@ def test_manifest_fields(case, cfg, tmp_path, params):
         "psd-span", "device-factors", "device-factors-zero",
         "dephase-delta-above", "dephase-delta-nan", "dephase-delta-inf",
         "dephase-points", "dephase-tmax", "dephase-gamma-th-nan",
-        "thermalize-points", "thermalize-tmax-nan", "criteria-text",
+        "thermalize-points", "thermalize-tmax-nan", "thermalize-g-opt-nan",
+        "thermalize-n-add", "thermalize-tau-nan", "thermalize-gamma-amp",
+        "amplify-r-nan", "amplify-g-opt-inf",
+        "amplify-g-opt-zero", "amplify-n-th", "amplify-n-add-nan",
+        "criteria-text",
         "criteria-above", "criteria-zero"])
 def test_usage_error_exit(argv, cfg, tmp_path, capsys):
     assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())

@@ -5,11 +5,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI
 from cryodrum.errors import (
+    InvalidArgument,
     TruncationNonConvergence,
     UnphysicalVariances,
     UnstableSqueeze,
@@ -194,9 +196,30 @@ def test_lindblad_truncation_guard():
         squeezing.lindblad_evolve(model, np.linspace(0.0, 2e-3, 3))
 
 
+def _dense_rho(n_th, r, theta, dim):
+    """Squeezed thermal state from one complex expm of the full squeeze
+    generator, S rho_th S^dag, rotated by e^{i theta (j - l)}."""
+    levels = np.arange(dim)
+    q = n_th / (1.0 + n_th)
+    rho = np.diag((1.0 - q) * q**levels).astype(complex)
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    squeeze_op = expm(0.5 * r * (lower @ lower - lower.T @ lower.T))
+    rho = squeeze_op @ rho @ squeeze_op.conjugate().T
+    phase = np.exp(1j * theta * levels)
+    return (phase[:, None] * rho) * phase.conjugate()[None, :]
+
+
+@pytest.mark.parametrize("dim", [33, 96, 256])
+@pytest.mark.parametrize("n_th, r, theta", [(0.4, 0.6, 0.0),
+                                            (1.5, 0.9, 0.7)])
+def test_parity_sector_rho_matches_dense_expm(dim, n_th, r, theta):
+    rho = squeezing._squeezed_thermal_rho(n_th, r, theta, dim)
+    assert np.max(np.abs(rho - _dense_rho(n_th, r, theta, dim))) <= 1e-15
+
+
 def _kron_reference(model, times, dim):
     """The full dim^2 x dim^2 row-major Liouvillian, thermal and dephasing
-    dissipators built with sp.kron, propagated over a uniform grid."""
+    dissipators built with sp.kron, propagated from 0 time by time."""
     lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
     number = sp.diags(np.arange(dim, dtype=float), 0, format="csr")
     eye = sp.identity(dim, format="csr")
@@ -217,9 +240,13 @@ def _kron_reference(model, times, dim):
     n_th, r = model.initial.squeezed_thermal_params
     rho0 = squeezing._squeezed_thermal_rho(
         n_th, r, model.initial.squeezed_axis_angle, dim)
-    stack = expm_multiply(liouvillian.tocsc(), rho0.reshape(-1), start=0.0,
-                          stop=float(times[-1]), num=times.size,
-                          endpoint=True)
+    liouvillian = liouvillian.tocsc()
+    state, elapsed, stack = rho0.reshape(-1), 0.0, []
+    for t in times:
+        if t > elapsed:
+            state = expm_multiply(liouvillian * (t - elapsed), state)
+            elapsed = t
+        stack.append(state)
     b2_op = (lower @ lower).toarray()
     out = {"n": [], "b2": [], "trace": [], "min_eig": []}
     for row in stack:
@@ -232,18 +259,34 @@ def _kron_reference(model, times, dim):
     return {key: np.array(value) for key, value in out.items()}
 
 
-@pytest.mark.parametrize("dim, kwargs, state", [
+#: (dim, model keywords, (n_th, r, theta)) of the kron-reference cases
+KRON_CASES = [
     (24, dict(gamma_th=17.1, gamma_phi=0.09), (0.4, 0.6, 0.0)),
     (40, dict(gamma_th=30.0, gamma_phi=0.7), (0.2, 0.5, 0.4)),
     (48, dict(gamma_th=6.0, gamma_phi=0.3, mode="finite_temperature",
               gamma_m=2.0, n_m_th=2.0), (0.3, 0.4, 0.0)),
-])
+]
+
+
+@pytest.mark.parametrize("dim, kwargs, state", KRON_CASES)
 def test_offset_blocks_match_kron_liouvillian(dim, kwargs, state):
+    _assert_blocks_match_kron(dim, kwargs, state, np.linspace(0.0, 5e-3, 6))
+
+
+@pytest.mark.parametrize("dim, kwargs, state", KRON_CASES)
+def test_offset_blocks_match_kron_on_uneven_grid(dim, kwargs, state):
+    # no output at 0 and unequal steps: every time comes from the same
+    # series pass, whatever the grid
+    _assert_blocks_match_kron(dim, kwargs, state,
+                              np.array([0.3e-3, 0.7e-3, 2.9e-3, 5e-3]))
+
+
+def _assert_blocks_match_kron(dim, kwargs, state, times):
     n_th, r, theta = state
     initial = GaussianMechState.squeezed_thermal(n_th, r).rotated(theta)
     model = squeezing.DephasingModel(initial=initial, **kwargs)
-    times = np.linspace(0.0, 5e-3, 6)
-    blocks = squeezing._propagate(model, times, dim)
+    blocks = squeezing._propagate(model, times,
+                                  squeezing._initial_rho(model, dim))
     reference = _kron_reference(model, times, dim)
     assert np.max(np.abs(blocks.n - reference["n"])) < 1e-12
     assert np.max(np.abs(blocks.b2 - reference["b2"])) < 1e-12
@@ -251,6 +294,46 @@ def test_offset_blocks_match_kron_liouvillian(dim, kwargs, state):
                          - np.abs(reference["trace"] - 1.0))) < 1e-12
     assert np.max(np.abs(blocks.min_eigenvalue
                          - reference["min_eig"])) < 1e-12
+
+
+@pytest.mark.parametrize("n_m_th", [0.01, 0.1, 0.3])
+def test_finite_temperature_series_stays_physical(n_m_th):
+    # down/up = (n_m_th + 1)/n_m_th makes the blocks far from symmetric; a
+    # Chebyshev series on them gives minimum eigenvalues of -9e6, -3e2 and
+    # -2e-5 here
+    initial = GaussianMechState.squeezed_thermal(1.0, 0.5)
+    model = squeezing.DephasingModel(
+        gamma_th=1.0, gamma_phi=0.3, initial=initial,
+        mode="finite_temperature", gamma_m=50.0, n_m_th=n_m_th,
+        truncation_dim=256)
+    times = np.linspace(0.0, 5e-3, 6)
+    traj = squeezing.lindblad_evolve(model, times)
+    assert traj.min_eigenvalue.min() >= -1e-12
+    assert traj.trace_dev.max() <= 1e-12
+    assert np.max(np.abs(traj.n - squeezing.moments_evolve(model, times).n)) \
+        <= 1e-9
+
+
+def test_lindblad_records_rungs_and_terms():
+    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    times = np.linspace(0.0, 5e-3, 6)
+    model = squeezing.DephasingModel(gamma_th=17.1, gamma_phi=0.09,
+                                     initial=initial)
+    traj = squeezing.lindblad_evolve(model, times)
+    assert len(traj.rungs) >= 2 and traj.rungs[-1] == traj.dim
+    assert np.all(np.diff(traj.rungs) == squeezing.LADDER_STEP)
+    assert traj.terms == squeezing._propagate(
+        model, times, squeezing._initial_rho(model, traj.dim)).terms > 1
+    fixed = squeezing.lindblad_evolve(squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09, initial=initial, truncation_dim=64),
+        times)
+    assert fixed.rungs == (64,)
+    # a zero-rate generator needs the initial state only
+    frozen = squeezing.lindblad_evolve(squeezing.DephasingModel(
+        gamma_th=0.0, gamma_phi=0.0, initial=initial, truncation_dim=64),
+        times)
+    assert frozen.terms == 1
+    assert np.all(frozen.n == frozen.n[0])
 
 
 @pytest.mark.parametrize("n_th, r, gamma_th", [(0.36, 0.95, 6.75),
@@ -317,6 +400,20 @@ def test_extract_dephasing_reference_rates():
     assert np.all(np.diff(result.curve_delta) >= -1e-12)
 
 
+def test_extract_dephasing_bracket_past_the_maximum():
+    # over 0-5 ms the (0.4, 0.6) curve peaks at 74.88 Hz (Gphi 23.73 Hz);
+    # doubling the bracket from 16 Hz (71.59 Hz) lands at 32 Hz (73.04 Hz),
+    # past the peak, so a value between the two was called unreachable
+    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    times = np.linspace(0.0, 5e-3, 11)
+    result = squeezing.extract_dephasing(74.13, initial, gamma_th=17.1)
+    assert 16.0 < result.gamma_phi < 23.73
+    assert squeezing._delta_curve(result.gamma_phi, initial, times) \
+        == pytest.approx(74.13, abs=1e-3)
+    with pytest.raises(InvalidArgument, match="beyond the achievable"):
+        squeezing.extract_dephasing(74.9, initial, gamma_th=17.1)
+
+
 def test_extract_dephasing_curve_monotone_guard():
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
     with pytest.raises(ValueError):
@@ -376,8 +473,9 @@ def test_delta_curve_matches_fitted_moments(case):
 @given(case=dephasing_cases)
 @example(case=(0.0, 1.0, 17.1, 0.09, np.linspace(0.0, 5e-3, 11)))
 def test_extract_dephasing_roundtrip_property(case):
-    # on the rising branch, where doubling from 1 Hz cannot step over the
-    # maximum (delta(2 Gphi) >= delta(Gphi)), the inversion returns Gphi;
+    # well up the rising branch (delta(2 Gphi) >= delta(Gphi)), where the
+    # curve is steep enough for the fitted delta to pin Gphi, the inversion
+    # returns Gphi;
     # Gphi = 0 has its own test, since the fitted delta then rounds to
     # either side of 0 and a negative one is rejected
     n_th, r, gamma_th, gamma_phi, times = case
