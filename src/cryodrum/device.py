@@ -10,6 +10,7 @@ dissipation-dilution enhancement of the quality factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -105,17 +106,34 @@ def drum_mode(geom: DrumGeometry, n: int = 0, m: int = 1):
     return omega_m, mode_shape
 
 
+@functools.cache
+def _gauss_legendre(npts: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    The rule is a pure function of npts, and the table is bit-identical to a
+    fresh `np.polynomial.legendre.leggauss(npts)`, so no result depends on
+    whether it came from the cache.  _radial_quadrature only asks for
+    32 * 2^k nodes with k < max_doublings, which bounds the keys.
+    """
+    x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _radial_quadrature(func, upper: float, rtol: float = 1e-12,
                        max_doublings: int = 16) -> float:
     """integral_0^upper func(r) dr by Gauss-Legendre with node doubling.
 
+    Each rule is built once per process by _gauss_legendre; every mode
+    integral reuses the 32- and 64-node tables instead of recomputing them.
     Raises QuadratureNonConvergence when the relative change between
     refinements stays above 1e-10 at the refinement cap.
     """
     previous = None
     npts = 32
     for _ in range(max_doublings):
-        x, w = np.polynomial.legendre.leggauss(npts)
+        x, w = _gauss_legendre(npts)
         r = 0.5 * upper * (x + 1.0)
         value = 0.5 * upper * float(np.sum(w * func(r)))
         if previous is not None:

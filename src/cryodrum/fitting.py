@@ -35,20 +35,31 @@ def sigma_from_rbw(rbw: float) -> float:
 
 
 def voigt_eval(omega, gamma: float, sigma_rbw: float):
-    """Unit-area Voigt profile via the Faddeeva function.
+    """Unit-area Voigt profile V and its slopes (V, dV/domega, dV/dgamma).
 
     gamma is the Lorentzian HWHM; sigma_rbw the Gaussian standard deviation.
-    sigma_rbw = 0 returns the exact Lorentzian gamma / (pi (omega^2 +
-    gamma^2)); gamma = 0 the pure Gaussian.
+    sigma_rbw = 0 gives the exact Lorentzian gamma / (pi (omega^2 +
+    gamma^2)) and its closed-form derivatives; gamma = 0 the pure Gaussian.
+    Otherwise all three come from one Faddeeva evaluation: with
+    z = (omega + i gamma) / (sigma sqrt 2), V = Re w(z) / (sigma sqrt(2 pi))
+    and w'(z) = -2 z w(z) + 2i / sqrt(pi), so dV/domega = Re w' and
+    dV/dgamma = -Im w', both over sigma sqrt 2 * sigma sqrt(2 pi).
     """
     if gamma < 0.0 or sigma_rbw < 0.0:
         raise ValueError("gamma and sigma_rbw must be >= 0")
     x = np.asarray(omega, dtype=float)
     if sigma_rbw == 0.0:
-        return gamma / (math.pi * (x**2 + gamma**2))
+        denom = x**2 + gamma**2
+        pi_d2 = math.pi * denom**2
+        return (gamma / (math.pi * denom), -2.0 * x * gamma / pi_d2,
+                (x**2 - gamma**2) / pi_d2)
     from scipy.special import wofz
-    z = (x + 1j * gamma) / (sigma_rbw * math.sqrt(2.0))
-    return np.real(wofz(z)) / (sigma_rbw * SQRT_2PI)
+    s2 = sigma_rbw * math.sqrt(2.0)
+    norm = sigma_rbw * SQRT_2PI
+    z = (x + 1j * gamma) / s2
+    w = wofz(z)
+    dw = -2.0 * z * w + 2j / math.sqrt(math.pi)
+    return np.real(w) / norm, dw.real / (s2 * norm), -dw.imag / (s2 * norm)
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,8 @@ class PeakFit:
     sideband power, invariant under RBW blurring); height the deconvolved
     Lorentzian peak value, tied to the others by area = height * pi * width/2.
     covariance is the 4x4 matrix over (center, width, area, floor).
+    nfev is the number of model evaluations the fit took, and condition the
+    singular-value ratio of the Jacobian at the solution.
     """
 
     center: float
@@ -67,12 +80,10 @@ class PeakFit:
     area: float
     floor: float
     covariance: np.ndarray
+    nfev: int
+    condition: float
     model: str = "lorentzian"
     sigma_rbw: float = 0.0
-
-
-def _peak_model(freq, center, fwhm, area, floor, sigma_rbw):
-    return floor + area * voigt_eval(freq - center, fwhm / 2.0, sigma_rbw)
 
 
 def _initial_guess(freq, values, sigma_rbw):
@@ -99,13 +110,25 @@ def _initial_guess(freq, values, sigma_rbw):
     return np.array([center0, fwhm0, area0, floor0])
 
 
+def _peak_terms(freq, p, sigma_rbw):
+    """Peak model floor + area V(freq - center; fwhm / 2, sigma_rbw) at
+    p = (center, fwhm, area, floor), and its analytic Jacobian over p."""
+    profile, d_dx, d_dgamma = voigt_eval(freq - p[0], p[1] / 2.0, sigma_rbw)
+    jac = np.column_stack([-p[2] * d_dx, 0.5 * p[2] * d_dgamma, profile,
+                           np.ones_like(profile)])
+    return p[3] + p[2] * profile, jac
+
+
 def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
     """Trust-region least squares of one peak over (center, width, area, floor).
 
     model is "lorentzian" or "voigt"; for "voigt" the Gaussian width is fixed
     from the spectrum's RBW and never fitted.  Negative areas (dips) are
-    allowed.  Parameter covariance comes from the Jacobian at the solution,
-    scaled by the residual variance.
+    allowed.  The Jacobian is analytic, built from the same profile
+    evaluation as the residuals (one Faddeeva call per point for "voigt"),
+    and the parameters are scaled by its column norms (x_scale="jac"), so a
+    poor initial width does not stall the fit.  Parameter covariance comes
+    from the Jacobian at the solution, scaled by the residual variance.
     """
     from scipy.optimize import least_squares
     if model not in ("lorentzian", "voigt"):
@@ -115,18 +138,26 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
     values = spec.values
 
     p0 = _initial_guess(freq, values, sigma_rbw)
+    # least_squares asks for the Jacobian at the point whose residuals it
+    # has just evaluated; keep that one evaluation for it
+    last = {}
 
-    scale = np.array([max(abs(p0[0]), freq[-1] - freq[0]),
-                      max(p0[1], 1e-12),
-                      max(abs(p0[2]), 1e-12),
-                      max(abs(p0[3]), abs(p0[2]) / max(p0[1], 1e-12), 1e-12)])
+    def terms(p):
+        key = p.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _peak_terms(freq, p, sigma_rbw)
+        return last[key]
 
     def residuals(p):
-        return _peak_model(freq, p[0], p[1], p[2], p[3], sigma_rbw) - values
+        return terms(p)[0] - values
+
+    def jacobian(p):
+        return terms(p)[1]
 
     width_floor = 1e-9 * max(p0[1], freq[1] - freq[0])
     result = least_squares(
-        residuals, p0, method="trf", x_scale=scale,
+        residuals, p0, jac=jacobian, method="trf", x_scale="jac",
         bounds=([-np.inf, width_floor, -np.inf, -np.inf],
                 [np.inf, np.inf, np.inf, np.inf]),
         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
@@ -135,9 +166,9 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
 
     jac = result.jac
     singulars = np.linalg.svd(jac, compute_uv=False)
-    if singulars[-1] <= 0.0 or singulars[0] / singulars[-1] > 1e12:
-        raise IllConditioned(
-            f"fit Jacobian condition number {singulars[0] / max(singulars[-1], 1e-300):.3g}")
+    condition = singulars[0] / max(singulars[-1], 1e-300)
+    if singulars[-1] <= 0.0 or condition > 1e12:
+        raise IllConditioned(f"fit Jacobian condition number {condition:.3g}")
 
     dof = max(freq.size - 4, 1)
     s2 = 2.0 * result.cost / dof
@@ -147,7 +178,8 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
     height = 2.0 * area / (math.pi * fwhm)
     return PeakFit(center=float(center), width=float(fwhm),
                    height=float(height), area=float(area), floor=float(floor),
-                   covariance=cov, model=model, sigma_rbw=sigma_rbw)
+                   covariance=cov, model=model, sigma_rbw=sigma_rbw,
+                   nfev=int(result.nfev), condition=float(condition))
 
 
 def integrate_peak(spec: Spectrum, floor_estimate: float = 0.0, *,

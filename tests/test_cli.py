@@ -117,6 +117,27 @@ def test_device_sweep(cfg, tmp_path):
     assert len(rows) == 4
 
 
+#: `device` outputs on configs/reference.cfg, committed as the bytes to keep.
+#: They pass through LAPACK (`leggauss`) and scipy Bessel functions, whose
+#: last bits can differ between BLAS builds and CPUs.  If the numeric stack
+#: changes, regenerate the files from the commit before the change under
+#: test, never from the change itself, so a real move in the bytes still shows.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REFERENCE_CFG = GOLDEN.parent.parent / "configs" / "reference.cfg"
+
+
+@pytest.mark.parametrize("axis", [None, "radius", "stress", "thickness",
+                                  "gap"])
+def test_device_output_bytes_are_golden(axis, tmp_path):
+    out = tmp_path / "device.csv"
+    argv = ["device", "--config", str(REFERENCE_CFG), "--out", str(out)]
+    if axis:
+        argv += ["--sweep-axis", axis]
+    assert main(argv) == 0
+    golden = GOLDEN / f"device_{axis or 'figures'}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_psd_command(cfg, tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["psd", "--config", cfg, "--out", str(out),

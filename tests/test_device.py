@@ -192,3 +192,31 @@ def test_geometry_validation():
         device.DrumGeometry(radius=10e-6, bottom_radius=20e-6,
                             thickness=1e-7, gap=1e-7, density=2700.0,
                             stress=1e8)
+
+
+@pytest.mark.parametrize("npts", [32, 64, 128])
+def test_gauss_legendre_table_is_leggauss_and_read_only(npts):
+    x, w = device._gauss_legendre(npts)
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(npts)
+    assert x.tobytes() == fresh_x.tobytes()
+    assert w.tobytes() == fresh_w.tobytes()
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_scaling_sweep_builds_each_rule_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(npts):
+        calls.append(npts)
+        return leggauss(npts)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    device._gauss_legendre.cache_clear()
+    for axis in ("radius", "stress", "thickness", "gap"):
+        device.scaling_sweep(GEOM, axis, [0.5, 1.0, 2.0], omega_c=OMEGA_C,
+                             kappa=250e3)
+    assert len(calls) <= 2

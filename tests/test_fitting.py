@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cryodrum import fitting
@@ -16,7 +18,7 @@ def lorentzian(nu, center, fwhm, area, floor=0.0):
 
 def test_voigt_zero_rbw_is_lorentzian():
     nu = np.linspace(-5.0, 5.0, 101)
-    values = fitting.voigt_eval(nu, 0.7, 0.0)
+    values = fitting.voigt_eval(nu, 0.7, 0.0)[0]
     expected = 0.7 / (math.pi * (nu**2 + 0.7**2))
     assert np.max(np.abs(values - expected)) < 1e-12
 
@@ -24,7 +26,7 @@ def test_voigt_zero_rbw_is_lorentzian():
 def test_voigt_zero_gamma_is_gaussian():
     nu = np.linspace(-5.0, 5.0, 101)
     sigma = 0.8
-    values = fitting.voigt_eval(nu, 0.0, sigma)
+    values = fitting.voigt_eval(nu, 0.0, sigma)[0]
     expected = np.exp(-nu**2 / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
     assert np.max(np.abs(values - expected)) < 1e-12
 
@@ -43,7 +45,7 @@ def test_voigt_against_convolution_quadrature():
         return val
 
     for x in (0.0, 0.2, 0.5, 1.0, 2.0):
-        assert fitting.voigt_eval(np.array([x]), gamma, sigma)[0] \
+        assert fitting.voigt_eval(np.array([x]), gamma, sigma)[0][0] \
             == pytest.approx(conv(x), rel=1e-8)
 
 
@@ -53,7 +55,7 @@ def test_narrow_line_is_gaussian_dominated():
     # tails contribute at that level)
     sigma = fitting.sigma_from_rbw(1.0)
     nu = np.linspace(-3 * sigma, 3 * sigma, 601)
-    voigt = fitting.voigt_eval(nu, 0.045 / 2.0, sigma)
+    voigt = fitting.voigt_eval(nu, 0.045 / 2.0, sigma)[0]
     gauss = np.exp(-nu**2 / (2 * sigma**2))
     shape_dev = np.abs(voigt / voigt[300] - gauss)
     assert shape_dev.max() < 0.025
@@ -82,7 +84,8 @@ def test_fit_peak_voigt_blurred_narrow_line():
     sigma = fitting.sigma_from_rbw(rbw)
     nu = np.linspace(-8.0, 8.0, 4001)
     area_true, fwhm_true = 2.4, 0.045
-    values = area_true * fitting.voigt_eval(nu, fwhm_true / 2.0, sigma) + 0.1
+    values = (area_true * fitting.voigt_eval(nu, fwhm_true / 2.0, sigma)[0]
+              + 0.1)
     spec = Spectrum(freq=nu, values=values, rbw=rbw)
     fit = fitting.fit_peak(spec, "voigt")
     assert fit.sigma_rbw == pytest.approx(sigma)
@@ -126,6 +129,52 @@ def test_fit_peak_unbiased_under_noise():
     assert abs(errors.mean()) < 4.0 * scatter / math.sqrt(errors.size)
 
 
+@pytest.mark.parametrize("rbw", [0.0, 40.0])
+@pytest.mark.parametrize("params", [(3.0, 12.0, 900.0, 0.7),
+                                    (-5.0, 20.0, -300.0, 1.2)])
+def test_peak_jacobian_matches_central_differences(rbw, params):
+    # Lorentzian (rbw 0) and Voigt columns, for a peak and a dip
+    nu = np.linspace(-200.0, 200.0, 1201)
+    sigma = fitting.sigma_from_rbw(rbw)
+    p = np.array(params)
+    _, jac = fitting._peak_terms(nu, p, sigma)
+    for k in range(4):
+        step = np.zeros(4)
+        step[k] = 1e-6 * max(abs(p[k]), 1.0)
+        upper, _ = fitting._peak_terms(nu, p + step, sigma)
+        lower, _ = fitting._peak_terms(nu, p - step, sigma)
+        central = (upper - lower) / (2.0 * step[k])
+        assert np.max(np.abs(central - jac[:, k])) \
+            <= 1e-6 * np.max(np.abs(jac[:, k]))
+
+
+def test_fit_peak_voigt_noisy_lines_converge():
+    # seeded RBW-blurred lines at 1 % and 3 % noise of the peak height: every
+    # fit converges and the area lies within 6 of its stated standard errors
+    rng = np.random.default_rng(2024)
+    for idx in range(36):
+        center = rng.uniform(-50.0, 50.0)
+        fwhm, rbw = rng.uniform(5.0, 40.0), rng.uniform(20.0, 60.0)
+        area, floor = rng.uniform(500.0, 2000.0), rng.uniform(0.5, 1.0)
+        half = 20.0 * max(fwhm, rbw)
+        nu = np.linspace(-half, half, 1201)
+        clean = floor + area * fitting.voigt_eval(
+            nu - center, fwhm / 2.0, fitting.sigma_from_rbw(rbw))[0]
+        noise = (0.01, 0.03)[idx % 2] * (clean.max() - floor)
+        values = clean + noise * rng.standard_normal(nu.size)
+        fit = fitting.fit_peak(Spectrum(freq=nu, values=values, rbw=rbw),
+                               "voigt")
+        assert abs(fit.area - area) <= 6.0 * math.sqrt(fit.covariance[2, 2])
+
+
+def test_fit_peak_records_evaluations_and_condition():
+    nu = np.linspace(-200.0, 200.0, 4001)
+    spec = Spectrum(freq=nu, values=lorentzian(nu, 3.0, 12.0, 7.5, 0.4))
+    fit = fitting.fit_peak(spec)
+    assert 1 <= fit.nfev <= 400
+    assert 1.0 <= fit.condition < 1e12
+
+
 def test_integrate_peak_analytic_area():
     nu = np.linspace(-600.0, 600.0, 24001)
     spec = Spectrum(freq=nu, values=lorentzian(nu, 0.0, 2.0, 5.0, 0.3))
@@ -137,7 +186,7 @@ def test_integrate_voigt_area_invariance():
     # convolution preserves the area for any RBW
     sigma = fitting.sigma_from_rbw(1.0)
     nu = np.linspace(-250.0, 250.0, 200001)
-    values = 3.3 * fitting.voigt_eval(nu, 0.0225, sigma)
+    values = 3.3 * fitting.voigt_eval(nu, 0.0225, sigma)[0]
     flux = fitting.integrate_peak(Spectrum(freq=nu, values=values, rbw=1.0))
     assert flux == pytest.approx(3.3, rel=1e-8)
 
@@ -146,7 +195,7 @@ def test_integrate_matches_voigt_fit_area():
     rbw = 1.0
     sigma = fitting.sigma_from_rbw(rbw)
     nu = np.linspace(-40.0, 40.0, 8001)
-    values = 2.4 * fitting.voigt_eval(nu, 0.0225, sigma)
+    values = 2.4 * fitting.voigt_eval(nu, 0.0225, sigma)[0]
     spec = Spectrum(freq=nu, values=values, rbw=rbw)
     direct = fitting.integrate_peak(spec)
     fit = fitting.fit_peak(spec, "voigt")
@@ -200,3 +249,29 @@ def test_linear_fit_two_points_warns():
         fit = fitting.linear_fit([0.0, 1.0], [1.0, 3.0])
     assert fit.slope == pytest.approx(2.0)
     assert fit.dof == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=st.integers(3, 40), weighted=st.booleans())
+def test_linear_fit_covariance_matches_polyfit(data, size, weighted):
+    # covariance of the closed form against numpy's lstsq-based polyfit:
+    # residual-scaled without sigma_y, the plain WLS one with it
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    x = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
+    y = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
+    if np.ptp(x) < 1e-3 * max(1.0, np.max(np.abs(x))):
+        x = x + np.arange(size)
+    sigma = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=size,
+                                        max_size=size))) if weighted else None
+    fit = fitting.linear_fit(x, y, sigma)
+    w = None if sigma is None else 1.0 / sigma
+    coef, cov = np.polyfit(x, y, 1, w=w, cov="unscaled" if weighted else True)
+    _, unscaled = np.polyfit(x, y, 1, w=w, cov="unscaled")
+    scale = np.sqrt(np.outer(np.diag(unscaled), np.diag(unscaled)))
+    # the residual variance of a near-exact line is rounding: allow the
+    # covariance that a 1e-12 relative residual per point would give
+    rounding = size * (1e-12 * max(1.0, np.max(np.abs(y)))) ** 2
+    assert np.allclose([fit.slope, fit.intercept], coef, rtol=1e-8,
+                       atol=1e-8 * max(1.0, np.max(np.abs(y))))
+    assert np.all(np.abs(fit.covariance - cov)
+                  <= 1e-7 * np.abs(cov).max() + rounding * scale)
