@@ -125,8 +125,15 @@ def cmd_device(args, cp):
 
 def cmd_psd(args, cp):
     _check(args, 0.0, "span_widths", above=True)
+    _check(args, 2, "points")
     params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
+    # linspace takes the difference of the end points, and the cavity
+    # Lorentzian 4 nu^2: both must stay finite
+    if not 2.0 * half < np.sqrt(np.finfo(float).max):
+        raise InvalidArgument(
+            f"--span-widths {args.span_widths!r} times Gamma_tot = "
+            f"{drives.gamma_tot:.6g} Hz overflows the frequency grid")
     grid = np.linspace(-half, half, args.points)
     comps = dynamics.output_psd(params, baths, drives, grid,
                                 simplified=args.simplified)

@@ -53,8 +53,12 @@ class Spectrum:
             raise InvalidArgument("freq must be a 1-d grid with >= 2 points")
         if values.shape != freq.shape:
             raise ValueError("values must match the freq grid")
-        if np.any(np.diff(freq) <= 0.0):
-            raise ValueError("freq grid must be strictly increasing")
+        # a strictly increasing grid with finite end points is finite
+        # everywhere, and NaN fails every comparison
+        if not (np.isfinite(freq[0]) and np.isfinite(freq[-1])
+                and np.all(freq[1:] > freq[:-1])):
+            raise InvalidArgument(
+                "freq grid must be finite and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("PSD values must be finite")
         if self.rbw < 0.0:
@@ -82,6 +86,16 @@ def _check_weak_coupling(params: SystemParams, drives: DriveSet):
             stacklevel=3)
 
 
+def _mechanical_occupation(baths: BathOccupations,
+                           drives: DriveSet) -> float:
+    """n_m of steady_state, without the weak-coupling check."""
+    g_p = drives.gamma_opt("cooling_pump")
+    g_r = drives.gamma_opt("red_probe")
+    g_b = drives.gamma_opt("blue_probe")
+    return (g_p * baths.n_c + drives.gamma_m * baths.n_m_th
+            + g_r * baths.n_c + g_b * (baths.n_c + 1.0)) / drives.gamma_tot
+
+
 def steady_state(params: SystemParams, baths: BathOccupations,
                  drives: DriveSet) -> BathOccupations:
     """Steady-state occupations under the three-tone drive.
@@ -92,46 +106,61 @@ def steady_state(params: SystemParams, baths: BathOccupations,
     (derived from the cavity bath or set directly).
     """
     _check_weak_coupling(params, drives)
-    g_p = drives.gamma_opt("cooling_pump")
-    g_r = drives.gamma_opt("red_probe")
-    g_b = drives.gamma_opt("blue_probe")
-    n_m = (g_p * baths.n_c + drives.gamma_m * baths.n_m_th
-           + g_r * baths.n_c + g_b * (baths.n_c + 1.0)) / drives.gamma_tot
-    return replace(baths, n_m=n_m)
+    return replace(baths, n_m=_mechanical_occupation(baths, drives))
 
 
-def _sideband_bracket(nu, delta, sign, params, baths, drives):
-    """Curly-brace factor of the full sideband PSD (sign=-1 pump/red, +1 blue)."""
+def _sideband_full(nu, nu_over_w, inv_w, delta, sign, gamma_x, params,
+                   baths, drives):
+    """Full sideband PSD of one tone (device referred, quanta/(s Hz)).
+
+    With s = sign (-1 pump/red, +1 blue), o = nu - s delta the offset from
+    the sideband center and w = 1 + 4 nu^2/kappa^2 the inverse cavity
+    Lorentzian, the thermal, interference and vacuum terms over |chi|^2
+    reduce exactly to one real rational function of nu:
+
+        S_x   = eta_kappa Gamma_x Gamma_tot (B / w) / |D|^2,
+        B     = [G_p n_c + G_r n_c + G_b (n_c + 1)] / Gamma_tot
+                + s (2 n_c + 1/2) + G_sum / (2 Gamma_tot)
+                + Gamma_m (n_th + 1/2) w / Gamma_tot
+                - s 8 n_c nu o / (kappa Gamma_tot),
+        |D|^2 = ((G_sum + Gamma_m)/2 - 2 nu o/kappa)^2
+                + (o + nu Gamma_m/kappa)^2,
+
+    with G_sum = G_p + G_r - G_b.  B/w is evaluated term by term from the
+    nu/w and 1/w that output_psd shares between the tones, so it stays
+    finite wherever nu is; where |D|^2 ~ nu^4 overflows, S_x is 0.
+    """
     g_p = drives.gamma_opt("cooling_pump")
     g_r = drives.gamma_opt("red_probe")
     g_b = drives.gamma_opt("blue_probe")
     gm = drives.gamma_m
     gt = drives.gamma_tot
     kappa = params.kappa
-    n_c, n_th = baths.n_c, baths.n_m_th
-    cavity_wing = 1.0 + 4.0 * nu**2 / kappa**2
-    thermal = (g_p * n_c + g_r * n_c + g_b * (n_c + 1.0)
-               + gm * cavity_wing * n_th) / gt
-    x = 4.0 * nu * (nu + delta) if sign < 0 else 4.0 * nu * (nu - delta)
-    x = x / (kappa * gt)
-    interference = (1.0 - x) * (2.0 * n_c + 1.0) - (0.5 - x)
-    vacuum = (g_p + g_r - g_b + gm * cavity_wing) / (2.0 * gt)
-    return thermal + sign * interference + vacuum
-
-
-def _sideband_full(nu, delta, sign, gamma_x, params, baths, drives):
-    """Full sideband PSD for one tone (device referred, quanta/(s Hz))."""
-    gm = drives.gamma_m
-    gt = drives.gamma_tot
-    kappa = params.kappa
-    g_sum = (drives.gamma_opt("cooling_pump") + drives.gamma_opt("red_probe")
-             - drives.gamma_opt("blue_probe"))
-    offset = nu + delta if sign < 0 else nu - delta
-    denom = np.abs(g_sum / 2.0 + (1.0 - 2j * nu / kappa)
-                   * (gm / 2.0 - 1j * offset)) ** 2
-    lorentz_cav = 1.0 / (1.0 + 4.0 * nu**2 / kappa**2)
-    bracket = _sideband_bracket(nu, delta, sign, params, baths, drives)
-    return (params.eta_kappa * gamma_x * gt / denom) * lorentz_cav * bracket
+    n_c = baths.n_c
+    g_sum = g_p + g_r - g_b
+    # the nu-independent terms of B
+    flat = ((g_p * n_c + g_r * n_c + g_b * (n_c + 1.0)) / gt
+            + sign * (2.0 * n_c + 0.5) + g_sum / (2.0 * gt))
+    # in place: numpy elides temporaries only in arrays above 256 KiB
+    offset = nu - sign * delta
+    im_d = (gm / kappa) * nu
+    im_d += offset
+    re_d = nu * offset
+    re_d *= -2.0 / kappa
+    re_d += 0.5 * (g_sum + gm)
+    b_over_w = nu_over_w * offset
+    b_over_w *= -sign * 8.0 * n_c / (kappa * gt)
+    b_over_w += flat * inv_w
+    b_over_w += gm * (baths.n_m_th + 0.5) / gt
+    # |D|^2 ~ nu^4 overflows on very wide grids, where S_x goes to its
+    # limit 0 instead
+    with np.errstate(over="ignore"):
+        re_d *= re_d
+        im_d *= im_d
+        re_d += im_d
+    b_over_w *= params.eta_kappa * gamma_x * gt
+    b_over_w /= re_d
+    return b_over_w
 
 
 def _sideband_simplified(nu, delta, sign, gamma_x, occupation, params, drives):
@@ -147,8 +176,12 @@ def output_psd(params: SystemParams, baths: BathOccupations,
 
     Returns a dict with Spectrum entries "cavity", "pump", "red", "blue"
     (tones without a drive give identically zero spectra) and a scalar
-    "floor" = 1/2, the device-referred vacuum background.  With
-    ``simplified`` the flat-cavity peak forms are used:
+    "floor" = 1/2, the device-referred vacuum background.  The cavity
+    emission is S_c = 4 eta_kappa n_c / w with w = 1 + 4 nu^2/kappa^2.  The
+    full sideband forms are the real rational functions of nu given in
+    _sideband_full, S_x = eta_kappa Gamma_x Gamma_tot (B/w) / |D|^2, which
+    share w with the cavity.  With ``simplified`` the flat-cavity peak
+    forms are used:
 
         S_p, S_r  ~ (n_m - 2 n_c)      Lorentzians of width Gamma_tot,
         S_b       ~ (n_m + 2 n_c + 1),
@@ -159,7 +192,7 @@ def output_psd(params: SystemParams, baths: BathOccupations,
     """
     _check_weak_coupling(params, drives)
     nu = np.asarray(grid, dtype=float)
-    n_m = steady_state(params, baths, drives).n_m
+    n_m = _mechanical_occupation(baths, drives)
     n_c = baths.n_c
     gt = drives.gamma_tot
 
@@ -179,9 +212,12 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                     f"{spacing:.3g} Hz < 10 Gamma_tot; neglected cross terms "
                     "may matter", OverlapWarning, stacklevel=2)
 
-    cavity = (4.0 * params.eta_kappa * n_c
-              / (1.0 + 4.0 * nu**2 / params.kappa**2))
+    w = 1.0 + 4.0 * nu**2 / params.kappa**2
+    cavity = 4.0 * params.eta_kappa * n_c / w
     components = {"cavity": Spectrum(freq=nu, values=cavity, label="cavity")}
+    if not simplified:
+        inv_w = 1.0 / w
+        nu_over_w = nu * inv_w
 
     spec_map = (("pump", "cooling_pump", -1, n_m - 2.0 * n_c),
                 ("red", "red_probe", -1, n_m - 2.0 * n_c),
@@ -195,8 +231,8 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                                           tone.gamma_opt, occupation,
                                           params, drives)
         else:
-            values = _sideband_full(nu, tone.delta, sign, tone.gamma_opt,
-                                    params, baths, drives)
+            values = _sideband_full(nu, nu_over_w, inv_w, tone.delta, sign,
+                                    tone.gamma_opt, params, baths, drives)
         components[label] = Spectrum(freq=nu, values=values, label=label)
 
     components["floor"] = 0.5
@@ -211,7 +247,8 @@ def component_fluxes(params: SystemParams, baths: BathOccupations,
     P_c = 2 pi eta_kappa kappa n_c.  Multiplying by the chain gain G gives
     detector-unit powers.
     """
-    n_m = steady_state(params, baths, drives).n_m
+    _check_weak_coupling(params, drives)
+    n_m = _mechanical_occupation(baths, drives)
     n_c = baths.n_c
     eta = params.eta_kappa
     return {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +118,12 @@ def test_device_sweep(cfg, tmp_path):
     assert len(rows) == 4
 
 
-#: `device` outputs on configs/reference.cfg, committed as the bytes to keep.
-#: They pass through LAPACK (`leggauss`) and scipy Bessel functions, whose
-#: last bits can differ between BLAS builds and CPUs.  If the numeric stack
-#: changes, regenerate the files from the commit before the change under
-#: test, never from the change itself, so a real move in the bytes still shows.
+#: `device` and README `psd --simplified` outputs on configs/reference.cfg,
+#: committed as the bytes to keep.  They pass through LAPACK (`leggauss`),
+#: scipy Bessel functions and numpy's vectorised arithmetic, whose last bits
+#: can differ between BLAS builds and CPUs.  If the numeric stack changes,
+#: regenerate the files from the commit before the change under test, never
+#: from the change itself, so a real move in the bytes still shows.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REFERENCE_CFG = GOLDEN.parent.parent / "configs" / "reference.cfg"
 
@@ -136,6 +138,39 @@ def test_device_output_bytes_are_golden(axis, tmp_path):
     assert main(argv) == 0
     golden = GOLDEN / f"device_{axis or 'figures'}.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_psd_simplified_output_bytes_are_golden(tmp_path):
+    out = tmp_path / "spec.csv"
+    assert main(["psd", "--config", str(REFERENCE_CFG), "--out", str(out),
+                 "--simplified"]) == 0
+    assert out.read_bytes() == (GOLDEN / "psd_spec.csv").read_bytes()
+    assert out.with_suffix(".json").read_bytes() \
+        == (GOLDEN / "psd_spec.json").read_bytes()
+
+
+@pytest.mark.parametrize("form", [[], ["--simplified"]],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("span", ["1e50", "1e100", "1e150", "1e200",
+                                  "1e308"])
+def test_psd_span_is_finite_or_usage_error(span, form, cfg, tmp_path,
+                                           capsys):
+    out = tmp_path / "spec.csv"
+    argv = ["psd", "--config", cfg, "--out", str(out), "--points", "101",
+            "--span-widths", span, *form]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow on the way
+        code = main(argv)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: --span-widths ")
+        assert "Traceback" not in err
+        return
+    assert code == 0 and err == ""
+    rows = list(csv.reader(out.open()))[1:]
+    values = np.array([float(row[1]) for row in rows])
+    assert len(values) == 4 * 101
+    assert np.all(np.isfinite(values))
 
 
 def test_psd_command(cfg, tmp_path):
@@ -416,6 +451,8 @@ def test_manifest_fields(case, cfg, tmp_path, params):
     "cool --config {cfg} --out {d}/o.csv --cmin nan",
     "limits --config {cfg} --out {d}/o.json --branches 0",
     "psd --config {cfg} --out {d}/o.csv --points 1",
+    "psd --config {cfg} --out {d}/o.csv --points 0",
+    "psd --config {cfg} --out {d}/o.csv --points -5",
     "psd --config {cfg} --out {d}/o.csv --span-widths 0",
     "device --config {cfg} --out {d}/o.csv --sweep-axis gap --factors a,b",
     "device --config {cfg} --out {d}/o.csv --sweep-axis gap --factors 0",
@@ -440,7 +477,8 @@ def test_manifest_fields(case, cfg, tmp_path, params):
     "reproduce --criteria 10",
     "reproduce --criteria 0,4",
 ], ids=["cool-cmin", "cool-cmin-nan", "limits-branches", "psd-points",
-        "psd-span", "device-factors", "device-factors-zero",
+        "psd-points-zero", "psd-points-negative", "psd-span",
+        "device-factors", "device-factors-zero",
         "dephase-delta-above", "dephase-delta-nan", "dephase-delta-inf",
         "dephase-points", "dephase-tmax", "dephase-gamma-th-nan",
         "thermalize-points", "thermalize-tmax-nan", "thermalize-g-opt-nan",

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,15 @@ def test_quadrature_cap():
 
     with pytest.raises(QuadratureNonConvergence):
         device._radial_quadrature(noisy, 1.0, max_doublings=2)
+
+
+def test_quadrature_gives_up_on_a_singular_integrand():
+    # Gauss-Legendre converges only like 1/n on r^-1/2; the rule cap stops
+    # the doubling at 1024 nodes instead of growing leggauss's n x n matrix
+    start = time.perf_counter()
+    with pytest.raises(QuadratureNonConvergence, match="1024 nodes"):
+        device._radial_quadrature(lambda r: r ** -0.5, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_geometry_validation():

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cryodrum import core, dynamics
-from cryodrum.errors import OverlapWarning, WeakCouplingWarning
+from cryodrum.errors import (InvalidArgument, OverlapWarning,
+                             WeakCouplingWarning)
 
 
 def drives_for(params, *, pump_c=None, red=None, blue=None, deltas=(25e3, 0.0, 10e3)):
@@ -63,6 +66,22 @@ def test_weak_coupling_warning(params):
     drives = drives_for(params, pump_c=1e5)   # Gamma_tot = 4.5 kHz > kappa/100
     with pytest.warns(WeakCouplingWarning):
         dynamics.steady_state(params, baths, drives)
+
+
+@pytest.mark.parametrize("call", [dynamics.steady_state,
+                                  dynamics.component_fluxes,
+                                  lambda *stack: dynamics.output_psd(
+                                      *stack, np.linspace(-1e3, 1e3, 11))],
+                         ids=["steady_state", "component_fluxes",
+                              "output_psd"])
+def test_weak_coupling_warns_once_at_the_caller(call, params, baths):
+    drives = drives_for(params, pump_c=1e5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(params, baths, drives)
+    weak = [w for w in caught if issubclass(w.category, WeakCouplingWarning)]
+    assert len(weak) == 1
+    assert weak[0].filename == __file__
 
 
 def test_output_psd_cavity_peak():
@@ -189,3 +208,76 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         dynamics.Spectrum(freq=np.array([0.0, 1.0]),
                           values=np.zeros(2), rbw=-1.0)
+    # NaN inside or an infinite end point: `np.diff(freq) <= 0` missed both
+    for freq in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                 [np.nan] * 3):
+        with pytest.raises(InvalidArgument, match="finite"):
+            dynamics.Spectrum(freq=freq, values=[1.0, 1.0, 1.0])
+
+
+def sideband_longdouble(nu, sign, tone, params, baths, drives):
+    """The three-term full sideband form in long double: thermal,
+    interference and vacuum brackets over |chi|^2 times the cavity
+    Lorentzian, from the same double inputs as output_psd."""
+    ld = np.longdouble
+    nu = nu.astype(ld)
+    g_p, g_r, g_b = (ld(drives.gamma_opt(role)) for role in
+                     ("cooling_pump", "red_probe", "blue_probe"))
+    gm, gt, kappa = ld(drives.gamma_m), ld(drives.gamma_tot), ld(params.kappa)
+    n_c, n_th = ld(baths.n_c), ld(baths.n_m_th)
+    offset = nu - sign * ld(tone.delta)
+    wing = 1 + 4 * nu**2 / kappa**2
+    thermal = (g_p * n_c + g_r * n_c + g_b * (n_c + 1) + gm * wing * n_th) / gt
+    x = 4 * nu * offset / (kappa * gt)
+    interference = (1 - x) * (2 * n_c + 1) - (ld(0.5) - x)
+    vacuum = (g_p + g_r - g_b + gm * wing) / (2 * gt)
+    chi = ((g_p + g_r - g_b) / 2
+           + (1 - 2j * nu / kappa) * (gm / 2 - 1j * offset))
+    return (ld(params.eta_kappa) * ld(tone.gamma_opt) * gt
+            / np.abs(chi.astype(np.clongdouble)) ** 2 / wing
+            * (thermal + sign * interference + vacuum))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+@settings(max_examples=80, deadline=None)
+@given(kappa=st.floats(1e4, 1e7), gamma_m=st.floats(1e-3, 10.0),
+       pump_c=st.floats(0.0, 2e4), red=st.floats(0.0, 30.0),
+       blue_share=st.floats(0.0, 0.9), n_c=st.floats(0.0, 2.0),
+       n_th=st.floats(0.0, 1e3), deltas=st.tuples(
+           st.floats(-1e5, 1e5), st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)))
+def test_full_sideband_matches_long_double(kappa, gamma_m, pump_c, red,
+                                           blue_share, n_c, n_th, deltas):
+    params = core.validate_params(dict(
+        omega_c=5.5e9, kappa=kappa, kappa_ex=0.8 * kappa,
+        kappa_0=kappa - 0.8 * kappa, omega_m=1.8e6, gamma_m=gamma_m,
+        g0=13.4))
+    g_p = pump_c * gamma_m
+    blue = blue_share * (gamma_m + g_p + red)     # keeps Gamma_tot > 0
+    drives = drives_for(params, pump_c=pump_c, red=red, blue=blue,
+                        deltas=deltas)
+    baths = core.BathOccupations(n_c_th=0.0, n_m_th=n_th, n_c=n_c)
+    n_m = dynamics._mechanical_occupation(baths, drives)
+    # at n_m = 2 n_c the pump and red sidebands are differences of O(n_c)
+    # terms, so any evaluation in doubles loses digits in 1/|n_m - 2 n_c|;
+    # the dip regime n_m < 2 n_c is drawn, its threshold is not
+    assume(abs(n_m - 2.0 * n_c) > 1e-3 * (n_m + 2.0 * n_c + 1.0))
+    gt = drives.gamma_tot
+    centers = [-deltas[0], -deltas[1], deltas[2], 0.0]
+    grid = np.unique(np.concatenate(
+        [c + np.linspace(-50.0 * gt, 50.0 * gt, 201) for c in centers]
+        + [np.linspace(-3.0 * kappa, 3.0 * kappa, 201)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", (WeakCouplingWarning, OverlapWarning))
+        comps = dynamics.output_psd(params, baths, drives, grid)
+    for label, role, sign in (("pump", "cooling_pump", -1),
+                              ("red", "red_probe", -1),
+                              ("blue", "blue_probe", +1)):
+        tone = drives.tone(role)
+        if tone.gamma_opt == 0.0:
+            assert not np.any(comps[label].values)
+            continue
+        exact = sideband_longdouble(grid, sign, tone, params, baths, drives)
+        scale = float(np.max(np.abs(exact)))
+        error = float(np.max(np.abs(comps[label].values - exact)))
+        assert error <= 1e-11 * scale, label
