@@ -158,8 +158,11 @@ def _sideband_full(nu, nu_over_w, inv_w, delta, sign, gamma_x, params,
         re_d *= re_d
         im_d *= im_d
         re_d += im_d
-    b_over_w *= params.eta_kappa * gamma_x * gt
+    b_over_w *= params.eta_kappa * gt
     b_over_w /= re_d
+    # Gamma_x last: a tiny Gamma_x is rounded once, at each value, not
+    # first in a scalar prefactor that may fall below the normal range
+    b_over_w *= gamma_x
     return b_over_w
 
 
