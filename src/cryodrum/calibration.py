@@ -321,7 +321,7 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     points = [p if isinstance(p, G0SweepPoint) else G0SweepPoint(*p)
               for p in sweep]
     if len(points) < 3:
-        raise ValueError("need at least 3 temperatures")
+        raise InvalidArgument("need at least 3 temperatures")
     temps = np.array([p.temperature for p in points])
     ratios = np.array([p.calibrated_ratio for p in points])
 

@@ -9,14 +9,17 @@ except `reproduce` takes the parsed arguments and the config (read once by
 paths; `main` then writes every manifest.  Stochastic commands require an
 explicit --seed.
 
+OPTION_DOMAINS is the only place where option domains are defined: `main`
+checks every numeric option against it once, before the config is read.
+
 Exit codes: 0 success, 1 reproduction-suite failure, 2 configuration or
-usage error, 3 numerical failure.
+usage error (an option out of its domain, a malformed input file), 3
+numerical failure (an overflow included).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -85,16 +88,38 @@ def _numbers(text, kind, option):
                               f"got {text!r}") from None
 
 
-def _check(args, low, *options, above=False):
-    """InvalidArgument, a usage error, unless every named option that is
-    set is finite and >= low (> low when above)."""
-    for option in options:
-        value = getattr(args, option)
-        if value is not None and not (np.isfinite(value) and (
-                value > low if above else value >= low)):
-            raise InvalidArgument(
-                f"--{option.replace('_', '-')} must be finite and "
-                f"{'>' if above else '>='} {low:g}, got {value!r}")
+_FINITE = ("finite", lambda v: -np.inf < v < np.inf)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < np.inf)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
+
+#: option -> (domain, test); a list option (--factors) tests each number
+OPTION_DOMAINS = {
+    "points": (">= 2", lambda v: v >= 2),
+    "samples": (">= 1", lambda v: v >= 1),
+    "branches": (">= 1", lambda v: v >= 1),
+    "seed": (">= 0", lambda v: v >= 0),
+    "eta_kappa": ("in (0, 1]", lambda v: 0 < v <= 1),
+    **dict.fromkeys(("factors", "span_widths", "cmin", "cmax", "g_opt", "tau",
+                     "tmax", "gamma_r", "n_min"), _POSITIVE),
+    **dict.fromkeys(("n_th", "n_add", "gamma_amp", "gamma_b", "gamma_th",
+                     "gamma_phi", "delta", "delta_err", "eta_att_db",
+                     "n_add_h", "eta_t_db", "eta_db"), _NON_NEGATIVE),
+    **dict.fromkeys(("r", "snri_db", "delta_phi", "delta_att_db"), _FINITE),
+}
+
+
+def _check_options(args):
+    """InvalidArgument, a usage error, unless every numeric option that is
+    set lies in its domain."""
+    for option, (domain, test) in OPTION_DOMAINS.items():
+        value = getattr(args, option, None)
+        if value is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        values = _numbers(value, float, flag) if isinstance(value, str) \
+            else [value]
+        if not all(test(v) for v in values):
+            raise InvalidArgument(f"{flag} must be {domain}, got {value!r}")
 
 
 def _json_out(path, payload):
@@ -106,8 +131,6 @@ def cmd_device(args, cp):
     params = config_mod.load_system(cp)
     if args.sweep_axis:
         factors = _numbers(args.factors, float, "--factors")
-        if not all(np.isfinite(f) and f > 0.0 for f in factors):
-            raise InvalidArgument("--factors must be finite and > 0")
         sweep = device.scaling_sweep(geom, args.sweep_axis, factors,
                                      omega_c=params.omega_c,
                                      kappa=params.kappa)
@@ -124,8 +147,6 @@ def cmd_device(args, cp):
 
 
 def cmd_psd(args, cp):
-    _check(args, 0.0, "span_widths", above=True)
-    _check(args, 2, "points")
     params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
     # linspace takes the difference of the end points, and the cavity
@@ -160,7 +181,6 @@ def cmd_psd(args, cp):
 
 def cmd_cool(args, cp):
     _, baths, _ = _load_stack(cp)
-    _check(args, 0.0, "cmin", "cmax", above=True)
     coops = np.geomspace(args.cmin, args.cmax, args.points)
     n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
            for c in coops.tolist()]
@@ -189,18 +209,9 @@ def cmd_asymmetry(args, cp):
 
 
 def cmd_amplify(args, cp):
-    _check(args, 0.0, "n_th", "n_add")
-    _check(args, -np.inf, "r")
-    _check(args, 0.0, "g_opt", above=True)
     if args.calibrate:
-        with open(args.calibrate) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["n_m", "var_uV2"]:
-                raise SchemaMismatch(
-                    f"{args.calibrate}: expected header n_m,var_uV2")
-            points = [(float(r[0]), float(r[1])) for r in reader if r]
-        cal = tomography.calibrate_amplifier(points)
+        cal = tomography.calibrate_amplifier(
+            datasets.load_dataset(args.calibrate, "line"))
         _json_out(args.out, {
             "g_opt_uv2_per_quanta": cal.g_opt, "g_opt_err": cal.g_opt_err,
             "n_add_opt": cal.n_add_opt, "n_add_err": cal.n_add_err,
@@ -215,8 +226,6 @@ def cmd_amplify(args, cp):
 
 
 def cmd_thermalize(args, cp):
-    _check(args, 0.0, "n_add", "gamma_amp")
-    _check(args, 0.0, "g_opt", "tau", above=True)
     params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
         gamma_opt_b=args.gamma_amp + params.gamma_m, gamma_amp=args.gamma_amp,
@@ -259,10 +268,6 @@ def cmd_squeeze(args, cp):
 
 
 def cmd_dephase(args, cp):
-    _check(args, 0.0, "gamma_th", "n_th", "gamma_phi", "delta_err")
-    _check(args, -np.inf, "r")
-    _check(args, 0.0, "tmax", above=True)
-    _check(args, 2, "points")
     initial = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     times = np.linspace(0.0, args.tmax, args.points)
     gamma_phi = args.gamma_phi if args.gamma_phi is not None else 0.0
@@ -485,6 +490,7 @@ def main(argv=None) -> int:
         return 2
     _apply_outdir(args)
     try:
+        _check_options(args)
         if args.command == "reproduce":
             return args.func(args)
         cp = config_mod.read_config(args.config) \
@@ -495,7 +501,7 @@ def main(argv=None) -> int:
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CryodrumError as exc:
+    except (CryodrumError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

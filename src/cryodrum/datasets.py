@@ -11,7 +11,8 @@ lines end in LF, the header and data rows in CRLF (the row ending of
 floats are written with Python's shortest-roundtrip `repr`, so a
 write/read cycle is lossless.  The readers accept LF or CRLF rows, empty
 lines and double-quoted cells; a numeric cell reads as the double that
-`float()` gives for it.
+`float()` gives for it.  Every reader raises SchemaMismatch for a wrong
+header, a non-numeric cell, a short or long row, or no rows.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ SPECTRUM_HEADER = ["freq_hz", "value"]
 QUADRATURE_HEADER = ["I_uV", "Q_uV"]
 SWEEP_HEADER = ["T_K", "P_SB_meas", "P_cal_meas", "P_MW_src", "P_cal_src"]
 PEAKS_HEADER = ["N_p", "N_b", "N_c", "r_gamma"]
+LINE_HEADER = ["n_m", "var_uV2"]
 TRAJECTORY_HEADER = ["t_s", "Xsq2", "Xasq2", "n"]
 
 
@@ -63,15 +65,24 @@ def _write_table(path, header, rows, meta=()):
             fh.write("\r\n".join(block) + "\r\n")
 
 
-def _read_rows(fh, path, what) -> np.ndarray:
-    """The numeric rows left in fh as one (rows, columns) array."""
+def _read_rows(fh, path, columns) -> np.ndarray:
+    """The numeric rows left in fh as one (rows, columns) array;
+    SchemaMismatch for no rows, a non-numeric cell or a row of another width.
+    """
     for first in fh:
         if first.strip():
             break
     else:
-        raise SchemaMismatch(f"{path}: no {what} rows")
-    return np.loadtxt(itertools.chain([first], fh), delimiter=",",
-                      quotechar='"', comments=None, ndmin=2)
+        raise SchemaMismatch(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                          quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
+    if data.shape[1] != columns:
+        raise SchemaMismatch(f"{path}: expected {columns} columns, "
+                             f"got {data.shape[1]}")
+    return data
 
 
 def _require_header(row, expected, path, optional_tail=()):
@@ -83,6 +94,15 @@ def _require_header(row, expected, path, optional_tail=()):
         if col not in optional_tail:
             raise SchemaMismatch(f"{path}: unexpected column {col!r}")
     return extras
+
+
+def _read_table(path, header, optional_tail=()) -> np.ndarray:
+    """The rows of a CSV whose first line is `header`, followed by any of
+    `optional_tail`, as by _read_rows."""
+    with Path(path).open() as fh:
+        extras = _require_header(next(csv.reader([fh.readline()])), header,
+                                 path, optional_tail)
+        return _read_rows(fh, path, len(header) + len(extras))
 
 
 def write_spectrum(path, spec: Spectrum):
@@ -111,7 +131,7 @@ def read_spectrum(path) -> Spectrum:
         if header is None:
             raise SchemaMismatch(f"{path}: no spectrum rows")
         _require_header(header, SPECTRUM_HEADER, path)
-        data = _read_rows(fh, path, "spectrum")
+        data = _read_rows(fh, path, len(SPECTRUM_HEADER))
     if "rbw_hz" not in meta:
         raise SchemaMismatch(f"{path}: missing rbw_hz metadata line")
     return Spectrum(freq=data[:, 0], values=data[:, 1],
@@ -141,10 +161,7 @@ def read_quadratures(path) -> QuadratureBatch:
     if not sidecar_path.exists():
         raise SchemaMismatch(f"{path}: missing JSON sidecar {sidecar_path}")
     sidecar = json.loads(sidecar_path.read_text())
-    with path.open() as fh:
-        header = next(csv.reader([fh.readline()]), None)
-        _require_header(header, QUADRATURE_HEADER, path)
-        samples = _read_rows(fh, path, "quadrature")
+    samples = _read_table(path, QUADRATURE_HEADER)
     try:
         return QuadratureBatch(samples=samples,
                                g_opt=float(sidecar["g_opt_uv2_per_quanta"]),
@@ -162,48 +179,21 @@ def write_sweep(path, points):
 
 
 def read_sweep(path) -> list:
-    path = Path(path)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _require_header(header, SWEEP_HEADER, path)
-        points = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise SchemaMismatch(f"{path}:{lineno}: expected 5 columns")
-            points.append(G0SweepPoint(*[float(c) for c in row]))
-    if not points:
-        raise SchemaMismatch(f"{path}: no sweep rows")
-    return points
+    return [G0SweepPoint(*row)
+            for row in _read_table(path, SWEEP_HEADER).tolist()]
 
 
 def read_peaks(path) -> list:
     """Scaled-peak rows for the asymmetry solver (optional N_floor column)."""
-    path = Path(path)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        extras = _require_header(header, PEAKS_HEADER, path,
-                                 optional_tail=("N_floor",))
-        has_floor = "N_floor" in extras
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            expected = len(PEAKS_HEADER) + (1 if has_floor else 0)
-            if len(row) != expected:
-                raise SchemaMismatch(
-                    f"{path}:{lineno}: expected {expected} columns")
-            values = [float(c) for c in row]
-            rows.append(ScaledPeaks(
-                N_p=values[0], N_b=values[1], N_c=values[2],
-                r_gamma=values[3],
-                N_floor=values[4] if has_floor else None))
-    if not rows:
-        raise SchemaMismatch(f"{path}: no peak rows")
-    return rows
+    rows = _read_table(path, PEAKS_HEADER, optional_tail=("N_floor",))
+    return [ScaledPeaks(N_p=row[0], N_b=row[1], N_c=row[2], r_gamma=row[3],
+                        N_floor=row[4] if len(row) > 4 else None)
+            for row in rows.tolist()]
+
+
+def read_line(path) -> np.ndarray:
+    """Amplifier calibration points as (n_m, var_uV2) rows of an array."""
+    return _read_table(path, LINE_HEADER)
 
 
 def write_trajectory(path, times, v_sq, v_asq, n):
@@ -212,9 +202,9 @@ def write_trajectory(path, times, v_sq, v_asq, n):
 
 
 def load_dataset(path, kind: str):
-    """Typed dataset loader: kind in {spectrum, quadratures, sweep, peaks}."""
+    """Typed dataset loader: kind is one of the formats named below."""
     loaders = {"spectrum": read_spectrum, "quadratures": read_quadratures,
-               "sweep": read_sweep, "peaks": read_peaks}
+               "sweep": read_sweep, "peaks": read_peaks, "line": read_line}
     if kind not in loaders:
         raise SchemaMismatch(f"unknown dataset kind {kind!r}; "
                              f"expected one of {sorted(loaders)}")

@@ -177,31 +177,6 @@ def effective_mass_xzpf(geom: DrumGeometry, omega_m: float | None = None,
     return m_eff, m_phys, xi_mass, x_zpf
 
 
-def g0_theory(geom: DrumGeometry, omega_c: float):
-    """Single-photon coupling of the fundamental mode from geometry.
-
-    g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
-    xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr.  A closed form
-    g0 = 0.37 sqrt(hbar) (omega_c / 2d) (R^2 t^2 rho sigma)^(-1/4)
-    is evaluated alongside as a cross-check (agreement within ~2%).
-
-    Returns (g0 [Hz], xi_cap, g0_closed_form [Hz]).
-    """
-    if geom.xi_par is None:
-        raise MissingParticipation(
-            "xi_par (capacitor participation ratio) must be supplied")
-    omega_m, mode_shape = drum_mode(geom, 0, 1)
-    _, _, _, x_zpf = effective_mass_xzpf(geom, omega_m, mode_shape)
-    Rb = geom.bottom_radius
-    integral = _radial_quadrature(lambda r: r * mode_shape(r), Rb)
-    xi_cap = 2.0 / Rb**2 * integral
-    g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
-    g0_closed = (0.37 * math.sqrt(HBAR) * omega_c / (2.0 * geom.gap)
-                 * (geom.radius**2 * geom.thickness**2
-                    * geom.density * geom.stress) ** -0.25)
-    return g0, xi_cap, g0_closed
-
-
 def dilution_factor(geom: DrumGeometry):
     """Dissipation dilution: lambda, D_Q = 1/(A lam + B lam^2), Q_m = Q_0 D_Q.
 
@@ -224,11 +199,21 @@ def dilution_factor(geom: DrumGeometry):
 
 
 def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
-    """All fundamental-mode figures of merit in one record."""
+    """All fundamental-mode figures of merit in one record.
+
+    The capacitive coupling is g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
+    xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr; MissingParticipation
+    when xi_par is not supplied.
+    """
+    if geom.xi_par is None:
+        raise MissingParticipation(
+            "xi_par (capacitor participation ratio) must be supplied")
     omega_m, mode_shape = drum_mode(geom, 0, 1)
     m_eff, m_phys, xi_mass, x_zpf = effective_mass_xzpf(geom, omega_m,
                                                         mode_shape)
-    g0, xi_cap, _ = g0_theory(geom, omega_c)
+    Rb = geom.bottom_radius
+    xi_cap = 2.0 / Rb**2 * _radial_quadrature(lambda r: r * mode_shape(r), Rb)
+    g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
     lam, d_q, q_m = dilution_factor(geom)
     return ModeResult(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,
                       xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0,

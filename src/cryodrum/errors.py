@@ -17,7 +17,8 @@ class InvalidArgument(CryodrumError, ValueError):
 
 
 class NonPositiveRate(CryodrumError):
-    """A rate or frequency that must be > 0 is zero or negative."""
+    """A rate or frequency outside its range: zero or negative where it
+    must be > 0, or too large for the arithmetic that scales it."""
 
 
 class NonPositiveFrequency(CryodrumError):

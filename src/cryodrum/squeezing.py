@@ -78,8 +78,8 @@ def squeeze_target(drive: SqueezeDrive):
 
 def squeezing_limit(n_m_th: float, cooperativity: float) -> float:
     """Steady-state squeezing bound 2<X_sq^2> = sqrt((1 + 2 n_m_th)/C), in dB."""
-    if cooperativity <= 0.0:
-        raise NonPositiveRate("cooperativity must be > 0")
+    if not 0.0 < cooperativity < math.inf:
+        raise NonPositiveRate("cooperativity must be finite and > 0")
     if n_m_th < 0.0:
         raise NonPositiveRate("n_m_th must be >= 0")
     return 10.0 * math.log10(math.sqrt((1.0 + 2.0 * n_m_th) / cooperativity))
@@ -105,8 +105,11 @@ class DephasingModel:
     n_m_th: float | None = None
 
     def __post_init__(self):
-        if self.gamma_th < 0.0 or self.gamma_phi < 0.0:
-            raise NonPositiveRate("rates must be >= 0")
+        # the moment equations scale the rates by up to 8 pi
+        if not all(0.0 <= rate and math.isfinite(4.0 * TWO_PI * rate)
+                   for rate in (self.gamma_th, self.gamma_phi)):
+            raise NonPositiveRate("rates must be >= 0, and 8 pi times a "
+                                  "rate finite")
         if self.mode not in ("high_temperature", "finite_temperature"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "finite_temperature" and (

@@ -283,12 +283,15 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
 
     <I^2> = g_opt (var_x1 + n_add_opt + 1/2), same for Q/X2, and the I-Q
     correlation is g_opt Im<b^2>.  Deterministic per seed.
+    FloatingPointError when that covariance is not finite.
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
     cov = g_opt * np.array([
         [state.var_x1 + n_add_opt + 0.5, state.cov_x1x2],
         [state.cov_x1x2, state.var_x2 + n_add_opt + 0.5]])
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError("quadrature covariance is not finite")
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, 2))
@@ -370,7 +373,8 @@ def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
     <X2^2>)/2 - 1/2; principal axes from the eigen-decomposition of the
     noise-subtracted covariance.  Negative variances near the vacuum are
     statistically allowed: they are flagged with a warning and reported,
-    never clamped.
+    never clamped.  FloatingPointError when the second moments of the
+    samples are not finite.
     """
     samples = batch.samples
     n_samples = batch.count
@@ -378,6 +382,8 @@ def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
     m11 = float(np.mean(samples[:, 0] ** 2))
     m22 = float(np.mean(samples[:, 1] ** 2))
     m12 = float(np.mean(samples[:, 0] * samples[:, 1]))
+    if not math.isfinite(m11 + m22):
+        raise FloatingPointError("quadrature second moments are not finite")
 
     v1 = m11 / batch.g_opt - sub
     v2 = m22 / batch.g_opt - sub

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cryodrum import calibration, core
 from cryodrum.errors import (
@@ -55,6 +57,21 @@ def test_asymmetry_dip_regime():
     result = calibration.asymmetry_solve(peaks)
     assert result.n_m == pytest.approx(0.05, rel=1e-9)
     assert result.n_c == pytest.approx(0.04, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_m=st.floats(1e-3, 50.0), n_c=st.floats(0.0, 5.0),
+       g_eta=st.floats(1e-3, 1e3), r_gamma=st.floats(0.1, 10.0))
+@example(n_m=0.05, n_c=0.04, g_eta=0.21, r_gamma=1.0)       # dip regime
+@example(n_m=0.08, n_c=0.04, g_eta=0.21, r_gamma=2.0)       # N_p = 0
+def test_asymmetry_roundtrip_property(n_m, n_c, g_eta, r_gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeOccupation)
+        result = calibration.asymmetry_solve(
+            forward_peaks(n_m, n_c, g_eta, r_gamma))
+    assert result.n_m == pytest.approx(n_m, rel=1e-9)
+    assert result.n_c == pytest.approx(n_c, rel=1e-9, abs=1e-12 * n_m)
+    assert result.g_eta == pytest.approx(g_eta, rel=1e-9)
 
 
 def test_asymmetry_matches_elimination_oracle(rng):

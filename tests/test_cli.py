@@ -1,7 +1,10 @@
+import argparse
 import configparser
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +15,7 @@ import pytest
 
 import cryodrum
 from cryodrum import calibration, datasets
-from cryodrum.cli import main
+from cryodrum.cli import OPTION_DOMAINS, build_parser, main
 
 CONFIG = """\
 [system]
@@ -364,6 +367,25 @@ def test_zero_samples_exit(tmp_path, capsys):
                                 "--seed", "7", "--samples", "0"])
 
 
+SWEEP_TEXT = "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src\n"
+
+
+@pytest.mark.parametrize("argv,text", [
+    ("amplify --out {d}/o.json --calibrate {d}/in.csv",
+     "n_m,var_uV2\n0.1,2.147\n0.5\n2.0,4.294\n"),
+    ("amplify --out {d}/o.json --calibrate {d}/in.csv",
+     "n_m,var_uV2\n0.1,2.147\n0.5,x\n2.0,4.294\n"),
+    ("asymmetry --peaks {d}/in.csv --out {d}/o.json",
+     "N_p,N_b,N_c,r_gamma\n0.021,0.273,abc,1.0\n"),
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + "0.05,1e-9,1e-6,1e-3,1e-3\n0.1,2e-9,1e-6,1e-3,1e-3\n"),
+], ids=["calibrate-short-row", "calibrate-text-cell", "peaks-text-cell",
+        "sweep-two-rows"])
+def test_malformed_input_file_exit(argv, text, cfg, tmp_path, capsys):
+    (tmp_path / "in.csv").write_text(text)
+    assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())
+
+
 def test_reproduce_subset(capsys, tmp_path):
     out = tmp_path / "criteria.json"
     assert main(["reproduce", "--criteria", "4,7", "--json", str(out)]) == 0
@@ -434,6 +456,14 @@ def test_manifest_fields(case, cfg, tmp_path, params):
         return text.format(cfg=cfg, d=tmp_path)
 
     assert main(fill(argv).split()) == 0
+    first = [Path(fill(p)).read_bytes() for p in outputs]
+    manifest_path = Path(fill(outputs[0]) + ".manifest.json")
+    stamp = re.compile(rb'^  "timestamp": .*\n', re.MULTILINE)
+    first_manifest = stamp.sub(b"", manifest_path.read_bytes())
+    # a rerun of the same command line rewrites the same bytes
+    assert main(fill(argv).split()) == 0
+    assert [Path(fill(p)).read_bytes() for p in outputs] == first
+    assert stamp.sub(b"", manifest_path.read_bytes()) == first_manifest
     manifest = manifest_of(fill(outputs[0]))
     assert manifest["command"] == argv.split()[0]
     assert manifest["inputs"] == [fill(p) for p in inputs]
@@ -489,3 +519,106 @@ def test_manifest_fields(case, cfg, tmp_path, params):
         "criteria-above", "criteria-zero"])
 def test_usage_error_exit(argv, cfg, tmp_path, capsys):
     assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())
+
+
+#: small base command line of every command with numeric options; the
+#: peaks file carries an N_floor column so that --eta-kappa is used
+FUZZ_BASE = {
+    "device": "device --config {cfg} --out {d}/o.csv --sweep-axis gap",
+    "psd": "psd --config {cfg} --out {d}/o.csv --simplified --points 9",
+    "cool": "cool --config {cfg} --out {d}/o.csv --points 9",
+    "asymmetry": "asymmetry --peaks {inputs}/floor.csv --out {d}/o.json",
+    "amplify": AMPLIFY + " --samples 200",
+    "thermalize": THERMALIZE + " --samples 200 --points 9 --tmax 2e-3",
+    "squeeze": "squeeze --config {cfg} --out {d}/o.json --gamma-r 75 "
+               "--gamma-b 23.7",
+    "dephase": DEPHASE + " --delta 1.1",
+    "g0fit": "g0fit --config {cfg} --sweep {inputs}/sweep.csv "
+             "--out {d}/o.json",
+    "budget": "budget --out {d}/o.json --snri-db 11.3 --n-add-h 8.7 "
+              "--eta-t-db 2.5 --eta-db 1.55",
+    "limits": "limits --config {cfg} --out {d}/o.json",
+}
+FUZZ_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "x")
+#: output keys documented to hold an infinite sentinel: the heating fit
+#: never reaching one quantum, and the pump ratio at --gamma-b 0
+SENTINELS = {"t_one_quantum_s", "ratio_db"}
+
+
+def numeric_options():
+    """(command, option dest) of every option that takes a number or a
+    list of numbers, found by walking the parser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.dest) for command, p in sub.choices.items()
+            for action in p._actions
+            if action.type in (int, float) or action.dest in OPTION_DOMAINS]
+
+
+def nonfinite_cells(path):
+    """Cells or JSON numbers of an output file that are not finite."""
+    path = Path(path)
+    if path.suffix == ".json":
+        def walk(node, key=None):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from walk(v, k)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from walk(v, key)
+            elif isinstance(node, float) and not math.isfinite(node) \
+                    and key not in SENTINELS:
+                yield f"{key}={node}"
+        return list(walk(json.loads(path.read_text())))
+    bad = []
+    for row in csv.reader(line for line in path.open()
+                          if not line.startswith("#")):
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                bad.append(cell)
+    return bad
+
+
+def test_every_numeric_option_has_a_domain():
+    pairs = numeric_options()
+    assert len(pairs) >= 40
+    assert [pair for pair in pairs if pair[1] not in OPTION_DOMAINS] == []
+
+
+@pytest.mark.parametrize("command,option", numeric_options(),
+                         ids=lambda value: value)
+def test_numeric_option_fuzz(command, option, cfg, tmp_path, params,
+                             capsys):
+    (tmp_path / "floor.csv").write_text(
+        "N_p,N_b,N_c,r_gamma,N_floor\n0.021,0.273,0.0105,1.0,0.6\n")
+    datasets.write_sweep(tmp_path / "sweep.csv",
+                         calibration.synthesize_g0_sweep(
+                             params, 13.4, np.linspace(0.05, 0.4, 6)))
+    flag = "--" + option.replace("_", "-")
+    failures = []
+    for index, value in enumerate(FUZZ_VALUES):
+        run = tmp_path / str(index)
+        run.mkdir()
+        argv = FUZZ_BASE[command].format(cfg=cfg, d=run, inputs=tmp_path) \
+            .split() + [flag, value]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+        except Exception as exc:        # a traceback at the command line
+            failures.append(f"{value}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3):
+            failures.append(f"{value}: exit {code}")
+        elif code == 2 and "error:" not in err:
+            failures.append(f"{value}: exit 2 without error: {err!r}")
+        elif code == 0:
+            for out in manifest_of(argv[argv.index("--out") + 1])["outputs"]:
+                if bad := nonfinite_cells(out):
+                    failures.append(f"{value}: {out} holds {bad[:3]}")
+    assert failures == []

@@ -287,3 +287,24 @@ def test_quadratures_schema_errors(tmp_path, text):
         '{"g_opt_uv2_per_quanta": 1.13, "n_add_opt": 0.8}')
     with pytest.raises(SchemaMismatch):
         datasets.read_quadratures(path)
+
+
+@pytest.mark.parametrize("kind,header", [
+    ("sweep", "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src"),
+    ("peaks", "N_p,N_b,N_c,r_gamma"),
+    ("peaks", "N_p,N_b,N_c,r_gamma,N_floor"),
+    ("line", "n_m,var_uV2"),
+], ids=["sweep", "peaks", "peaks-floor", "line"])
+@pytest.mark.parametrize("body", ["{row}\n1,x{tail}\n", "{row}\n1\n",
+                                  "{row}\n{row},1\n", "", "\n\n",
+                                  "{row}\n{row}1,\n"],
+                         ids=["text-cell", "short-row", "long-row",
+                              "header-only", "blank-body", "empty-cell"])
+def test_table_schema_errors(tmp_path, kind, header, body):
+    width = header.count(",") + 1
+    row = ",".join(["0.5"] * width)
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + body.format(row=row,
+                                                tail=",1" * (width - 2)))
+    with pytest.raises(SchemaMismatch):
+        datasets.load_dataset(path, kind)

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -101,27 +102,46 @@ def test_xi_cap_analytic_oracle():
     alpha = device.bessel_root(0, 1)
     beta = GEOM.bottom_radius / GEOM.radius
     expected = 2.0 * j1(alpha * beta) / (alpha * beta)
-    g0, xi_cap, _ = device.g0_theory(GEOM, OMEGA_C)
+    xi_cap = device.mode_figures(GEOM, OMEGA_C).xi_cap
     assert xi_cap == pytest.approx(expected, rel=1e-10)
     assert xi_cap == pytest.approx(0.93, rel=0.01)
 
 
+def g0_closed_form(geom, omega_c):
+    """Oracle: g0 = 0.37 sqrt(hbar) (omega_c / 2d) (R^2 t^2 rho sigma)^-1/4,
+    within ~2% of the mode integral."""
+    return (0.37 * math.sqrt(hbar) * omega_c / (2.0 * geom.gap)
+            * (geom.radius**2 * geom.thickness**2 * geom.density
+               * geom.stress) ** -0.25)
+
+
 def test_g0_theory_value_and_closed_form():
-    g0, _, g0_closed = device.g0_theory(GEOM, OMEGA_C)
+    g0 = device.mode_figures(GEOM, OMEGA_C).g0
     assert g0 == pytest.approx(14.0, rel=0.15)
-    assert g0_closed == pytest.approx(g0, rel=0.02)
+    assert g0_closed_form(GEOM, OMEGA_C) == pytest.approx(g0, rel=0.02)
 
 
 def test_g0_gap_scaling():
-    g0, _, _ = device.g0_theory(GEOM, OMEGA_C)
-    g0_wide, _, _ = device.g0_theory(replace(GEOM, gap=2.0 * GEOM.gap),
-                                     OMEGA_C)
+    g0 = device.mode_figures(GEOM, OMEGA_C).g0
+    g0_wide = device.mode_figures(replace(GEOM, gap=2.0 * GEOM.gap),
+                                  OMEGA_C).g0
     assert g0_wide == pytest.approx(0.5 * g0, rel=1e-12)
+
+
+def test_mode_figures_evaluates_the_mode_once(monkeypatch):
+    calls = Counter()
+    for name in ("drum_mode", "_radial_quadrature"):
+        def counted(*args, _name=name, _func=getattr(device, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(device, name, counted)
+    device.mode_figures(GEOM, OMEGA_C)
+    assert calls == {"drum_mode": 1, "_radial_quadrature": 2}
 
 
 def test_g0_requires_participation():
     with pytest.raises(MissingParticipation):
-        device.g0_theory(replace(GEOM, xi_par=None), OMEGA_C)
+        device.mode_figures(replace(GEOM, xi_par=None), OMEGA_C)
 
 
 def test_dilution_factor():

@@ -1,8 +1,11 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI, BathOccupations
@@ -248,6 +251,31 @@ def test_phase_insensitivity(rng):
     delta = (est1.axis_angle - est0.axis_angle) % math.pi
     assert min(delta, math.pi - delta) % math.pi == pytest.approx(theta,
                                                                   abs=0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_th=st.floats(0.0, 3.0), r=st.floats(0.0, 1.2),
+       phase=st.floats(-math.pi, math.pi),
+       theta=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_estimate_state_rotation_equivariance(n_th, r, phase, theta, seed):
+    # turning every (I, Q) pair by theta turns <b^2> by e^{2i theta} and
+    # leaves n_m and the principal variances where they are
+    state = GaussianMechState.squeezed_thermal(n_th, r).rotated(phase)
+    batch = tomography.sample_quadratures(state, 1.13, 0.8, 500, seed)
+    c, s = math.cos(theta), math.sin(theta)
+    turned = tomography.QuadratureBatch(
+        samples=batch.samples @ np.array([[c, -s], [s, c]]).T, g_opt=1.13,
+        n_add_opt=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeVarianceEstimate)
+        est = tomography.estimate_state(batch)
+        est_turned = tomography.estimate_state(turned)
+    tol = 1e-12 * (1.0 + est.v_asq.value)
+    assert abs(est_turned.state.b2 - est.state.b2 * cmath.exp(2j * theta)) \
+        <= tol
+    assert est_turned.n_m == pytest.approx(est.n_m, abs=tol)
+    assert est_turned.v_sq.value == pytest.approx(est.v_sq.value, abs=tol)
+    assert est_turned.v_asq.value == pytest.approx(est.v_asq.value, abs=tol)
 
 
 def test_theta_scan():
