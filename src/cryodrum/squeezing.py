@@ -375,15 +375,15 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
     return stack.reshape((times.size,) + rows.shape), terms
 
 
-def _min_eigenvalues(stack: np.ndarray, j: np.ndarray, l: np.ndarray,
-                     dim: int) -> np.ndarray:
+def _min_eigenvalues(stack: np.ndarray, dim: int) -> np.ndarray:
     """Smallest eigenvalue of rho at every time, from its even- and
-    odd-level sectors.
+    odd-level sectors of the offset-block stack that _propagate returns.
 
     Even offsets never mix the parities, so rho is the direct sum of the
     two sectors; each is filled in its lower triangle (the k >= 0 blocks),
     which is the triangle eigvalsh reads.
     """
+    j, l = _offset_blocks(dim)
     least = np.full(stack.shape[0], np.inf)
     for parity in (0, 1):
         select = l % 2 == parity
@@ -412,9 +412,9 @@ class LindbladTrajectory:
     rungs: tuple                 # truncation dimensions tried, in order
 
 
-def _propagate(model: DephasingModel, times: np.ndarray,
-               rho: np.ndarray) -> LindbladTrajectory:
-    """Evolve the even-offset blocks of rho at its truncation dimension.
+def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray):
+    """Evolve the even-offset blocks of rho at its truncation dimension:
+    (trajectory, stack), the stack holding the blocks at every time.
 
     The initial squeezed thermal state has only even offsets k = j - l, and
     the master equation keeps each offset, so the k >= 0 even blocks carry
@@ -429,8 +429,9 @@ def _propagate(model: DephasingModel, times: np.ndarray,
     -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
     applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
     of the series.  <n>, the trace and the top population come from block
-    0, <b^2> from block 2, and the minimum eigenvalue from rho's two
-    parity sectors.
+    0 and <b^2> from block 2.  The trajectory's min_eigenvalue is left
+    None: acceptance does not read it, and lindblad_evolve computes it
+    (_min_eigenvalues) for the rung it returns only.
     """
     dim = rho.shape[0]
     j, l = _offset_blocks(dim)
@@ -464,9 +465,8 @@ def _propagate(model: DephasingModel, times: np.ndarray,
         v_asq=0.5 + out_n + mag,
         var_x1=0.5 + out_n + np.real(out_b2),
         var_x2=0.5 + out_n - np.real(out_b2),
-        dim=dim, trace_dev=trace_dev,
-        min_eigenvalue=_min_eigenvalues(stack, j, l, dim),
-        top_population=top_pop, terms=terms, rungs=(dim,))
+        dim=dim, trace_dev=trace_dev, min_eigenvalue=None,
+        top_population=top_pop, terms=terms, rungs=(dim,)), stack
 
 
 def _tail_dimension(model: DephasingModel, times: np.ndarray):
@@ -518,32 +518,34 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     along the whole trajectory and its moments agree with rung i - 1 to
     1e-4 relative.  An explicit model.truncation_dim bypasses the ladder
     but is still checked.  The trajectory records the dimensions tried
-    (rungs) and the series length of the accepted one (terms).
+    (rungs) and the series length of the accepted one (terms); its minimum
+    eigenvalues are computed for the returned rung only.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be >= 0 and sorted")
 
     if model.truncation_dim is not None:
-        traj = _propagate(model, times,
-                          _initial_rho(model, int(model.truncation_dim)))
+        traj, stack = _propagate(
+            model, times, _initial_rho(model, int(model.truncation_dim)))
         if traj.top_population.max() > 1e-8:
             raise TruncationNonConvergence(
                 f"top-level population {traj.top_population.max():.3g} > 1e-8 "
                 f"at fixed dim {model.truncation_dim}")
-        return traj
-
-    start, rho = _tail_dimension(model, times)
-    reference = _propagate(model, times, rho)
-    for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
-        traj = _propagate(model, times, _initial_rho(model, dim))
-        traj = replace(traj, rungs=reference.rungs + traj.rungs)
-        if (traj.top_population.max() < 1e-8
-                and _moment_drift(traj, reference) < 1e-4):
-            return traj
-        reference = traj
-    raise TruncationNonConvergence(
-        f"moments not stable below the dimension cap {MAX_DIM}")
+    else:
+        start, rho = _tail_dimension(model, times)
+        traj = _propagate(model, times, rho)[0]
+        for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
+            reference = traj
+            traj, stack = _propagate(model, times, _initial_rho(model, dim))
+            traj = replace(traj, rungs=reference.rungs + traj.rungs)
+            if (traj.top_population.max() < 1e-8
+                    and _moment_drift(traj, reference) < 1e-4):
+                break
+        else:
+            raise TruncationNonConvergence(
+                f"moments not stable below the dimension cap {MAX_DIM}")
+    return replace(traj, min_eigenvalue=_min_eigenvalues(stack, traj.dim))
 
 
 # ---- dephasing extraction ----

@@ -7,9 +7,12 @@ the mechanical quadratures as <I^2> = G_opt (<X1^2> + n_add_opt + 1/2) with
 the quadrature convention X = (b + b^dag)/sqrt(2), vacuum variance 1/2.
 
 Monte-Carlo sampling happens directly at the level of the final (I, Q)
-Gaussians; no time traces are synthesized.  All Monte-Carlo draws are seeded
-deterministically; per-point streams derive from (seed, point index) so
-results do not depend on how work is partitioned.
+Gaussians; no time traces are synthesized.  The thermalization run reads
+only the second moments of each time's batch, so it draws that 2x2 moment
+matrix from its exact Wishart law (Bartlett decomposition) instead of the
+pairs themselves.  All Monte-Carlo draws are seeded deterministically;
+per-point streams derive from (seed, point index) so results do not depend
+on how work is partitioned.
 """
 
 from __future__ import annotations
@@ -302,6 +305,58 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
                                        "b2_im": state.b2.imag})
 
 
+def _wishart_moments(n, b2, g_opt: float, n_add_opt: float, n_samples: int,
+                     seeds):
+    """Second moments (m11, m22, m12) of n_samples (I, Q) pairs per state.
+
+    Each state (arrays n, b2) has the covariance Sigma that
+    sample_quadratures draws from, and N M ~ Wishart(N, Sigma) exactly:
+    N M = (L A)(L A)^T with L the Cholesky factor of Sigma and the Bartlett
+    factor A = [[sqrt(c1), 0], [z, sqrt(c2)]], c1 ~ chi^2_N,
+    c2 ~ chi^2_{N-1}, z ~ N(0, 1), drawn in that order from
+    default_rng(seeds[i]) (Bartlett 1933; Odell & Feiveson, JASA 61, 199
+    (1966)).  Three variates per state instead of 2 N.  The errors are
+    those of sample_quadratures: FloatingPointError for a non-finite Sigma,
+    LinAlgError for one that is not positive definite, NonPositiveRate for
+    g_opt <= 0 or n_add_opt < 0.
+    """
+    if n_samples < 1:
+        raise InvalidArgument("n_samples must be >= 1")
+    n = np.asarray(n, dtype=float)
+    b2 = np.asarray(b2, dtype=complex)
+    s11 = g_opt * (0.5 + n + b2.real + n_add_opt + 0.5)
+    s22 = g_opt * (0.5 + n - b2.real + n_add_opt + 0.5)
+    s12 = g_opt * b2.imag
+    if not np.all(np.isfinite(s11) & np.isfinite(s22) & np.isfinite(s12)):
+        raise FloatingPointError("quadrature covariance is not finite")
+    if not np.all(s11 > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    l11 = np.sqrt(s11)
+    l21 = s12 / l11
+    l22_sq = s22 - l21 * l21
+    if not np.all(l22_sq > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    if g_opt <= 0.0:
+        raise NonPositiveRate("g_opt must be > 0")
+    if n_add_opt < 0.0:
+        raise NonPositiveRate("n_add_opt must be >= 0")
+    l22 = np.sqrt(l22_sq)
+
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append((2.0 * rng.standard_gamma(n_samples / 2.0),
+                      2.0 * rng.standard_gamma((n_samples - 1) / 2.0),
+                      rng.standard_normal()))
+    c1, c2, z = np.array(draws).T
+    a11 = np.sqrt(c1)
+    b11 = l11 * a11
+    b21 = l21 * a11 + l22 * z
+    b22 = l22 * np.sqrt(c2)
+    return (b11 * b11 / n_samples, (b21 * b21 + b22 * b22) / n_samples,
+            b11 * b21 / n_samples)
+
+
 def _chi2_ppf(q: float, dof: int) -> float:
     from scipy.special import gammaincinv
     return 2.0 * float(gammaincinv(0.5 * dof, q))
@@ -366,6 +421,50 @@ class StateEstimate:
     theta_scan: np.ndarray | None = None
 
 
+def _moment_estimates(m11, m22, m12, n_samples: int, g_opt: float,
+                      n_add_opt: float):
+    """estimate_state's law on arrays of measured second moments.
+
+    One entry per batch of n_samples pairs; returns (n_m, n_m_err, b2,
+    axis_angle, intervals), intervals stacking the (value, lo, hi) of the
+    (squeezed, anti-squeezed) principal variances along its first and last
+    axes.  Both chi^2 quantiles come from one variance_interval call.
+    """
+    m11, m22, m12 = (np.asarray(m, dtype=float) for m in (m11, m22, m12))
+    if not np.all(np.isfinite(m11 + m22)):
+        raise FloatingPointError("quadrature second moments are not finite")
+    sub = n_add_opt + 0.5
+    v1 = m11 / g_opt - sub
+    v2 = m22 / g_opt - sub
+    c12 = m12 / g_opt
+    n_m = (v1 + v2) / 2.0 - 0.5
+    b2 = (v1 - v2) / 2.0 + 1j * c12
+
+    def matrices(a, b, d):
+        out = np.empty(a.shape + (2, 2))
+        out[..., 0, 0], out[..., 1, 1] = a, d
+        out[..., 0, 1] = out[..., 1, 0] = b
+        return out
+
+    eigvals, eigvecs = np.linalg.eigh(matrices(v1, c12, v2))
+    axis_angle = np.arctan2(eigvecs[..., 1, 0], eigvecs[..., 0, 0])
+    axis_angle = (axis_angle + math.pi / 2.0) % math.pi - math.pi / 2.0
+    for v_sq_val in eigvals[..., 0][eigvals[..., 0] < 0.0].tolist():
+        warnings.warn(
+            f"noise-subtracted variance {v_sq_val:.4g} < 0 (statistically "
+            "allowed near vacuum); reported unclamped",
+            NegativeVarianceEstimate, stacklevel=3)
+
+    # principal-axis measured moments for the intervals
+    rot = np.swapaxes(eigvecs, -1, -2) @ matrices(m11, m12, m22) @ eigvecs
+    lo, hi = variance_interval(rot.diagonal(axis1=-2, axis2=-1), n_samples)
+    lo = lo / g_opt - sub
+    hi = hi / g_opt - sub
+    err = (hi - lo) / 2.0
+    n_m_err = np.hypot(err[..., 0], err[..., 1]) / 2.0
+    return n_m, n_m_err, b2, axis_angle, np.stack([eigvals, lo, hi])
+
+
 def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
     """Invert a quadrature batch to mechanical second moments.
 
@@ -374,51 +473,17 @@ def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
     noise-subtracted covariance.  Negative variances near the vacuum are
     statistically allowed: they are flagged with a warning and reported,
     never clamped.  FloatingPointError when the second moments of the
-    samples are not finite.
+    samples are not finite.  The sample-level counterpart of the
+    thermalization run, which applies the same law (_moment_estimates) to
+    moments drawn from their Wishart law.
     """
     samples = batch.samples
-    n_samples = batch.count
-    sub = batch.n_add_opt + 0.5
-    m11 = float(np.mean(samples[:, 0] ** 2))
-    m22 = float(np.mean(samples[:, 1] ** 2))
-    m12 = float(np.mean(samples[:, 0] * samples[:, 1]))
-    if not math.isfinite(m11 + m22):
-        raise FloatingPointError("quadrature second moments are not finite")
-
-    v1 = m11 / batch.g_opt - sub
-    v2 = m22 / batch.g_opt - sub
-    c12 = m12 / batch.g_opt
-    n_m = (v1 + v2) / 2.0 - 0.5
-    b2 = complex((v1 - v2) / 2.0, c12)
-    state = GaussianMechState(n=n_m, b2=b2)
-
-    cov = np.array([[v1, c12], [c12, v2]])
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    v_sq_val, v_asq_val = float(eigvals[0]), float(eigvals[1])
-    vec = eigvecs[:, 0]
-    axis_angle = math.atan2(vec[1], vec[0])
-    axis_angle = (axis_angle + math.pi / 2.0) % math.pi - math.pi / 2.0
-
-    if v_sq_val < 0.0:
-        warnings.warn(
-            f"noise-subtracted variance {v_sq_val:.4g} < 0 (statistically "
-            "allowed near vacuum); reported unclamped",
-            NegativeVarianceEstimate, stacklevel=2)
-
-    def interval(measured, value):
-        lo_m, hi_m = variance_interval(measured, n_samples)
-        return VarianceEstimate(value=value,
-                                lo=lo_m / batch.g_opt - sub,
-                                hi=hi_m / batch.g_opt - sub)
-
-    # principal-axis measured moments for the intervals
-    rot = eigvecs.T @ np.array([[m11, m12], [m12, m22]]) @ eigvecs
-    v_sq = interval(float(rot[0, 0]), v_sq_val)
-    v_asq = interval(float(rot[1, 1]), v_asq_val)
-
-    err1 = (v_sq.hi - v_sq.lo) / 2.0
-    err2 = (v_asq.hi - v_asq.lo) / 2.0
-    n_m_err = math.hypot(err1, err2) / 2.0
+    n_m, n_m_err, b2, axis_angle, intervals = _moment_estimates(
+        np.mean(samples[:, 0] ** 2), np.mean(samples[:, 1] ** 2),
+        np.mean(samples[:, 0] * samples[:, 1]), batch.count, batch.g_opt,
+        batch.n_add_opt)
+    n_m = float(n_m)
+    b2 = complex(b2)
 
     theta_scan = None
     if theta_grid is not None:
@@ -427,9 +492,11 @@ def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
                       + b2.real * np.cos(2.0 * theta_grid)
                       + b2.imag * np.sin(2.0 * theta_grid))
 
-    return StateEstimate(state=state, n_m=n_m, n_m_err=n_m_err, v_sq=v_sq,
-                         v_asq=v_asq, axis_angle=axis_angle,
-                         theta_scan=theta_scan)
+    return StateEstimate(state=GaussianMechState(n=n_m, b2=b2), n_m=n_m,
+                         n_m_err=float(n_m_err),
+                         v_sq=VarianceEstimate(*intervals[:, 0].tolist()),
+                         v_asq=VarianceEstimate(*intervals[:, 1].tolist()),
+                         axis_angle=float(axis_angle), theta_scan=theta_scan)
 
 
 @dataclass(frozen=True)
@@ -496,11 +563,14 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
 
     The states come from one finite-temperature squeezing.moments_evolve
     trajectory; gamma_th, the expected (n_m_th + 1) gamma_m, is validated
-    there, and the evolution uses gamma_m.  Each time's batch of n_samples
-    is re-estimated; a linear fit over t <= linear_window (two distinct
-    times at least) gives the thermal decoherence rate, an exponential fit
-    over all times the relaxation rate, equilibrium occupation and the
-    time to reach one quantum.
+    there, and the evolution uses gamma_m.  The estimate reads only the
+    second moments of each time's batch of n_samples (I, Q) pairs, so time
+    i draws that moment matrix from its exact Wishart law
+    (_wishart_moments) on the stream default_rng([seed, i]), and all times
+    are estimated in one pass by estimate_state's law.  A linear fit over
+    t <= linear_window (two distinct times at least) gives the thermal
+    decoherence rate, an exponential fit over all times the relaxation
+    rate, equilibrium occupation and the time to reach one quantum.
     """
     from scipy.optimize import least_squares
 
@@ -513,15 +583,11 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     traj = moments_evolve(DephasingModel(
         gamma_th=gamma_th, gamma_phi=gamma_phi, initial=prep,
         mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
-    n_est = np.empty_like(times)
-    n_err = np.empty_like(times)
-    for idx, (n, b2) in enumerate(zip(traj.n.tolist(), traj.b2.tolist())):
-        batch = sample_quadratures(GaussianMechState(n=n, b2=b2),
-                                   readout.g_opt_uv2, readout.n_add_opt,
-                                   n_samples, seed=[seed, idx])
-        est = estimate_state(batch)
-        n_est[idx] = est.n_m
-        n_err[idx] = est.n_m_err
+    moments = _wishart_moments(traj.n, traj.b2, readout.g_opt_uv2,
+                               readout.n_add_opt, n_samples,
+                               [[seed, idx] for idx in range(times.size)])
+    n_est, n_err = _moment_estimates(*moments, n_samples, readout.g_opt_uv2,
+                                     readout.n_add_opt)[:2]
 
     short = times <= linear_window
     lin = linear_fit(times[short], n_est[short], n_err[short]

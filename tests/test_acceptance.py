@@ -14,7 +14,7 @@ from cryodrum import reproduce
 #: dephasing inversion, whose figures rest on the free-evolution moments and
 #: the closed-form rate-difference curve
 PINNED_DETAILS = {
-    2: "fitted heating rate 20.17 Hz (target 20.5 +/- 0.6); T1 = 7.818 ms "
+    2: "fitted heating rate 20.59 Hz (target 20.5 +/- 0.6); T1 = 7.759 ms "
        "(target 7.8 +/- 5%)",
     5: "forward slope difference 0.973 Hz (target 0.98 +/- 0.02); noiseless "
        "inversion 0.09 Hz; measured-rates inversion 0.102 (+0.16/-0.072) Hz",

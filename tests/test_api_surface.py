@@ -18,10 +18,13 @@ SRC = Path(cryodrum.__file__).resolve().parent
 #: tests check numerical paths against (component_fluxes,
 #: initial_slope_delta, probe_free_occupations, predict_added_noise), the
 #: writers that the round-trip tests pair with the readers behind
-#: load_dataset (write_spectrum, write_sweep), and the Voigt area fit that
-#: integrate_peak sends under-resolved lines to (fit_peak)
+#: load_dataset (write_spectrum, write_sweep), the Voigt area fit that
+#: integrate_peak sends under-resolved lines to (fit_peak), and the
+#: sample-level state estimator that the thermalization run's Wishart
+#: moment draw is checked against (estimate_state)
 ORACLES = ("component_fluxes", "initial_slope_delta", "probe_free_occupations",
-           "predict_added_noise", "write_spectrum", "write_sweep", "fit_peak")
+           "predict_added_noise", "write_spectrum", "write_sweep", "fit_peak",
+           "estimate_state")
 
 
 def _names(node):

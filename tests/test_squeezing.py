@@ -285,14 +285,14 @@ def _assert_blocks_match_kron(dim, kwargs, state, times):
     n_th, r, theta = state
     initial = GaussianMechState.squeezed_thermal(n_th, r).rotated(theta)
     model = squeezing.DephasingModel(initial=initial, **kwargs)
-    blocks = squeezing._propagate(model, times,
-                                  squeezing._initial_rho(model, dim))
+    blocks, stack = squeezing._propagate(model, times,
+                                         squeezing._initial_rho(model, dim))
     reference = _kron_reference(model, times, dim)
     assert np.max(np.abs(blocks.n - reference["n"])) < 1e-12
     assert np.max(np.abs(blocks.b2 - reference["b2"])) < 1e-12
     assert np.max(np.abs(blocks.trace_dev
                          - np.abs(reference["trace"] - 1.0))) < 1e-12
-    assert np.max(np.abs(blocks.min_eigenvalue
+    assert np.max(np.abs(squeezing._min_eigenvalues(stack, dim)
                          - reference["min_eig"])) < 1e-12
 
 
@@ -323,7 +323,7 @@ def test_lindblad_records_rungs_and_terms():
     assert len(traj.rungs) >= 2 and traj.rungs[-1] == traj.dim
     assert np.all(np.diff(traj.rungs) == squeezing.LADDER_STEP)
     assert traj.terms == squeezing._propagate(
-        model, times, squeezing._initial_rho(model, traj.dim)).terms > 1
+        model, times, squeezing._initial_rho(model, traj.dim))[0].terms > 1
     fixed = squeezing.lindblad_evolve(squeezing.DephasingModel(
         gamma_th=17.1, gamma_phi=0.09, initial=initial, truncation_dim=64),
         times)

@@ -349,7 +349,8 @@ def test_free_evolution_recovers_heating(params):
 
 def test_counter_based_seeding_contract():
     # per-point streams depend only on (seed, point index): recomputing one
-    # point standalone reproduces the experiment's estimate for that point
+    # point's moment draw standalone reproduces the experiment's estimate
+    # for that point
     gamma_th, n_m_th = 20.5, 255.0
     gamma_m = gamma_th / (n_m_th + 1.0)
     readout = make_spec(g_opt_uv2=1.13, n_add_opt=0.80)
@@ -359,10 +360,59 @@ def test_counter_based_seeding_contract():
         readout, n_samples=300, seed=123)
     traj = free_trajectory(GaussianMechState.vacuum(), times, gamma_m,
                            n_m_th)
-    evolved = GaussianMechState(n=float(traj.n[3]), b2=complex(traj.b2[3]))
-    standalone = tomography.sample_quadratures(evolved, 1.13, 0.80, 300,
-                                               seed=[123, 3])
-    assert tomography.estimate_state(standalone).n_m == result.n_est[3]
+    moments = tomography._wishart_moments(traj.n[3:4], traj.b2[3:4], 1.13,
+                                          0.80, 300, [[123, 3]])
+    n_m, n_m_err = tomography._moment_estimates(*moments, 300, 1.13, 0.80)[:2]
+    assert (n_m[0], n_m_err[0]) == (result.n_est[3], result.n_err[3])
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                         - np.searchsorted(b, grid, side="right") / b.size))
+
+
+@pytest.mark.parametrize("n_samples", [12000, 2])
+def test_wishart_moments_match_sample_moments(n_samples):
+    # N M ~ Wishart(N, Sigma): over 4000 per-point streams the mean of each
+    # moment sits within 6 standard errors of Sigma and its variance within
+    # 6 standard errors of the exact Wishart variance
+    state = GaussianMechState.squeezed_thermal(0.4, 0.6, theta=0.3)
+    g_opt, n_add, streams = 1.13, 0.8, 4000
+    sigma = g_opt * np.array([
+        [state.var_x1 + n_add + 0.5, state.cov_x1x2],
+        [state.cov_x1x2, state.var_x2 + n_add + 0.5]])
+    m11, m22, m12 = tomography._wishart_moments(
+        np.full(streams, state.n), np.full(streams, state.b2), g_opt, n_add,
+        n_samples, [[2024, idx] for idx in range(streams)])
+    for m, mean, var in (
+            (m11, sigma[0, 0], 2.0 * sigma[0, 0] ** 2 / n_samples),
+            (m22, sigma[1, 1], 2.0 * sigma[1, 1] ** 2 / n_samples),
+            (m12, sigma[0, 1], (sigma[0, 0] * sigma[1, 1] + sigma[0, 1] ** 2)
+             / n_samples)):
+        centred = m - m.mean()
+        sample_var = centred @ centred / (streams - 1)
+        var_err = math.sqrt((np.mean(centred ** 4) - sample_var ** 2)
+                            / streams)
+        assert abs(m.mean() - mean) <= 6.0 * math.sqrt(var / streams)
+        assert abs(sample_var - var) <= 6.0 * var_err
+
+    # n_m from the moment draw against n_m from real sample batches: the
+    # two-sample KS distance stays below its 1e-6 critical value
+    # sqrt(-ln(5e-7) / 2) sqrt(2 / K)
+    batches = 2000 if n_samples < 100 else 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeVarianceEstimate)
+        moment_n = tomography._moment_estimates(
+            m11[:batches], m22[:batches], m12[:batches], n_samples, g_opt,
+            n_add)[0]
+        sample_n = [tomography.estimate_state(tomography.sample_quadratures(
+            state, g_opt, n_add, n_samples, seed=[7, idx])).n_m
+            for idx in range(batches)]
+    assert ks_statistic(moment_n, sample_n) \
+        <= math.sqrt(-math.log(5e-7) / 2.0) * math.sqrt(2.0 / batches)
 
 
 def test_variance_estimate_db_asymmetry():
