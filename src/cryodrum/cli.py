@@ -245,7 +245,8 @@ def cmd_thermalize(args, cp):
         "gamma_th_err_hz": result.gamma_th_err,
         "gamma_m_fit_hz": result.gamma_m_fit,
         "n_eq_fit": result.n_eq_fit,
-        "t_one_quantum_s": result.t_one_quantum})
+        "t_one_quantum_s": result.t_one_quantum,
+        "relaxation_identified": result.relaxation_identified})
     return [args.out, fit_path]
 
 

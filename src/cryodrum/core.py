@@ -2,9 +2,9 @@
 
 Unit convention (global, enforced here once): every stored rate and frequency
 is *cyclic*, i.e. the value printed next to "/2pi" in lab notebooks, in Hz.
-Whenever an exponent of the form rate*time is taken (filter gains, relaxation
-exponentials, moment slopes) a single factor of 2*pi is applied at that point
-and nowhere else.  All occupations are dimensionless quanta.
+Whenever an exponent of the form rate*time is taken (amplification gains,
+relaxation exponentials, moment slopes) a single factor of 2*pi is applied at
+that point and nowhere else.  All occupations are dimensionless quanta.
 
 All types here are frozen dataclasses, immutable after validation and safe
 to share across concurrent tasks.

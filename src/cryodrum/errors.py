@@ -35,10 +35,6 @@ class UnstableDriveSet(CryodrumError):
 
 # ---- device geometry ----
 
-class InvalidModeIndex(CryodrumError):
-    """Drum mode indices out of range (need m >= 1, n >= 0)."""
-
-
 class QuadratureNonConvergence(CryodrumError):
     """Radial quadrature did not converge within the refinement cap."""
 
@@ -68,7 +64,7 @@ class DegenerateDesign(CryodrumError):
 # ---- tomography ----
 
 class NonPositiveAmplification(CryodrumError):
-    """Matched filter requires a positive amplification rate."""
+    """An amplification readout needs a positive amplification rate."""
 
 
 # ---- calibration ----

@@ -151,7 +151,7 @@ def criterion_2_thermalization():
 
 
 def criterion_3_amplifier():
-    """Conversion-factor/added-noise recovery and the matched-filter gain."""
+    """Conversion-factor/added-noise recovery and the amplification gain."""
     g_true, n_add_true = 1.13, 0.80
     occupations = [0.07, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
     points = []
@@ -169,7 +169,7 @@ def criterion_3_amplifier():
         warnings.simplefilter("ignore", LowGainWarning)
         spec = tomography.AmplifierSpec(gamma_opt_b=85.0, gamma_amp=85.0,
                                         tau=22e-3, dt=1e-5)
-    gain_db = tomography.matched_filter(spec).gain_db
+    gain_db = spec.gain_db
     ok_gain = abs(gain_db - 51.0) <= 0.1
     detail = (f"recovered G_opt = {_fmt(cal.g_opt)} (+/-0.04 of 1.13), "
               f"n_add = {_fmt(cal.n_add_opt)} (+/-0.09 of 0.80); filter gain "

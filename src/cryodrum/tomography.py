@@ -174,45 +174,6 @@ class AmplifierSpec:
 
 
 @dataclass(frozen=True)
-class MatchedFilter:
-    """Discrete matched-filter weights m(t) on [0, tau]."""
-
-    times: np.ndarray
-    weights: np.ndarray
-    dt: float
-    gain: float
-
-    @property
-    def gain_db(self) -> float:
-        return 10.0 * math.log10(self.gain)
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.weights) ** 2) * self.dt)
-
-
-def matched_filter(spec: AmplifierSpec) -> MatchedFilter:
-    """SNR-optimal exponential filter for the amplification readout.
-
-    m(t) = sqrt(Gamma_amp / (e^{Gamma_amp tau} - 1)) e^{Gamma_amp t / 2}
-    with the angular rate 2 pi gamma_amp; sampled at bin centers and
-    renormalised so that sum |m|^2 dt = 1 exactly.
-    """
-    if spec.gamma_amp <= 0.0:
-        raise NonPositiveAmplification(
-            f"gamma_amp = {spec.gamma_amp!r} Hz must be > 0")
-    nsteps = int(round(spec.tau / spec.dt))
-    if nsteps < 1 or abs(nsteps * spec.dt - spec.tau) > 1e-9 * spec.tau:
-        raise ValueError("dt must divide tau (within rounding)")
-    rate = TWO_PI * spec.gamma_amp
-    t = (np.arange(nsteps) + 0.5) * spec.dt
-    weights = math.sqrt(rate / math.expm1(rate * spec.tau)) \
-        * np.exp(rate * t / 2.0)
-    weights = weights / math.sqrt(float(np.sum(weights**2) * spec.dt))
-    return MatchedFilter(times=t, weights=weights, dt=spec.dt,
-                         gain=math.exp(rate * spec.tau))
-
-
-@dataclass(frozen=True)
 class AddedNoiseBudget:
     """Input-referred added-noise terms of the amplification readout [quanta].
 
@@ -552,6 +513,63 @@ class FreeEvolutionResult:
     gamma_m_fit: float           # exponential-fit relaxation rate [Hz]
     n_eq_fit: float
     t_one_quantum: float         # time for the fitted curve to reach 1 quantum
+    relaxation_identified: bool  # the fitted rate lies inside its bracket
+
+
+#: the relaxation-rate bracket in units of 1 / (2 pi t): from a decay of
+#: 1e-6 over the longest time to one of 36 (e^-36 ~ 2e-16) by the shortest
+#: positive time
+_DECAY_BRACKET = (1e-6, 36.0)
+
+#: log-spaced rates scanned before the golden-section search
+_RATE_GRID = 64
+
+
+def _relaxation_fit(times, n_est, n0: float):
+    """Unweighted least-squares fit of n_eq + (n0 - n_eq) e^{-2 pi Gamma t}.
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): the model is linear in n_eq, so for each rate Gamma the best
+    n_eq is a closed-form projection, and the cost left is a function of
+    Gamma alone.  It is scanned on _RATE_GRID log-spaced rates over the
+    bracket 1e-6 / (2 pi t_max) <= Gamma <= 36 / (2 pi t_min), with t_max and
+    t_min the longest and shortest positive times, and a golden-section
+    search over log Gamma refines the best scanned rate between its
+    neighbours.  Returns (n_eq, Gamma, identified).  identified is False
+    when the best scanned rate is an end of the bracket: the cost keeps
+    falling out of it, only the initial slope n_eq Gamma is pinned down, and
+    the search ends within one grid step of that end.
+    """
+    positive = times[times > 0.0]
+    bracket = (math.log(_DECAY_BRACKET[0] / (TWO_PI * positive.max())),
+               math.log(_DECAY_BRACKET[1] / (TWO_PI * positive.min())))
+
+    def profile(log_rate):
+        exponent = -TWO_PI * math.exp(log_rate) * times
+        rise = -np.expm1(exponent)
+        target = n_est - n0 * np.exp(exponent)
+        n_eq = (rise @ target) / (rise @ rise)
+        resid = target - n_eq * rise
+        return float(resid @ resid), float(n_eq)
+
+    grid = np.linspace(*bracket, _RATE_GRID)
+    best = int(np.argmin([profile(x)[0] for x in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _RATE_GRID - 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f_left, f_right = profile(left)[0], profile(right)[0]
+    while hi - lo > 1e-10:
+        if f_left <= f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - shrink * (hi - lo)
+            f_left = profile(left)[0]
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + shrink * (hi - lo)
+            f_right = profile(right)[0]
+    log_rate = left if f_left <= f_right else right
+    return (profile(log_rate)[1], math.exp(log_rate),
+            0 < best < _RATE_GRID - 1)
 
 
 def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
@@ -569,11 +587,18 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     (_wishart_moments) on the stream default_rng([seed, i]), and all times
     are estimated in one pass by estimate_state's law.  A linear fit over
     t <= linear_window (two distinct times at least) gives the thermal
-    decoherence rate, an exponential fit over all times the relaxation
-    rate, equilibrium occupation and the time to reach one quantum.
+    decoherence rate.  An exponential fit over all times gives the
+    relaxation rate, the equilibrium occupation and the time to reach one
+    quantum.  It is variable projection (_relaxation_fit): n_eq in closed
+    form for each rate, a scan of the rate bracket
+    1e-6 / (2 pi t_max) <= Gamma_m <= 36 / (2 pi t_min) (longest and
+    shortest positive times) and a golden-section search over the log rate.
+    The fit is unweighted: n_err grows with n_est, so weights would lean on
+    the early points that the linear fit already reads.  When the search
+    ends at either end of the bracket the exponential is not identified by
+    the data: relaxation_identified is False, and the values found there
+    are reported as they are, never clamped.
     """
-    from scipy.optimize import least_squares
-
     from .squeezing import DephasingModel, moments_evolve
     times = np.asarray(times, dtype=float)
     if not (np.all(np.isfinite(times) & (times >= 0.0))
@@ -596,18 +621,9 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     gamma_th_err = lin.slope_err / TWO_PI
 
     n0 = prep.n
-
-    def model(p, t):
-        n_eq, rate = p
-        return n_eq + (n0 - n_eq) * np.exp(-TWO_PI * rate * t)
-
-    fit = least_squares(lambda p: model(p, times) - n_est,
-                        x0=[max(n_m_th, 1.0), max(gamma_m, 1e-6)],
-                        method="lm")
-    n_eq_fit, gamma_m_fit = fit.x
-
+    n_eq_fit, gamma_m_fit, identified = _relaxation_fit(times, n_est, n0)
     if n_eq_fit > 1.0 and n0 < 1.0:
-        t_one = math.log((n_eq_fit - n0) / (n_eq_fit - 1.0)) \
+        t_one = math.log1p((1.0 - n0) / (n_eq_fit - 1.0)) \
             / (TWO_PI * gamma_m_fit)
     else:
         t_one = math.inf
@@ -616,4 +632,4 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
         times=times, n_est=n_est, n_err=n_err,
         gamma_th_fit=float(gamma_th_fit), gamma_th_err=float(gamma_th_err),
         gamma_m_fit=float(gamma_m_fit), n_eq_fit=float(n_eq_fit),
-        t_one_quantum=float(t_one))
+        t_one_quantum=float(t_one), relaxation_identified=identified)

@@ -78,6 +78,29 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path):
+    # device evaluates J0 by its series and thermalize fits by variable
+    # projection; only the chi^2 quantiles bring in scipy.special
+    src = str(Path(cryodrum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = str(REFERENCE_CFG)
+    code = (
+        "import sys\n"
+        "from cryodrum.cli import main\n"
+        "def loaded(prefix):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(prefix))\n"
+        f"main(['device', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'f.csv')!r}])\n"
+        "print(loaded('scipy'))\n"
+        f"main(['thermalize', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'h.csv')!r}, '--seed', '11', '--points', '9'])\n"
+        "print(loaded('scipy.optimize'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 def test_lindblad_solve_loads_no_scipy_sparse():
     # the solver applies its tridiagonal generator itself
     src = str(Path(cryodrum.__file__).resolve().parents[1])
@@ -123,7 +146,7 @@ def test_device_sweep(cfg, tmp_path):
 
 #: `device` and README `psd --simplified` outputs on configs/reference.cfg,
 #: committed as the bytes to keep.  They pass through LAPACK (`leggauss`),
-#: scipy Bessel functions and numpy's vectorised arithmetic, whose last bits
+#: the J0 power series and numpy's vectorised arithmetic, whose last bits
 #: can differ between BLAS builds and CPUs.  If the numeric stack changes,
 #: regenerate the files from the commit before the change under test, never
 #: from the change itself, so a real move in the bytes still shows.
@@ -252,6 +275,20 @@ def test_thermalize_deterministic(cfg, tmp_path):
         m["options"].pop("out")
         m.pop("outputs")
     assert m1 == m2
+
+
+def test_readme_thermalize_flags_its_relaxation_fit(tmp_path):
+    # 12 ms of a 0.045 Hz relaxation fix only the initial slope: the search
+    # runs to the slow end of its bracket and the run says so
+    out = tmp_path / "heating.csv"
+    assert main(["thermalize", "--config", str(REFERENCE_CFG), "--out",
+                 str(out), "--seed", "11", "--g-opt", "1.13", "--n-add",
+                 "0.8"]) == 0
+    fit = json.loads(out.with_suffix(".json").read_text())
+    assert fit["relaxation_identified"] is False
+    assert fit["gamma_m_fit_hz"] == pytest.approx(
+        1e-6 / (2.0 * math.pi * 12e-3), rel=1e-6)
+    assert fit["t_one_quantum_s"] == pytest.approx(13.798e-3, abs=1e-6)
 
 
 def test_thermalize_missing_seed(cfg, tmp_path):

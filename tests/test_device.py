@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.constants import hbar
-from scipy.special import j0, j1
+from scipy.special import j0, j1, jn, jn_zeros
 
 from cryodrum import device
 from cryodrum.errors import (
-    InvalidModeIndex,
     MissingParticipation,
     NonPositiveRate,
     QuadratureNonConvergence,
@@ -37,20 +36,25 @@ def bisect_j0_root(lo=2.0, hi=3.0, steps=80):
 
 
 def test_bessel_root_against_bisection():
-    assert device.bessel_root(0, 1) == pytest.approx(bisect_j0_root(),
-                                                     abs=1e-10)
-    assert device.bessel_root(0, 1) == pytest.approx(2.40483, abs=1e-5)
+    assert device.J01 == pytest.approx(bisect_j0_root(), abs=1e-10)
+    assert device.J01 == pytest.approx(2.40483, abs=1e-5)
 
 
-def test_invalid_mode_index():
-    with pytest.raises(InvalidModeIndex):
-        device.drum_mode(GEOM, 0, 0)
-    with pytest.raises(InvalidModeIndex):
-        device.bessel_root(-1, 1)
+def test_j01_is_scipys_double():
+    # the literal is the double jn_zeros returns, not a neighbour of it
+    assert device.J01 == float(jn_zeros(0, 1)[0])
+
+
+def test_mode_shape_is_scipys_j0():
+    # the J0 power series over the whole drum, 200 001 radii
+    _, shape = device.drum_mode(GEOM)
+    r = np.linspace(0.0, GEOM.radius, 200_001)
+    x = device.J01 * r / GEOM.radius
+    assert np.max(np.abs(shape(r) - jn(0, x))) <= 4e-16
 
 
 def test_fundamental_frequency():
-    omega_m, shape = device.drum_mode(GEOM, 0, 1)
+    omega_m, shape = device.drum_mode(GEOM)
     assert omega_m == pytest.approx(1.8e6, rel=0.03)
     assert shape(0.0) == pytest.approx(1.0, abs=1e-14)
     # frozen from the closed form (alpha/R) sqrt(sigma/rho) / 2pi
@@ -58,21 +62,21 @@ def test_fundamental_frequency():
 
 
 def test_frequency_stress_scaling():
-    omega_1, _ = device.drum_mode(GEOM, 0, 1)
-    omega_4, _ = device.drum_mode(replace(GEOM, stress=4.0 * GEOM.stress), 0, 1)
+    omega_1, _ = device.drum_mode(GEOM)
+    omega_4, _ = device.drum_mode(replace(GEOM, stress=4.0 * GEOM.stress))
     assert omega_4 == pytest.approx(2.0 * omega_1, rel=1e-14)
 
 
 def test_xi_mass_analytic_oracle():
     # 2 int_0^1 x J0(a x)^2 dx = J1(a)^2 at a Bessel root
-    alpha = device.bessel_root(0, 1)
+    alpha = device.J01
     _, _, xi_mass, _ = device.effective_mass_xzpf(GEOM)
     assert xi_mass == pytest.approx(j1(alpha) ** 2, rel=1e-10)
     assert xi_mass == pytest.approx(0.27, rel=0.01)
 
 
 def test_xi_mass_riemann_oracle():
-    alpha = device.bessel_root(0, 1)
+    alpha = device.J01
     r = (np.arange(1_000_000) + 0.5) / 1_000_000 * GEOM.radius
     riemann = 2.0 / GEOM.radius**2 * np.sum(
         r * j0(alpha * r / GEOM.radius) ** 2) * (GEOM.radius / 1_000_000)
@@ -81,7 +85,7 @@ def test_xi_mass_riemann_oracle():
 
 
 def test_rigid_piston_mass_ratio():
-    omega_m, _ = device.drum_mode(GEOM, 0, 1)
+    omega_m, _ = device.drum_mode(GEOM)
     _, _, xi_mass, _ = device.effective_mass_xzpf(
         GEOM, omega_m, lambda r: np.ones_like(np.asarray(r, dtype=float)))
     assert xi_mass == pytest.approx(1.0, rel=1e-12)
@@ -93,13 +97,13 @@ def test_mass_and_zero_point():
     assert x_zpf == pytest.approx(1.4e-15, rel=0.05)
     assert m_eff == pytest.approx(xi_mass * m_phys, rel=1e-14)
     # hbar = 2 m_eff (2 pi Omega) x_zpf^2 identically
-    omega_m, _ = device.drum_mode(GEOM, 0, 1)
+    omega_m, _ = device.drum_mode(GEOM)
     assert 2.0 * m_eff * 2.0 * math.pi * omega_m * x_zpf**2 \
         == pytest.approx(hbar, rel=1e-12)
 
 
 def test_xi_cap_analytic_oracle():
-    alpha = device.bessel_root(0, 1)
+    alpha = device.J01
     beta = GEOM.bottom_radius / GEOM.radius
     expected = 2.0 * j1(alpha * beta) / (alpha * beta)
     xi_cap = device.mode_figures(GEOM, OMEGA_C).xi_cap

@@ -71,39 +71,13 @@ def test_state_rotation_moves_axes():
     assert abs(rotated.b2) == pytest.approx(abs(state.b2), rel=1e-12)
 
 
-# ---- matched filter ----
+# ---- amplification gain ----
 
-def test_matched_filter_normalization_and_gain():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowGainWarning)
-        filt = tomography.matched_filter(make_spec())
-    assert filt.norm() == pytest.approx(1.0, abs=1e-12)
-    assert filt.gain_db == pytest.approx(51.03, abs=0.01)
-    # exponential weight ratio across the pulse (midpoint samples)
-    rate = TWO_PI * 85.0
-    expected = math.exp(rate * (22e-3 - 1e-5) / 2.0)
-    assert filt.weights[-1] / filt.weights[0] == pytest.approx(expected,
-                                                               rel=1e-9)
-    assert filt.weights[-1] / filt.weights[0] \
-        == pytest.approx(math.exp(rate * 22e-3 / 2.0), rel=5e-3)
-
-
-def test_matched_filter_flat_limit():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowGainWarning)
-        spec = make_spec(gamma_amp=1e-9, gamma_opt_b=1e-9, tau=1.0, dt=1e-3)
-        filt = tomography.matched_filter(spec)
-    assert np.allclose(filt.weights, 1.0, rtol=1e-6)
-
-
-def test_matched_filter_guards():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowGainWarning)
-        spec = make_spec(gamma_amp=-1.0)
-    with pytest.raises(NonPositiveAmplification):
-        tomography.matched_filter(spec)
-    with pytest.raises(ValueError):
-        tomography.matched_filter(make_spec(dt=1e-5 * 1.37))
+def test_amplification_gain_db():
+    # the 22 ms pulse at 85 Hz: 10 log10 exp(2 pi 85 Hz 22 ms) = 51.03 dB
+    spec = make_spec()
+    assert spec.gain == math.exp(TWO_PI * 85.0 * 22e-3)
+    assert spec.gain_db == pytest.approx(51.03, abs=0.01)
 
 
 def test_matched_filter_snr_optimality():
@@ -139,6 +113,15 @@ def test_added_noise_ideal():
                                             BathOccupations())
     assert budget.total == pytest.approx(0.0, abs=1e-12)
     assert budget.total_noise_quanta == pytest.approx(1.0)
+
+
+def test_added_noise_needs_amplification():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowGainWarning)
+        spec = make_spec(gamma_amp=-1.0)
+    with pytest.raises(NonPositiveAmplification):
+        tomography.predict_added_noise(spec, type("P", (), {"gamma_m": 0.08})(),
+                                       BathOccupations())
 
 
 def test_added_noise_terms(params):
@@ -345,6 +328,68 @@ def test_free_evolution_recovers_heating(params):
         readout, n_samples=12000, seed=77)
     assert result.gamma_th_fit == pytest.approx(
         gamma_th, abs=4.0 * result.gamma_th_err)
+
+
+def criterion_2_run():
+    """The thermalization run of reproduce's criterion 2."""
+    from cryodrum.reproduce import REFERENCE_N_M_TH, SUITE_SEED
+    gamma_m = 20.5 / (REFERENCE_N_M_TH + 1.0)
+    readout = make_spec(gamma_opt_b=85.0 + gamma_m, g_opt_uv2=1.13,
+                        n_add_opt=0.80)
+    times = np.concatenate([np.linspace(0.0, 2e-3, 161),
+                            np.linspace(2.5e-3, 12e-3, 25)])
+    return tomography.free_evolution_experiment(
+        GaussianMechState.vacuum(), 20.5, gamma_m, REFERENCE_N_M_TH, times,
+        readout, n_samples=12000, seed=SUITE_SEED)
+
+
+def test_relaxation_fit_matches_least_squares():
+    # variable projection minimises the cost that least_squares(lm) did;
+    # the cost is flat along n_eq Gamma = const, so the two land 2e-5 apart
+    # in (n_eq, Gamma) and 2e-7 apart in T1
+    from scipy.optimize import least_squares
+    result = criterion_2_run()
+    times, n_est = result.times, result.n_est
+    fit = least_squares(
+        lambda p: p[0] - p[0] * np.exp(-TWO_PI * p[1] * times) - n_est,
+        x0=[255.0, 20.5 / 256.0], method="lm")
+    n_eq, gamma_m = fit.x
+    t_one = math.log(n_eq / (n_eq - 1.0)) / (TWO_PI * gamma_m)
+    assert result.relaxation_identified
+    assert result.n_eq_fit == pytest.approx(n_eq, rel=1e-4)
+    assert result.gamma_m_fit == pytest.approx(gamma_m, rel=1e-4)
+    assert result.t_one_quantum == pytest.approx(t_one, rel=1e-6)
+
+
+def test_relaxation_fit_recovers_an_exact_exponential():
+    times = np.linspace(0.0, 12e-3, 49)
+    n_est = 3.0 + (0.2 - 3.0) * np.exp(-TWO_PI * 40.0 * times)
+    n_eq, gamma_m, identified = tomography._relaxation_fit(times, n_est, 0.2)
+    assert identified
+    assert n_eq == pytest.approx(3.0, rel=1e-6)
+    assert gamma_m == pytest.approx(40.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("end", ["slow", "fast"])
+def test_relaxation_fit_flags_a_bracket_end(end):
+    # a straight line has no curvature to fix the rate, and a step reaches
+    # equilibrium before the first positive time: the search runs to the
+    # bracket end, and the values found there, within one of the 63 grid
+    # steps of ln(36e6 t_max / t_min) / 63 = 0.338, come back flagged
+    times = np.linspace(0.0, 12e-3, 49)
+    if end == "slow":
+        n_est = 1e4 * times
+        bound = 1e-6 / (TWO_PI * 12e-3)
+    else:
+        n_est = np.where(times > 0.0, 5.0, 0.0)
+        bound = 36.0 / (TWO_PI * 12e-3 / 48)
+    n_eq, gamma_m, identified = tomography._relaxation_fit(times, n_est, 0.0)
+    assert not identified
+    assert abs(math.log(gamma_m / bound)) <= 0.338
+    if end == "slow":
+        assert TWO_PI * n_eq * gamma_m == pytest.approx(1e4, rel=1e-5)
+    else:
+        assert n_eq == pytest.approx(5.0, rel=1e-12)
 
 
 def test_counter_based_seeding_contract():
