@@ -20,7 +20,6 @@ numerical failure (an overflow included).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -138,11 +137,12 @@ def cmd_device(args, cp):
     else:
         rows = [("-", 1.0, device.mode_figures(geom, params.omega_c))]
 
-    datasets._write_table(args.out, DEVICE_COLUMNS, (
-        [axis, *datasets._float_cells([
-            factor, res.omega_m, res.m_eff, res.m_phys, res.xi_mass,
-            res.x_zpf, res.xi_cap, res.g0, res.lam, res.d_q, res.q_m])]
-        for axis, factor, res in rows))
+    values = np.array([
+        (factor, res.omega_m, res.m_eff, res.m_phys, res.xi_mass, res.x_zpf,
+         res.xi_cap, res.g0, res.lam, res.d_q, res.q_m)
+        for _, factor, res in rows], dtype=float)
+    datasets.write_columns(args.out, DEVICE_COLUMNS, [
+        np.array([axis for axis, _, _ in rows], dtype="S"), *values.T])
     return [args.out]
 
 
@@ -159,11 +159,10 @@ def cmd_psd(args, cp):
     comps = dynamics.output_psd(params, baths, drives, grid,
                                 simplified=args.simplified)
     labels = ("cavity", "pump", "red", "blue")
-    rows = itertools.chain.from_iterable(
-        zip(datasets._float_cells(comps[label].freq),
-            datasets._float_cells(comps[label].values),
-            itertools.repeat(label)) for label in labels)
-    datasets._write_table(args.out, ["freq_hz", "value", "component"], rows)
+    datasets.write_columns(args.out, ["freq_hz", "value", "component"], [
+        np.concatenate([comps[label].freq for label in labels]),
+        np.concatenate([comps[label].values for label in labels]),
+        np.repeat(np.array(labels, dtype="S"), grid.size)])
     state = dynamics.steady_state(params, baths, drives)
     summary = {
         "n_m": state.n_m,
@@ -184,8 +183,7 @@ def cmd_cool(args, cp):
     coops = np.geomspace(args.cmin, args.cmax, args.points)
     n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
            for c in coops.tolist()]
-    datasets._write_table(args.out, ["cooperativity", "n_m"], zip(
-        datasets._float_cells(coops), datasets._float_cells(n_m)))
+    datasets.write_columns(args.out, ["cooperativity", "n_m"], [coops, n_m])
     return [args.out]
 
 
@@ -236,9 +234,8 @@ def cmd_thermalize(args, cp):
     result = tomography.free_evolution_experiment(
         tomography.GaussianMechState.vacuum(), gamma_th, params.gamma_m,
         baths.n_m_th, times, readout, n_samples=args.samples, seed=args.seed)
-    datasets._write_table(args.out, ["t_s", "n_est", "n_err"], zip(*[
-        datasets._float_cells(column)
-        for column in (result.times, result.n_est, result.n_err)]))
+    datasets.write_columns(args.out, ["t_s", "n_est", "n_err"],
+                           [result.times, result.n_est, result.n_err])
     fit_path = str(Path(args.out).with_suffix(".json"))
     _json_out(fit_path, {
         "gamma_th_fit_hz": result.gamma_th_fit,

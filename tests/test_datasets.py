@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cryodrum import calibration, datasets, tomography
 from cryodrum.cli import main
 from cryodrum.dynamics import Spectrum
-from cryodrum.errors import SchemaMismatch
+from cryodrum.errors import InvalidArgument, SchemaMismatch
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" \
     / "reference.cfg"
@@ -56,6 +56,52 @@ def test_quadratures_roundtrip(tmp_path):
     assert again.g_opt == batch.g_opt
     assert again.n_add_opt == batch.n_add_opt
     assert again.seed == 5
+
+
+@pytest.mark.parametrize("seed,stored", [
+    (np.int64(3), 3), ([np.int64(1), np.uint32(2)], [1, 2]),
+    (np.array([4, 5]), [4, 5])], ids=["scalar", "list", "array"])
+def test_quadratures_numpy_int_seed(tmp_path, seed, stored):
+    batch = tomography.sample_quadratures(
+        tomography.GaussianMechState.thermal(0.4), 1.13, 0.8, 20, seed=seed)
+    path = tmp_path / "batch.csv"
+    datasets.write_quadratures(path, batch)
+    again = datasets.read_quadratures(path)
+    assert again.seed == stored
+    assert np.array_equal(again.samples, batch.samples)
+
+
+def test_quadratures_unserialisable_seed_writes_nothing(tmp_path):
+    batch = tomography.sample_quadratures(
+        tomography.GaussianMechState.thermal(0.4), 1.13, 0.8, 20,
+        seed=np.random.default_rng(3))
+    path = tmp_path / "batch.csv"
+    with pytest.raises(TypeError):
+        datasets.write_quadratures(path, batch)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", [" pad ", "pad ", "\tpad", "blue\r",
+                                   "a\nb", "a\rb"],
+                         ids=["both-ends", "trailing", "leading-tab", "cr",
+                              "lf", "inner-cr"])
+def test_spectrum_label_must_round_trip(tmp_path, label):
+    spec = Spectrum(freq=[0.0, 1.0], values=[1.0, 2.0], rbw=1.0,
+                    label=label)
+    path = tmp_path / "spec.csv"
+    with pytest.raises(InvalidArgument):
+        datasets.write_spectrum(path, spec)
+    assert not path.exists()
+
+
+def test_spectrum_numpy_scalar_metadata(tmp_path):
+    # numpy scalars print as np.float64(...); the file must hold the number
+    spec = Spectrum(freq=[0.0, 1.0], values=[1.0, 2.0],
+                    rbw=np.float64(1.0 / 3.0), floor=np.float32(0.5))
+    path = tmp_path / "spec.csv"
+    datasets.write_spectrum(path, spec)
+    again = datasets.read_spectrum(path)
+    assert (again.rbw, again.floor) == (1.0 / 3.0, 0.5)
 
 
 def test_quadratures_missing_sidecar(tmp_path):
@@ -192,6 +238,65 @@ def test_cli_table_bytes(tmp_path, argv):
     assert rows
     assert out.read_bytes() == csv_reference(
         header, [[canonical(c) for c in row] for row in rows])
+
+
+# ---- write_columns: the numpy float text against repr
+
+def repr_column(values):
+    """Bytes of a one-column table, each cell repr(float(value))."""
+    return b"x\r\n" + "".join(
+        f"{value!r}\r\n" for value in np.asarray(values).tolist()).encode()
+
+
+def edge_doubles():
+    """Every class of double whose shortest text has an edge: subnormals,
+    powers of two and ten with their neighbours, integers around 2^53,
+    signed zeros, infinities and nan."""
+    tiny = np.arange(1, 5000, dtype=np.uint64).view(float)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{i}") for i in range(-323, 309)])
+    near53 = np.arange(2.0 ** 53 - 1000, 2.0 ** 53 + 1000)
+    edges = np.concatenate([
+        tiny, twos, np.nextafter(twos, 0.0), tens, np.nextafter(tens, 0.0),
+        np.nextafter(tens, np.inf), near53, [0.0, np.inf, np.nan,
+                                             1e16, 1e-4, 1e-5, 0.1]])
+    return np.concatenate([edges, -edges])
+
+
+def test_write_columns_matches_repr(tmp_path):
+    rng = np.random.default_rng(13)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64,
+                     endpoint=False).view(float),
+        rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64).view(float),
+        edge_doubles()])
+    path = tmp_path / "x.csv"
+    datasets.write_columns(path, ["x"], [values])
+    assert path.read_bytes() == repr_column(values)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=50))
+def test_write_columns_repr_property(tmp_path, values):
+    path = tmp_path / "x.csv"
+    datasets.write_columns(path, ["x"], [values])
+    assert path.read_bytes() == repr_column(values)
+
+
+def test_write_columns_across_blocks(tmp_path):
+    # more rows than one block holds, with a text column between floats
+    rows = datasets._BLOCK // 2 + 3
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2, rows)) * np.logspace(-8, 20, rows)
+    labels = np.array(["pump", "red", "blue"] * rows, dtype="S")[:rows]
+    path = tmp_path / "t.csv"
+    datasets.write_columns(path, ["a", "label", "b"], [a, labels, b],
+                           meta=["k=v"])
+    assert path.read_bytes() == csv_reference(
+        ["a", "label", "b"],
+        [floats(x) + [label.decode()] + floats(y)
+         for x, label, y in zip(a, labels, b)], meta=["k=v"])
 
 
 # ---- lossless round trips over arbitrary float64
