@@ -9,20 +9,9 @@ regenerated or round-tripped from synthetic data.
 
 Conventions: all rates and frequencies are cyclic (Hz); occupations are
 quanta; quadratures use X = (b + b^dag)/sqrt(2) with vacuum variance 1/2.
+
+The names live in the submodules (cryodrum.core, cryodrum.dynamics, ...),
+which are imported by name: `import cryodrum` loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from .core import (                                            # noqa: F401
-    BathOccupations,
-    DriveSet,
-    DriveTone,
-    SystemParams,
-    bath_occupations,
-    bose_occupation,
-    drive_tone,
-    thermal_decoherence_rate,
-    validate_params,
-)
-from .dynamics import Spectrum, cooling_occupation, steady_state  # noqa: F401
-from .tomography import GaussianMechState, QuadratureBatch       # noqa: F401

@@ -251,6 +251,10 @@ def phase_noise_requirement(params: SystemParams, n_m_th: float,
         raise NonPositiveRate("n_min must be > 0")
     s_max = (params.g0**2 * n_min**2
              / (params.omega_m**2 * n_m_th * params.gamma_m))
+    if not 0.0 < s_max / 2.0 < math.inf:
+        raise NonPositiveRate(f"n_min = {n_min!r} puts the phase-noise "
+                              f"ceiling S_phiphi = {s_max!r} outside the "
+                              "double range")
     return PhaseNoiseLimit(s_phiphi=s_max,
                            dbc_per_hz=10.0 * math.log10(s_max / 2.0))
 

@@ -7,7 +7,8 @@ manifests (timestamp aside) regenerate byte-identical outputs.  Each command
 except `reproduce` takes the parsed arguments and the config (read once by
 `main` when there is a --config), writes its outputs and returns their
 paths; `main` then writes every manifest.  Stochastic commands require an
-explicit --seed.
+explicit --seed.  Each command imports the layers it calls inside its
+function, so a process loads only the modules of the command it runs.
 
 OPTION_DOMAINS is the only place where option domains are defined: `main`
 checks every numeric option against it once, before the config is read.
@@ -28,10 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, calibration, core, datasets, device, \
-    dynamics, squeezing, tomography
+from . import __version__, datasets
 from . import config as config_mod
-from . import reproduce as reproduce_mod
 from .errors import (ConfigError, CryodrumError, InvalidArgument,
                      SchemaMismatch)
 
@@ -126,6 +125,8 @@ def _json_out(path, payload):
 
 
 def cmd_device(args, cp):
+    from . import device
+
     geom = config_mod.load_geometry(cp)
     params = config_mod.load_system(cp)
     if args.sweep_axis:
@@ -147,6 +148,8 @@ def cmd_device(args, cp):
 
 
 def cmd_psd(args, cp):
+    from . import dynamics
+
     params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
     # linspace takes the difference of the end points, and the cavity
@@ -179,6 +182,8 @@ def cmd_psd(args, cp):
 
 
 def cmd_cool(args, cp):
+    from . import dynamics
+
     _, baths, _ = _load_stack(cp)
     coops = np.geomspace(args.cmin, args.cmax, args.points)
     n_m = [dynamics.cooling_occupation(baths.n_m_th, baths.n_c, c)
@@ -188,6 +193,8 @@ def cmd_cool(args, cp):
 
 
 def cmd_asymmetry(args, cp):
+    from . import calibration
+
     peaks = datasets.load_dataset(args.peaks, "peaks")
     records = []
     for row in peaks:
@@ -207,6 +214,8 @@ def cmd_asymmetry(args, cp):
 
 
 def cmd_amplify(args, cp):
+    from . import tomography
+
     if args.calibrate:
         cal = tomography.calibrate_amplifier(
             datasets.load_dataset(args.calibrate, "line"))
@@ -224,6 +233,8 @@ def cmd_amplify(args, cp):
 
 
 def cmd_thermalize(args, cp):
+    from . import core, tomography
+
     params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
         gamma_opt_b=args.gamma_amp + params.gamma_m, gamma_amp=args.gamma_amp,
@@ -248,6 +259,8 @@ def cmd_thermalize(args, cp):
 
 
 def cmd_squeeze(args, cp):
+    from . import squeezing
+
     params, baths, _ = _load_stack(cp)
     drive = squeezing.squeeze_drive(args.gamma_r, args.gamma_b, params.kappa)
     r, v_sq, v_asq = squeezing.squeeze_target(drive)
@@ -266,6 +279,8 @@ def cmd_squeeze(args, cp):
 
 
 def cmd_dephase(args, cp):
+    from . import squeezing, tomography
+
     initial = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     times = np.linspace(0.0, args.tmax, args.points)
     gamma_phi = args.gamma_phi if args.gamma_phi is not None else 0.0
@@ -294,6 +309,8 @@ def cmd_dephase(args, cp):
 
 
 def cmd_g0fit(args, cp):
+    from . import calibration
+
     params = config_mod.load_system(cp)
     sweep = datasets.load_dataset(args.sweep, "sweep")
     result = calibration.g0_from_sweep(sweep, params,
@@ -306,6 +323,8 @@ def cmd_g0fit(args, cp):
 
 
 def cmd_budget(args, cp):
+    from . import calibration
+
     budget = calibration.chain_noise_budget(calibration.ChainBudget(
         snri_db=args.snri_db, n_add_h=args.n_add_h, eta_t_db=args.eta_t_db,
         eta_db=args.eta_db))
@@ -317,6 +336,8 @@ def cmd_budget(args, cp):
 
 
 def cmd_limits(args, cp):
+    from . import calibration
+
     params, baths, _ = _load_stack(cp)
     limit = calibration.phase_noise_requirement(params, baths.n_m_th,
                                                 args.n_min)
@@ -331,6 +352,8 @@ def cmd_limits(args, cp):
 
 
 def cmd_reproduce(args):
+    from . import reproduce as reproduce_mod
+
     indices = None
     if args.criteria:
         indices = set(_numbers(args.criteria, int, "--criteria"))

@@ -14,7 +14,9 @@ write/read cycle is lossless.  write_columns computes that text in numpy
 `repr` for every double.  The readers accept LF or CRLF rows, empty
 lines and double-quoted cells; a numeric cell reads as the double that
 `float()` gives for it.  Every reader raises SchemaMismatch for a wrong
-header, a non-numeric cell, a short or long row, or no rows.
+header, a non-numeric cell, a short or long row, no rows, or metadata
+that does not parse.  A reader imports the module of the type it builds
+when it is called, so writing a table loads no physics module.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import G0SweepPoint, ScaledPeaks
-from .dynamics import Spectrum
 from .errors import InvalidArgument, SchemaMismatch
-from .tomography import QuadratureBatch
 
 SPECTRUM_HEADER = ["freq_hz", "value"]
 QUADRATURE_HEADER = ["I_uV", "Q_uV"]
@@ -313,10 +312,10 @@ def _read_table(path, header, optional_tail=()) -> np.ndarray:
         return _read_rows(fh, path, len(header) + len(extras))
 
 
-def write_spectrum(path, spec: Spectrum):
-    """InvalidArgument, before any byte is written, for a label that
-    read_spectrum would not give back: one with a line break, or with
-    whitespace at either end."""
+def write_spectrum(path, spec):
+    """A dynamics.Spectrum as a spectrum CSV.  InvalidArgument, before any
+    byte is written, for a label that read_spectrum would not give back:
+    one with a line break, or with whitespace at either end."""
     if spec.label != spec.label.strip() or "\r" in spec.label \
             or "\n" in spec.label:
         raise InvalidArgument(f"spectrum label {spec.label!r} would not "
@@ -326,8 +325,11 @@ def write_spectrum(path, spec: Spectrum):
                         f"floor={float(spec.floor)!r}"])
 
 
-def read_spectrum(path) -> Spectrum:
-    """Spectrum from a spectrum CSV; metadata lines precede the header."""
+def read_spectrum(path):
+    """dynamics.Spectrum from a spectrum CSV; metadata lines precede the
+    header."""
+    from .dynamics import Spectrum
+
     path = Path(path)
     meta = {}
     with path.open() as fh:
@@ -348,10 +350,14 @@ def read_spectrum(path) -> Spectrum:
         data = _read_rows(fh, path, len(SPECTRUM_HEADER))
     if "rbw_hz" not in meta:
         raise SchemaMismatch(f"{path}: missing rbw_hz metadata line")
-    return Spectrum(freq=data[:, 0], values=data[:, 1],
-                    rbw=float(meta["rbw_hz"]),
-                    floor=float(meta.get("floor", 0.0)),
-                    label=meta.get("label", ""))
+    try:
+        rbw, floor = float(meta["rbw_hz"]), float(meta.get("floor", 0.0))
+    except ValueError:
+        raise SchemaMismatch(
+            f"{path}: rbw_hz={meta['rbw_hz']!r} and floor="
+            f"{meta.get('floor', '0.0')!r} must be numbers") from None
+    return Spectrum(freq=data[:, 0], values=data[:, 1], rbw=rbw,
+                    floor=floor, label=meta.get("label", ""))
 
 
 def _numpy_ints(value):
@@ -364,9 +370,10 @@ def _numpy_ints(value):
                     "serializable")
 
 
-def write_quadratures(path, batch: QuadratureBatch):
-    """The batch CSV and its JSON sidecar; the sidecar is serialised first,
-    so a seed JSON cannot hold raises TypeError before any file is made."""
+def write_quadratures(path, batch):
+    """A tomography.QuadratureBatch as its CSV and JSON sidecar; the
+    sidecar is serialised first, so a seed JSON cannot hold raises TypeError
+    before any file is made."""
     path = Path(path)
     sidecar = json.dumps({
         "seed": batch.seed,
@@ -379,21 +386,37 @@ def write_quadratures(path, batch: QuadratureBatch):
     path.with_suffix(path.suffix + ".json").write_text(sidecar)
 
 
-def read_quadratures(path) -> QuadratureBatch:
+def read_quadratures(path):
+    """tomography.QuadratureBatch from a batch CSV and its JSON sidecar;
+    SchemaMismatch for a sidecar that is not a JSON object holding numeric
+    g_opt_uv2_per_quanta and n_add_opt."""
+    from .tomography import QuadratureBatch
+
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if not sidecar_path.exists():
         raise SchemaMismatch(f"{path}: missing JSON sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    samples = _read_table(path, QUADRATURE_HEADER)
     try:
-        return QuadratureBatch(samples=samples,
-                               g_opt=float(sidecar["g_opt_uv2_per_quanta"]),
-                               n_add_opt=float(sidecar["n_add_opt"]),
-                               seed=sidecar.get("seed"),
-                               state_meta=sidecar.get("state", {}))
-    except KeyError as exc:
-        raise SchemaMismatch(f"{sidecar_path}: missing key {exc}") from exc
+        sidecar = json.loads(sidecar_path.read_text())
+    except ValueError as exc:
+        raise SchemaMismatch(f"{sidecar_path}: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise SchemaMismatch(f"{sidecar_path}: expected a JSON object, got "
+                             f"{type(sidecar).__name__}")
+    numbers = []
+    for key in ("g_opt_uv2_per_quanta", "n_add_opt"):
+        if key not in sidecar:
+            raise SchemaMismatch(f"{sidecar_path}: missing key {key!r}")
+        try:
+            numbers.append(float(sidecar[key]))
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"{sidecar_path}: {key} must be a number, "
+                                 f"got {sidecar[key]!r}") from None
+    g_opt, n_add_opt = numbers
+    samples = _read_table(path, QUADRATURE_HEADER)
+    return QuadratureBatch(samples=samples, g_opt=g_opt, n_add_opt=n_add_opt,
+                           seed=sidecar.get("seed"),
+                           state_meta=sidecar.get("state", {}))
 
 
 def write_sweep(path, points):
@@ -403,12 +426,18 @@ def write_sweep(path, points):
 
 
 def read_sweep(path) -> list:
+    """calibration.G0SweepPoint rows of a coupling-rate sweep CSV."""
+    from .calibration import G0SweepPoint
+
     return [G0SweepPoint(*row)
             for row in _read_table(path, SWEEP_HEADER).tolist()]
 
 
 def read_peaks(path) -> list:
-    """Scaled-peak rows for the asymmetry solver (optional N_floor column)."""
+    """calibration.ScaledPeaks rows for the asymmetry solver (optional
+    N_floor column)."""
+    from .calibration import ScaledPeaks
+
     rows = _read_table(path, PEAKS_HEADER, optional_tail=("N_floor",))
     return [ScaledPeaks(N_p=row[0], N_b=row[1], N_c=row[2], r_gamma=row[3],
                         N_floor=row[4] if len(row) > 4 else None)

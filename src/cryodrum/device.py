@@ -206,7 +206,8 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
 
     The capacitive coupling is g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
     xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr; MissingParticipation
-    when xi_par is not supplied.
+    when xi_par is not supplied.  NonPositiveRate when a figure overflows
+    the double range; only d_q and q_m carry an inf sentinel.
     """
     if geom.xi_par is None:
         raise MissingParticipation(
@@ -218,9 +219,14 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
     xi_cap = 2.0 / Rb**2 * _radial_quadrature(lambda r: r * mode_shape(r), Rb)
     g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
     lam, d_q, q_m = dilution_factor(geom)
-    return ModeResult(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,
-                      xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0,
-                      lam=lam, d_q=d_q, q_m=q_m)
+    figures = dict(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,
+                   xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0,
+                   lam=lam)
+    for name, value in figures.items():
+        if not math.isfinite(value):
+            raise NonPositiveRate(f"{name} = {value!r}: the geometry "
+                                  "overflows the double range")
+    return ModeResult(**figures, d_q=d_q, q_m=q_m)
 
 
 @dataclass(frozen=True)

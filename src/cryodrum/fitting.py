@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Spectrum
 from .errors import (
     DegenerateDesign,
     FitNonConvergence,
@@ -119,12 +118,12 @@ def _peak_terms(freq, p, sigma_rbw):
     return p[3] + p[2] * profile, jac
 
 
-def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
+def fit_peak(spec, model: str = "lorentzian") -> PeakFit:
     """Trust-region least squares of one peak over (center, width, area, floor).
 
-    model is "lorentzian" or "voigt"; for "voigt" the Gaussian width is fixed
-    from the spectrum's RBW and never fitted.  Negative areas (dips) are
-    allowed.  The Jacobian is analytic, built from the same profile
+    spec is a dynamics.Spectrum; model is "lorentzian" or "voigt".  For
+    "voigt" the Gaussian width is fixed from the spectrum's RBW and never
+    fitted.  Negative areas (dips) are allowed.  The Jacobian is analytic, built from the same profile
     evaluation as the residuals (one Faddeeva call per point for "voigt"),
     and the parameters are scaled by its column norms (x_scale="jac"), so a
     poor initial width does not stall the fit.  Parameter covariance comes
@@ -182,9 +181,10 @@ def fit_peak(spec: Spectrum, model: str = "lorentzian") -> PeakFit:
                    nfev=int(result.nfev), condition=float(condition))
 
 
-def integrate_peak(spec: Spectrum, floor_estimate: float = 0.0, *,
+def integrate_peak(spec, floor_estimate: float = 0.0, *,
                    wing_correction: bool = True) -> float:
-    """Photon flux of a resolved peak: trapezoid of (values - floor).
+    """Photon flux of a resolved peak of the dynamics.Spectrum spec:
+    trapezoid of (values - floor).
 
     The grid must resolve the peak (at least MIN_RESOLVED_POINTS samples
     above half maximum, else PeakUnresolved points the caller to

@@ -58,6 +58,9 @@ def squeeze_drive(gamma_r: float, gamma_b: float,
     if gamma_b >= gamma_r:
         raise UnstableSqueeze(
             "gamma_b >= gamma_r: the Bogoliubov mode is not damped")
+    if gamma_b > 0.0 and gamma_b / gamma_r == 0.0:
+        raise NonPositiveRate(f"gamma_b / gamma_r = {gamma_b!r} / "
+                              f"{gamma_r!r} underflows to 0")
     ratio_db = 10.0 * math.log10(gamma_b / gamma_r) if gamma_b > 0 \
         else -math.inf
     r = math.atanh(math.sqrt(gamma_b / gamma_r))

@@ -12,6 +12,7 @@ from cryodrum.errors import (
     BackActionDominated,
     InconsistentBudget,
     NegativeOccupation,
+    NonPositiveRate,
     SingularAsymmetry,
 )
 
@@ -249,6 +250,12 @@ def test_phase_noise_requirement(params):
         0.1)
     assert harder.dbc_per_hz - limit.dbc_per_hz \
         == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
+
+
+def test_phase_noise_ceiling_out_of_range_is_flagged(params):
+    # n_min^2 underflows to 0, whose dBc value does not exist
+    with pytest.raises(NonPositiveRate, match="n_min = 1e-300"):
+        calibration.phase_noise_requirement(params, 255.0, 1e-300)
 
 
 def test_g0_sweep_noiseless_recovery(params):

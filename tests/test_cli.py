@@ -66,24 +66,97 @@ def manifest_of(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text())
 
 
-def test_cli_import_loads_no_scipy():
-    # every command pays the import; scipy loads only where a call needs it
+def _fresh_process(code, *args):
+    """Standard output of `python -c code *args` run on this source tree."""
     src = str(Path(cryodrum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import cryodrum.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+#: the package modules that `import cryodrum.cli` loads
+CLI_MODULES = {"cli", "config", "core", "datasets", "errors"}
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays the import: the package itself loads no submodule,
+    # the CLI only what parsing, config and manifests need, and scipy loads
+    # only where a call needs it
+    code = ("import sys\n"
+            "def loaded(prefix):\n"
+            "    return sorted(m.split('.', 1)[-1] for m in sys.modules\n"
+            "                  if m.startswith(prefix))\n"
+            "import cryodrum\n"
+            "print(loaded('cryodrum.'))\n"
+            "import cryodrum.cli\n"
+            "print(loaded('cryodrum.'))\n"
+            "print(loaded('scipy'))\n")
+    assert _fresh_process(code).splitlines() == [
+        "[]", str(sorted(CLI_MODULES)), "[]"]
+
+
+#: command line of each command and the package modules it loads beyond
+#: CLI_MODULES; {cfg} is the config path and {d} the output directory
+COMMAND_MODULES = {
+    "device": ("device --config {cfg} --out {d}/o.csv", {"device"}),
+    "psd": ("psd --config {cfg} --out {d}/o.csv --simplified --points 9",
+            {"dynamics"}),
+    "cool": ("cool --config {cfg} --out {d}/o.csv --points 5", {"dynamics"}),
+    "asymmetry": ("asymmetry --peaks {d}/peaks.csv --out {d}/o.json",
+                  {"calibration", "fitting"}),
+    "amplify": ("amplify --out {d}/o.csv --seed 7 --samples 10",
+                {"tomography", "fitting"}),
+    "thermalize": ("thermalize --config {cfg} --out {d}/o.csv --seed 11 "
+                   "--samples 200 --points 5 --tmax 2e-3",
+                   {"tomography", "fitting", "squeezing"}),
+    "squeeze": ("squeeze --config {cfg} --out {d}/o.json --gamma-r 75 "
+                "--gamma-b 23.7", {"squeezing", "tomography", "fitting"}),
+    "dephase": ("dephase --out {d}/o.csv --gamma-th 17.1 --n-th 0.4 --r 0.6 "
+                "--points 5", {"squeezing", "tomography", "fitting"}),
+    "g0fit": ("g0fit --config {cfg} --sweep {d}/sweep.csv --out {d}/o.json",
+              {"calibration", "fitting"}),
+    "budget": ("budget --out {d}/o.json --snri-db 11.3 --n-add-h 8.7 "
+               "--eta-t-db 2.5 --eta-db 1.55", {"calibration", "fitting"}),
+    "limits": ("limits --config {cfg} --out {d}/o.json",
+               {"calibration", "fitting"}),
+    "reproduce": ("reproduce --criteria 8",
+                  {"reproduce", "calibration", "device", "dynamics",
+                   "fitting", "squeezing", "tomography"}),
+    "help": ("--help", set()),
+    "device-help": ("device --help", set()),
+}
+
+
+def test_every_command_has_a_modules_row():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {argv.split()[0] for argv, _ in COMMAND_MODULES.values()} \
+        == set(sub.choices) | {"--help"}
+
+
+@pytest.mark.parametrize("case", list(COMMAND_MODULES))
+def test_command_loads_only_its_modules(case, tmp_path, params):
+    # each command process imports the layers it calls and no others
+    argv, extra = COMMAND_MODULES[case]
+    (tmp_path / "peaks.csv").write_text(
+        "N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,1.0\n")
+    datasets.write_sweep(tmp_path / "sweep.csv",
+                         calibration.synthesize_g0_sweep(
+                             params, 13.4, np.linspace(0.05, 0.4, 6)))
+    code = ("import json, sys\n"
+            "from cryodrum.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(code, sorted(m.split('.', 1)[1] for m in sys.modules\n"
+            "                   if m.startswith('cryodrum.')))\n")
+    argv = argv.format(cfg=REFERENCE_CFG, d=tmp_path).split()
+    last = _fresh_process(code, json.dumps(argv)).splitlines()[-1]
+    assert last == f"0 {sorted(CLI_MODULES | extra)}"
 
 
 def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path):
     # device evaluates J0 by its series and thermalize fits by variable
     # projection; only the chi^2 quantiles bring in scipy.special
-    src = str(Path(cryodrum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = str(REFERENCE_CFG)
     code = (
         "import sys\n"
@@ -96,16 +169,11 @@ def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path):
         f"main(['thermalize', '--config', {cfg!r}, '--out', "
         f"{str(tmp_path / 'h.csv')!r}, '--seed', '11', '--points', '9'])\n"
         "print(loaded('scipy.optimize'))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert _fresh_process(code).split("\n")[:2] == ["[]", "[]"]
 
 
 def test_lindblad_solve_loads_no_scipy_sparse():
     # the solver applies its tridiagonal generator itself
-    src = str(Path(cryodrum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, numpy as np\n"
             "from cryodrum import squeezing, tomography\n"
             "squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
@@ -115,9 +183,7 @@ def test_lindblad_solve_loads_no_scipy_sparse():
             "    np.linspace(0.0, 5e-3, 6))\n"
             "print(sorted(m for m in sys.modules "
             "if m.startswith('scipy.sparse')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_process(code).strip() == "[]"
 
 
 def test_unknown_subcommand():
@@ -576,7 +642,8 @@ FUZZ_BASE = {
               "--eta-t-db 2.5 --eta-db 1.55",
     "limits": "limits --config {cfg} --out {d}/o.json",
 }
-FUZZ_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "x")
+FUZZ_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "1e-300",
+               "5e-324", "x")
 #: output keys documented to hold an infinite sentinel: the heating fit
 #: never reaching one quantum, and the pump ratio at --gamma-b 0
 SENTINELS = {"t_one_quantum_s", "ratio_db"}

@@ -104,6 +104,32 @@ def test_spectrum_numpy_scalar_metadata(tmp_path):
     assert (again.rbw, again.floor) == (1.0 / 3.0, 0.5)
 
 
+@pytest.mark.parametrize("meta", ["# rbw_hz=abc\n",
+                                  "# rbw_hz=1\n# floor=zz\n",
+                                  "# rbw_hz=np.float64(0.5)\n"],
+                         ids=["rbw-text", "floor-text", "rbw-numpy-repr"])
+def test_spectrum_metadata_must_be_numbers(tmp_path, meta):
+    path = tmp_path / "bad.csv"
+    path.write_text(meta + "freq_hz,value\n0.0,1.0\n1.0,2.0\n")
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
+        datasets.read_spectrum(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"g_opt_uv2_per_quanta": 1.13, "n_add',
+    '[1.13, 0.8]',
+    '{"g_opt_uv2_per_quanta": "abc", "n_add_opt": 0.8}',
+    '{"g_opt_uv2_per_quanta": null, "n_add_opt": 0.8}',
+    '{"g_opt_uv2_per_quanta": 1.13}',
+], ids=["truncated", "list", "text-g-opt", "null-g-opt", "missing-n-add"])
+def test_quadratures_sidecar_errors(tmp_path, sidecar):
+    path = tmp_path / "batch.csv"
+    path.write_text("I_uV,Q_uV\n0.1,0.2\n")
+    (tmp_path / "batch.csv.json").write_text(sidecar)
+    with pytest.raises(SchemaMismatch, match="batch.csv.json"):
+        datasets.read_quadratures(path)
+
+
 def test_quadratures_missing_sidecar(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("I_uV,Q_uV\n0.1,0.2\n")

@@ -201,6 +201,16 @@ def test_sweep_guards(params):
                              kappa=params.kappa)
 
 
+@pytest.mark.parametrize("axis,factor,figure", [
+    ("gap", 1e-300, "g0"), ("stress", 1e300, "omega_m")])
+@pytest.mark.filterwarnings("ignore:lambda = 0")
+def test_overflowing_geometry_is_flagged(axis, factor, figure, params):
+    # flag, never clamp: an infinite figure is an error, not a table cell
+    with pytest.raises(NonPositiveRate, match=f"^{figure} = inf"):
+        device.scaling_sweep(GEOM, axis, [factor], omega_c=OMEGA_C,
+                             kappa=params.kappa)
+
+
 def test_quadrature_cap():
     # an effectively random integrand cannot converge in one refinement
     rng = np.random.default_rng(0)

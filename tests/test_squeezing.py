@@ -12,6 +12,7 @@ from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     InvalidArgument,
+    NonPositiveRate,
     TruncationNonConvergence,
     UnphysicalVariances,
     UnstableSqueeze,
@@ -44,6 +45,15 @@ def test_squeeze_target_minus5db():
 def test_squeeze_stability_guard():
     with pytest.raises(UnstableSqueeze):
         squeezing.squeeze_drive(75.0, 75.0, kappa=250e3)
+
+
+def test_squeeze_ratio_underflow_is_flagged():
+    # gamma_b > 0 whose ratio to gamma_r rounds to 0 has no dB value
+    with pytest.raises(NonPositiveRate, match="underflows"):
+        squeezing.squeeze_drive(75.0, 5e-324, kappa=250e3)
+    # a subnormal ratio is still a number
+    drive = squeezing.squeeze_drive(75.0, 1e-310, kappa=250e3)
+    assert drive.ratio_db == pytest.approx(-3118.75, abs=0.01)
 
 
 def test_squeeze_parameter_monotonicity():
