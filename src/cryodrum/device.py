@@ -185,6 +185,8 @@ def dilution_factor(geom: DrumGeometry):
 
     lambda = (t / 2R) sqrt(Y / 12 sigma).  At lambda -> 0 the bending loss
     vanishes and D_Q diverges; an inf sentinel is returned with a warning.
+    A tiny positive lambda whose D_Q or Q_m overflows the double range is
+    not that limit: NonPositiveRate.
     """
     if geom.youngs_modulus <= 0.0:
         raise NonPositiveRate("youngs_modulus must be > 0 for dilution")
@@ -194,10 +196,12 @@ def dilution_factor(geom: DrumGeometry):
     if denom == 0.0:
         warnings.warn("lambda = 0: dilution factor diverges (lossless "
                       "bending limit)", RuntimeWarning, stacklevel=2)
-        d_q = math.inf
-    else:
-        d_q = 1.0 / denom
+        return lam, math.inf, geom.q0 * math.inf
+    d_q = 1.0 / denom
     q_m = geom.q0 * d_q
+    if not (math.isfinite(d_q) and math.isfinite(q_m)):
+        raise NonPositiveRate(f"lambda = {lam!r}: D_Q = {d_q!r} and Q_m = "
+                              f"{q_m!r} overflow the double range")
     return lam, d_q, q_m
 
 

@@ -26,6 +26,11 @@ from .errors import (
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: samples above half maximum that integrate_peak needs to call a peak resolved
 MIN_RESOLVED_POINTS = 5
+#: model evaluations after which fit_peak gives up
+MAX_PEAK_EVALUATIONS = 400
+#: fit_peak's relative tolerance on the cost reduction and on the step,
+#: and its absolute tolerance on the gradient
+PEAK_FIT_TOL = 1e-14
 
 
 def sigma_from_rbw(rbw: float) -> float:
@@ -119,66 +124,88 @@ def _peak_terms(freq, p, sigma_rbw):
 
 
 def fit_peak(spec, model: str = "lorentzian") -> PeakFit:
-    """Trust-region least squares of one peak over (center, width, area, floor).
+    """Levenberg-Marquardt least squares of one peak over (center, width,
+    area, floor).
 
     spec is a dynamics.Spectrum; model is "lorentzian" or "voigt".  For
     "voigt" the Gaussian width is fixed from the spectrum's RBW and never
-    fitted.  Negative areas (dips) are allowed.  The Jacobian is analytic, built from the same profile
-    evaluation as the residuals (one Faddeeva call per point for "voigt"),
-    and the parameters are scaled by its column norms (x_scale="jac"), so a
-    poor initial width does not stall the fit.  Parameter covariance comes
-    from the Jacobian at the solution, scaled by the residual variance.
+    fitted.  Negative areas (dips) are allowed; the width is held at or
+    above a floor by projection.  Each trial point takes one profile
+    evaluation (one Faddeeva call per point for "voigt"), which gives both
+    the residuals r and the analytic Jacobian J.  The step solves
+    (J^T J + lambda D) delta = -J^T r with D the running maximum of
+    diag(J^T J), so a poor initial width does not stall the fit; lambda
+    falls tenfold after a step that lowers the cost and rises tenfold
+    after one that does not (Moré, LNM 630, 1978).  The fit stops when the
+    actual and predicted cost reductions are both below PEAK_FIT_TOL of
+    the cost, the step is below PEAK_FIT_TOL of the parameters or the
+    gradient J^T r below PEAK_FIT_TOL, and raises FitNonConvergence at
+    MAX_PEAK_EVALUATIONS evaluations.  Parameter covariance comes from the
+    Jacobian at the solution, scaled by the residual variance.
     """
-    from scipy.optimize import least_squares
     if model not in ("lorentzian", "voigt"):
         raise ValueError(f"unknown model {model!r}")
     sigma_rbw = sigma_from_rbw(spec.rbw) if model == "voigt" else 0.0
     freq = spec.freq
     values = spec.values
 
-    p0 = _initial_guess(freq, values, sigma_rbw)
-    # least_squares asks for the Jacobian at the point whose residuals it
-    # has just evaluated; keep that one evaluation for it
-    last = {}
+    p = _initial_guess(freq, values, sigma_rbw)
+    width_floor = 1e-9 * max(p[1], freq[1] - freq[0])
+    model_values, jac = _peak_terms(freq, p, sigma_rbw)
+    resid = model_values - values
+    cost = 0.5 * float(resid @ resid)
+    nfev = 1
+    normal, grad = jac.T @ jac, jac.T @ resid
+    scale = np.diag(normal).copy()
+    scale[scale == 0.0] = 1.0
+    damping = 1e-3
+    while np.max(np.abs(grad)) >= PEAK_FIT_TOL:
+        if nfev == MAX_PEAK_EVALUATIONS:
+            raise FitNonConvergence("peak fit hit the evaluation cap")
+        step = np.linalg.solve(normal + damping * np.diag(scale), -grad)
+        trial = p + step
+        trial[1] = max(trial[1], width_floor)
+        step = trial - p
+        trial_values, trial_jac = _peak_terms(freq, trial, sigma_rbw)
+        nfev += 1
+        trial_resid = trial_values - values
+        trial_cost = 0.5 * float(trial_resid @ trial_resid)
+        reduction = cost - trial_cost
+        predicted = -float(grad @ step + 0.5 * step @ normal @ step)
+        converged = (
+            (abs(reduction) <= PEAK_FIT_TOL * cost
+             and predicted <= PEAK_FIT_TOL * cost
+             and reduction <= 2.0 * predicted)
+            or math.sqrt(step @ step)
+            <= PEAK_FIT_TOL * (PEAK_FIT_TOL + math.sqrt(p @ p)))
+        if converged:
+            # the two costs agree to rounding; the trial point, where the
+            # linearised gradient vanishes, is the closer to the minimum
+            p, cost, jac = trial, trial_cost, trial_jac
+            break
+        if reduction > 0.0:
+            p, cost, resid, jac = trial, trial_cost, trial_resid, trial_jac
+            normal, grad = jac.T @ jac, jac.T @ resid
+            np.maximum(scale, np.diag(normal), out=scale)
+            damping /= 10.0
+        else:
+            damping *= 10.0
 
-    def terms(p):
-        key = p.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _peak_terms(freq, p, sigma_rbw)
-        return last[key]
-
-    def residuals(p):
-        return terms(p)[0] - values
-
-    def jacobian(p):
-        return terms(p)[1]
-
-    width_floor = 1e-9 * max(p0[1], freq[1] - freq[0])
-    result = least_squares(
-        residuals, p0, jac=jacobian, method="trf", x_scale="jac",
-        bounds=([-np.inf, width_floor, -np.inf, -np.inf],
-                [np.inf, np.inf, np.inf, np.inf]),
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
-    if result.status == 0:
-        raise FitNonConvergence("peak fit hit the evaluation cap")
-
-    jac = result.jac
     singulars = np.linalg.svd(jac, compute_uv=False)
     condition = singulars[0] / max(singulars[-1], 1e-300)
     if singulars[-1] <= 0.0 or condition > 1e12:
         raise IllConditioned(f"fit Jacobian condition number {condition:.3g}")
 
     dof = max(freq.size - 4, 1)
-    s2 = 2.0 * result.cost / dof
+    s2 = 2.0 * cost / dof
     cov = np.linalg.inv(jac.T @ jac) * s2
 
-    center, fwhm, area, floor = result.x
+    center, fwhm, area, floor = p
     height = 2.0 * area / (math.pi * fwhm)
     return PeakFit(center=float(center), width=float(fwhm),
                    height=float(height), area=float(area), floor=float(floor),
                    covariance=cov, model=model, sigma_rbw=sigma_rbw,
-                   nfev=int(result.nfev), condition=float(condition))
+                   nfev=nfev, condition=float(condition))
 
 
 def integrate_peak(spec, floor_estimate: float = 0.0, *,
@@ -191,7 +218,9 @@ def integrate_peak(spec, floor_estimate: float = 0.0, *,
     fit_peak).  With wing_correction the truncated 1/nu^2 Lorentzian tails
     are estimated from the outermost samples and added, which brings
     wide-grid integrals of noiseless Lorentzians/Voigts to ~1e-8 relative
-    of the true area.
+    of the true area.  A peak whose extremum is the first or last sample
+    has no wing on that side to estimate, so the correction raises
+    PeakUnresolved there.
     """
     freq = spec.freq
     resid = spec.values - floor_estimate
@@ -205,8 +234,13 @@ def integrate_peak(spec, floor_estimate: float = 0.0, *,
 
     flux = float(np.trapezoid(resid, freq))
     if wing_correction and peak > 0.0:
-        center = float(freq[int(np.argmax(np.abs(resid)))])
-        x = freq - center
+        ipk = int(np.argmax(np.abs(resid)))
+        if ipk in (0, freq.size - 1):
+            side = "left" if ipk == 0 else "right"
+            raise PeakUnresolved(
+                f"peak extremum on the {side} grid edge: the {side} wing is "
+                "truncated, so its wing correction is undefined")
+        x = freq - freq[ipk]
         k = max(3, freq.size // 200)
         # wings fall off as a/x^2 with a = area * fwhm / (2 pi)
         a_left = float(np.mean(resid[:k] * x[:k] ** 2))

@@ -210,6 +210,17 @@ def test_device_sweep(cfg, tmp_path):
     assert len(rows) == 4
 
 
+def test_device_dilution_overflow_exit(tmp_path, capsys):
+    # a 1e-308 m film gives a finite D_Q whose Q_m = Q0 D_Q overflows:
+    # a numerical failure, not a q_m=inf table cell
+    path = tmp_path / "thin.cfg"
+    path.write_text(CONFIG.replace("thickness = 180e-9", "thickness = 1e-308"))
+    out = tmp_path / "figures.csv"
+    assert main(["device", "--config", str(path), "--out", str(out)]) == 3
+    assert "Q_m = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: `device` and README `psd --simplified` outputs on configs/reference.cfg,
 #: committed as the bytes to keep.  They pass through LAPACK (`leggauss`),
 #: the J0 power series and numpy's vectorised arithmetic, whose last bits

@@ -164,6 +164,14 @@ def test_dilution_lossless_limit():
     assert math.isinf(d_q)
 
 
+@pytest.mark.parametrize("thickness", [1e-308, 1e-320])
+def test_dilution_overflow_is_flagged(thickness):
+    # a tiny positive lambda is not the lossless limit: Q_m = Q0 D_Q
+    # (1e-308) or D_Q itself (1e-320) overflows, which is an error
+    with pytest.raises(NonPositiveRate, match="overflow the double range"):
+        device.dilution_factor(replace(GEOM, thickness=thickness))
+
+
 def test_scaling_rows_identity_and_examples(params):
     rows = device.scaling_sweep(GEOM, "t", [1.0, 2.0], omega_c=OMEGA_C,
                                 kappa=params.kappa)

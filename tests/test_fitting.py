@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 
 from cryodrum import fitting
 from cryodrum.dynamics import Spectrum
-from cryodrum.errors import DegenerateDesign, PeakUnresolved
+from cryodrum.errors import DegenerateDesign, FitNonConvergence, PeakUnresolved
 
 
 def lorentzian(nu, center, fwhm, area, floor=0.0):
@@ -175,6 +180,114 @@ def test_fit_peak_records_evaluations_and_condition():
     assert 1.0 <= fit.condition < 1e12
 
 
+def trf_reference(spec, model):
+    """Reference fit: scipy's trust-region reflective least squares of the
+    same model from the same start, width floor and 1e-14 tolerances."""
+    sigma = fitting.sigma_from_rbw(spec.rbw) if model == "voigt" else 0.0
+    freq, values = spec.freq, spec.values
+    p0 = fitting._initial_guess(freq, values, sigma)
+    width_floor = 1e-9 * max(p0[1], freq[1] - freq[0])
+    return least_squares(
+        lambda p: fitting._peak_terms(freq, p, sigma)[0] - values, p0,
+        jac=lambda p: fitting._peak_terms(freq, p, sigma)[1], method="trf",
+        x_scale="jac", bounds=([-np.inf, width_floor, -np.inf, -np.inf],
+                               [np.inf] * 4),
+        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
+
+
+def noisy_voigt_lines():
+    """The seeded RBW-blurred lines of the noisy-line battery, each with its
+    noise-free counterpart."""
+    rng = np.random.default_rng(2024)
+    for idx in range(36):
+        center = rng.uniform(-50.0, 50.0)
+        fwhm, rbw = rng.uniform(5.0, 40.0), rng.uniform(20.0, 60.0)
+        area, floor = rng.uniform(500.0, 2000.0), rng.uniform(0.5, 1.0)
+        half = 20.0 * max(fwhm, rbw)
+        nu = np.linspace(-half, half, 1201)
+        clean = floor + area * fitting.voigt_eval(
+            nu - center, fwhm / 2.0, fitting.sigma_from_rbw(rbw))[0]
+        noise = (0.01, 0.03)[idx % 2] * (clean.max() - floor)
+        yield (Spectrum(freq=nu, values=clean
+                        + noise * rng.standard_normal(nu.size), rbw=rbw),
+               Spectrum(freq=nu, values=clean, rbw=rbw))
+
+
+def compare_with_trf(spec, model):
+    """Both fits' parameters and the cost of the fit_peak solution, against
+    trf's cost plus the cost of rounding each sample once."""
+    fit = fitting.fit_peak(spec, model)
+    ref = trf_reference(spec, model)
+    p = np.array([fit.center, fit.width, fit.area, fit.floor])
+    resid = fitting._peak_terms(spec.freq, p, fit.sigma_rbw)[0] - spec.values
+    rounding = 0.5 * spec.values.size \
+        * (np.finfo(float).eps * np.max(np.abs(spec.values))) ** 2
+    assert 0.5 * resid @ resid <= ref.cost * (1.0 + 1e-12) + rounding
+    return fit, p, ref.x
+
+
+def test_fit_peak_matches_trf_on_noise_free_lines():
+    # the center has no scale of its own; it is measured against the width
+    nu = np.linspace(-100.0, 100.0, 2001)
+    sigma = fitting.sigma_from_rbw(1.0)
+    nu_narrow = np.linspace(-8.0, 8.0, 4001)
+    lines = [
+        (Spectrum(freq=nu, values=lorentzian(nu, 3.0, 12.0, 7.5, 0.4)),
+         "lorentzian"),
+        (Spectrum(freq=nu, values=lorentzian(nu, 0.0, 8.0, -3.0, 1.0)),
+         "lorentzian"),
+        (Spectrum(freq=nu_narrow, rbw=1.0, values=0.1 + 2.4
+                  * fitting.voigt_eval(nu_narrow, 0.0225, sigma)[0]),
+         "voigt"),
+    ] + [(clean, "voigt") for _, clean in noisy_voigt_lines()]
+    for spec, model in lines:
+        _, p, ref = compare_with_trf(spec, model)
+        scale = np.abs(ref)
+        scale[0] = max(scale[0], ref[1])
+        assert np.all(np.abs(p - ref) <= 1e-12 * scale)
+
+
+def test_fit_peak_matches_trf_on_noisy_lines():
+    nu = np.linspace(-60.0, 60.0, 1201)
+    clean = lorentzian(nu, 0.0, 6.0, 4.0, 0.2)
+    rng = np.random.default_rng(11)
+    lines = [(noisy, "voigt") for noisy, _ in noisy_voigt_lines()] + [
+        (Spectrum(freq=nu, values=clean + 0.02 * rng.standard_normal(
+            nu.size)), "lorentzian") for _ in range(40)]
+    for spec, model in lines:
+        fit, p, ref = compare_with_trf(spec, model)
+        assert np.all(np.abs(p - ref)
+                      <= 1e-6 * np.sqrt(np.diag(fit.covariance)))
+
+
+def test_fit_peak_evaluation_cap(monkeypatch):
+    spec = next(noisy_voigt_lines())[0]
+    assert fitting.fit_peak(spec, "voigt").nfev > 3
+    monkeypatch.setattr(fitting, "MAX_PEAK_EVALUATIONS", 3)
+    with pytest.raises(FitNonConvergence, match="evaluation cap"):
+        fitting.fit_peak(spec, "voigt")
+
+
+def test_fit_peak_loads_no_scipy_optimize():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from cryodrum import fitting\n"
+            "from cryodrum.dynamics import Spectrum\n"
+            "nu = np.linspace(-100.0, 100.0, 801)\n"
+            "values = 1.0 + 500.0 * fitting.voigt_eval(\n"
+            "    nu - 3.0, 5.0, fitting.sigma_from_rbw(20.0))[0]\n"
+            "fit = fitting.fit_peak(Spectrum(freq=nu, values=values,\n"
+            "                                rbw=20.0), 'voigt')\n"
+            "print(round(fit.area, 6), 'scipy.special' in sys.modules,\n"
+            "      'scipy.optimize' in sys.modules)\n")
+    src = str(Path(fitting.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["500.0", "True", "False"]
+
+
 def test_integrate_peak_analytic_area():
     nu = np.linspace(-600.0, 600.0, 24001)
     spec = Spectrum(freq=nu, values=lorentzian(nu, 0.0, 2.0, 5.0, 0.3))
@@ -217,6 +330,17 @@ def test_integrate_unresolved_peak():
     spec = Spectrum(freq=nu, values=lorentzian(nu, 0.0, 0.5, 1.0))
     with pytest.raises(PeakUnresolved):
         fitting.integrate_peak(spec)
+
+
+@pytest.mark.parametrize("side,center", [("left", -50.0), ("right", 50.0)])
+def test_integrate_peak_on_grid_edge(side, center):
+    # the extremum on an end sample leaves no wing there to extrapolate:
+    # flag it rather than return an infinite flux
+    nu = np.linspace(-50.0, 50.0, 1001)
+    spec = Spectrum(freq=nu, values=lorentzian(nu, center, 4.0, 1.0))
+    with pytest.raises(PeakUnresolved, match=f"{side} grid edge"):
+        fitting.integrate_peak(spec)
+    assert math.isfinite(fitting.integrate_peak(spec, wing_correction=False))
 
 
 def test_linear_fit_exact():
