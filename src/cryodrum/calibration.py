@@ -77,15 +77,14 @@ def scaled_peaks_from_fluxes(p_b: float, p_c: float, *, gamma_b: float,
                              kappa: float, p_p: float | None = None,
                              gamma_p: float | None = None,
                              p_r: float | None = None,
-                             gamma_r: float | None = None,
-                             n_floor: float | None = None) -> ScaledPeaks:
+                             gamma_r: float | None = None) -> ScaledPeaks:
     """Normalise measured peak fluxes by their emission rates."""
     n_p = p_p / (TWO_PI * gamma_p) if p_p is not None else None
     n_r = p_r / (TWO_PI * gamma_r) if p_r is not None else None
     r_gamma = gamma_b / gamma_r if gamma_r is not None else 1.0
     return ScaledPeaks(N_b=p_b / (TWO_PI * gamma_b),
                        N_c=p_c / (TWO_PI * kappa),
-                       N_p=n_p, N_r=n_r, r_gamma=r_gamma, N_floor=n_floor)
+                       N_p=n_p, N_r=n_r, r_gamma=r_gamma)
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ class AsymmetryResult:
     background_over_geta: float | None = None   # N_floor / (G eta)
 
 
-def asymmetry_solve(peaks: ScaledPeaks, eta_kappa: float | None = None,
-                    blue_imbalance: float = 1.0) -> AsymmetryResult:
+def asymmetry_solve(peaks: ScaledPeaks,
+                    eta_kappa: float | None = None) -> AsymmetryResult:
     """Closed-form (n_m, n_c, G eta) from the normalised peak powers.
 
     With R_N the *raw* blue/red flux ratio (equal to r_gamma N_b/N_r after
@@ -109,14 +108,12 @@ def asymmetry_solve(peaks: ScaledPeaks, eta_kappa: float | None = None,
         n_c  = [R_N n_m - R_G (n_m + 1)] / [2 (R_N + R_G)]
         Geta = (N_r + N_b) / 2 / (n_m + 1/2)
 
-    blue_imbalance is a multiplicative correction on N_b for residual probe
-    imbalance (default 1).  A measured noise floor separates the chain gain
-    only when eta_kappa is supplied; otherwise the floor is reported as a
-    ratio to G eta.  Negative extracted occupations are flagged with a
-    warning and returned unclamped.
+    A measured noise floor separates the chain gain only when eta_kappa is
+    supplied; otherwise the floor is reported as a ratio to G eta.  Negative
+    extracted occupations are flagged with a warning and returned unclamped.
     """
     n_ref = peaks.n_ref
-    n_b = peaks.N_b * blue_imbalance
+    n_b = peaks.N_b
     n_c_peak = peaks.N_c
     r_g = peaks.r_gamma
 
@@ -299,9 +296,8 @@ def _sweep_prefactor(params: SystemParams) -> float:
 
 
 def back_action_occupation(params: SystemParams, p_mw_device: float,
-                           g0: float | None = None) -> float:
+                           g0: float) -> float:
     """Equivalent back-action quanta of an on-resonance pump of power P [W]."""
-    g0 = params.g0 if g0 is None else g0
     photon_flux = p_mw_device / (PLANCK_H * params.omega_c)
     n_p = 4.0 * params.kappa_ex * photon_flux / (TWO_PI * params.kappa**2)
     return (4.0 * g0**2 / (params.kappa * params.gamma_m) * n_p
@@ -354,14 +350,16 @@ def g0_from_sweep(sweep, params: SystemParams, *,
 
 
 def synthesize_g0_sweep(params: SystemParams, g0_true: float, temperatures,
-                        *, p_mw_src: float = 1e-6, p_cal_src: float = 1e-9,
-                        eta_att_db: float = 70.0, gain_db: float = 60.0,
-                        noise_rel: float = 0.0, seed=None) -> list:
+                        *, p_mw_src: float = 1e-6, eta_att_db: float = 70.0,
+                        gain_db: float = 60.0, noise_rel: float = 0.0,
+                        seed=None) -> list:
     """Forward-model a calibration sweep (synthetic-data generator).
 
     Produces measured powers with the stated attenuation/gain and optional
-    multiplicative log-normal noise on the detector readings.
+    multiplicative log-normal noise on the detector readings; the
+    calibration tone leaves the source at 1 nW.
     """
+    p_cal_src = 1e-9
     eta_att = 10.0 ** (-eta_att_db / 10.0)
     gain = 10.0 ** (gain_db / 10.0)
     prefactor = _sweep_prefactor(params)

@@ -70,10 +70,6 @@ class SystemParams:
         """(kappa / 4 Omega_m)^2; back-action is negligible when << 1."""
         return (self.kappa / (4.0 * self.omega_m)) ** 2
 
-    @property
-    def is_resolved_sideband(self) -> bool:
-        return self.resolved_sideband_param < 0.1
-
 
 def validate_params(raw) -> SystemParams:
     """Validate a SystemParams-like record and populate derived fields.

@@ -129,47 +129,39 @@ def _gauss_legendre(npts: int):
     return x, w
 
 
-def _radial_quadrature(func, upper: float, rtol: float = 1e-10,
-                       max_doublings: int = 6) -> float:
+def _radial_quadrature(func, upper: float) -> float:
     """integral_0^upper func(r) dr by Gauss-Legendre with node doubling.
 
     Each rule is built once per process by _gauss_legendre; every mode
     integral reuses the 32- and 64-node tables instead of recomputing them.
     Rules double from 32 nodes up to MAX_QUADRATURE_NODES at most.  Raises
     QuadratureNonConvergence when the relative change between refinements
-    stays above rtol at the refinement cap.
+    stays above 1e-10 at the refinement cap.
     """
     previous = None
     npts = 32
-    for _ in range(max_doublings):
-        if npts > MAX_QUADRATURE_NODES:
-            break
+    while npts <= MAX_QUADRATURE_NODES:
         x, w = _gauss_legendre(npts)
         r = 0.5 * upper * (x + 1.0)
         value = 0.5 * upper * float(np.sum(w * func(r)))
         if previous is not None:
             scale = max(abs(value), abs(previous), 1e-300)
-            if abs(value - previous) <= rtol * scale:
+            if abs(value - previous) <= 1e-10 * scale:
                 return value
         previous = value
         npts *= 2
     raise QuadratureNonConvergence(
-        f"radial quadrature not converged to rtol {rtol:g} with up to "
+        "radial quadrature not converged to rtol 1e-10 with up to "
         f"{npts // 2} nodes")
 
 
-def effective_mass_xzpf(geom: DrumGeometry, omega_m: float | None = None,
-                        mode_shape=None):
-    """Effective mass, physical mass, mass ratio and x_zpf of the fundamental.
+def effective_mass_xzpf(geom: DrumGeometry, omega_m: float, mode_shape):
+    """Effective mass, physical mass, mass ratio and x_zpf of the mode of
+    frequency omega_m and radial shape mode_shape (drum_mode's pair).
 
     xi_mass = (2/R^2) integral_0^R r |u(r)|^2 dr evaluated by quadrature;
     m_phys = rho pi R^2 t; x_zpf = sqrt(hbar / (2 m_eff * 2pi Omega_m)).
-
-    omega_m/mode_shape may be passed to reuse a drum_mode evaluation (or to
-    probe a test shape); defaults are the (0, 1) fundamental.
     """
-    if omega_m is None or mode_shape is None:
-        omega_m, mode_shape = drum_mode(geom)
     R = geom.radius
     integral = _radial_quadrature(
         lambda r: r * np.abs(mode_shape(r)) ** 2, R)

@@ -208,44 +208,43 @@ def fit_peak(spec, model: str = "lorentzian") -> PeakFit:
                    nfev=nfev, condition=float(condition))
 
 
-def integrate_peak(spec, floor_estimate: float = 0.0, *,
-                   wing_correction: bool = True) -> float:
-    """Photon flux of a resolved peak of the dynamics.Spectrum spec:
-    trapezoid of (values - floor).
+def integrate_peak(spec) -> float:
+    """Photon flux of a resolved peak of the floor-subtracted
+    dynamics.Spectrum spec: trapezoid of the values plus the tails beyond
+    the grid.
 
     The grid must resolve the peak (at least MIN_RESOLVED_POINTS samples
     above half maximum, else PeakUnresolved points the caller to
-    fit_peak).  With wing_correction the truncated 1/nu^2 Lorentzian tails
-    are estimated from the outermost samples and added, which brings
-    wide-grid integrals of noiseless Lorentzians/Voigts to ~1e-8 relative
-    of the true area.  A peak whose extremum is the first or last sample
-    has no wing on that side to estimate, so the correction raises
-    PeakUnresolved there.
+    fit_peak).  The truncated 1/nu^2 Lorentzian tails are estimated from
+    the k outermost samples of each side and added, which brings wide-grid
+    integrals of noiseless Lorentzians/Voigts to ~1e-8 relative of the true
+    area.  A wing whose outermost samples reach half the peak's |maximum|
+    is cut by the grid edge and has no tail to estimate, so PeakUnresolved
+    is raised there too.
     """
     freq = spec.freq
-    resid = spec.values - floor_estimate
-    peak = float(np.max(np.abs(resid)))
-    if peak > 0.0:
-        n_above = int(np.count_nonzero(np.abs(resid) >= 0.5 * peak))
-        if n_above < MIN_RESOLVED_POINTS:
-            raise PeakUnresolved(
-                f"only {n_above} samples above half maximum; fit_peak "
-                "should be used for under-resolved lines")
-
+    resid = spec.values
+    magnitude = np.abs(resid)
+    peak = float(np.max(magnitude))
     flux = float(np.trapezoid(resid, freq))
-    if wing_correction and peak > 0.0:
-        ipk = int(np.argmax(np.abs(resid)))
-        if ipk in (0, freq.size - 1):
-            side = "left" if ipk == 0 else "right"
+    if not peak > 0.0:
+        return flux
+    n_above = int(np.count_nonzero(magnitude >= 0.5 * peak))
+    if n_above < MIN_RESOLVED_POINTS:
+        raise PeakUnresolved(
+            f"only {n_above} samples above half maximum; fit_peak "
+            "should be used for under-resolved lines")
+    k = max(3, freq.size // 200)
+    for side, wing in (("left", magnitude[:k]), ("right", magnitude[-k:])):
+        if np.any(wing >= 0.5 * peak):
             raise PeakUnresolved(
-                f"peak extremum on the {side} grid edge: the {side} wing is "
-                "truncated, so its wing correction is undefined")
-        x = freq - freq[ipk]
-        k = max(3, freq.size // 200)
-        # wings fall off as a/x^2 with a = area * fwhm / (2 pi)
-        a_left = float(np.mean(resid[:k] * x[:k] ** 2))
-        a_right = float(np.mean(resid[-k:] * x[-k:] ** 2))
-        flux += a_left / abs(x[0]) + a_right / x[-1]
+                f"peak wing cut by the {side} grid edge: its {k} outermost "
+                "samples reach half maximum, so its tail is undefined")
+    x = freq - freq[int(np.argmax(magnitude))]
+    # wings fall off as a/x^2 with a = area * fwhm / (2 pi)
+    a_left = float(np.mean(resid[:k] * x[:k] ** 2))
+    a_right = float(np.mean(resid[-k:] * x[-k:] ** 2))
+    flux += a_left / abs(x[0]) + a_right / x[-1]
     return flux
 
 
@@ -260,10 +259,6 @@ class LinearFitResult:
     @property
     def slope_err(self) -> float:
         return math.sqrt(self.covariance[0, 0])
-
-    @property
-    def intercept_err(self) -> float:
-        return math.sqrt(self.covariance[1, 1])
 
 
 def linear_fit(x, y, sigma_y=None) -> LinearFitResult:

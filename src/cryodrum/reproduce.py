@@ -47,24 +47,20 @@ def _params():
     return validate_params(REFERENCE_SYSTEM)
 
 
-def _drives(params, *, cooperativity=None, probes=False,
-            gamma_probe=12.9):
-    tones = []
-    if cooperativity is not None:
-        tones.append(drive_tone("cooling_pump", gamma_m=params.gamma_m,
-                                cooperativity=cooperativity, delta=25e3))
-    if probes:
-        tones.append(drive_tone("red_probe", gamma_m=params.gamma_m,
-                                gamma_opt=gamma_probe, delta=0.0))
-        tones.append(drive_tone("blue_probe", gamma_m=params.gamma_m,
-                                gamma_opt=gamma_probe, delta=10e3))
-    return DriveSet(tones=tuple(tones), gamma_m=params.gamma_m)
+def _drives(params):
+    """The cooling pump at cooperativity 6400 and the red and blue probes."""
+    tones = (drive_tone("cooling_pump", gamma_m=params.gamma_m,
+                        cooperativity=6400.0, delta=25e3),
+             drive_tone("red_probe", gamma_m=params.gamma_m, gamma_opt=12.9,
+                        delta=0.0),
+             drive_tone("blue_probe", gamma_m=params.gamma_m,
+                        gamma_opt=12.9, delta=10e3))
+    return DriveSet(tones=tones, gamma_m=params.gamma_m)
 
 
-def _component_grid(center, width, *, halfspan_widths=600.0,
-                    points_per_width=12):
-    half = halfspan_widths * width
-    step = width / points_per_width
+def _component_grid(center, width):
+    half = 600.0 * width
+    step = width / 12
     n = int(round(2.0 * half / step)) + 1
     return center + np.linspace(-half, half, n)
 
@@ -107,7 +103,7 @@ def criterion_1_cooling():
     n_m = dynamics.cooling_occupation(REFERENCE_N_M_TH, 0.03, 6400.0)
     ok_direct = abs(n_m - 0.070) <= 0.002
 
-    drives = _drives(params, cooperativity=6400.0, probes=True)
+    drives = _drives(params)
     baths = BathOccupations(n_c_th=0.03 * params.kappa / params.kappa_0,
                             n_m_th=REFERENCE_N_M_TH, n_c=0.03)
     with warnings.catch_warnings():

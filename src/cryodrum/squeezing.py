@@ -157,18 +157,14 @@ def moments_evolve(model: DephasingModel, times) -> MomentTrajectory:
 class DecoherenceRates:
     """Linear-fit decoherence rates of the axis variances [Hz, cyclic].
 
-    gamma_th_est = (gamma_sq + gamma_asq)/2 by construction: dephasing
-    conserves <n>, so the mean slope is the thermal decoherence rate.
+    Dephasing conserves <n>, so the mean slope (gamma_sq + gamma_asq)/2 is
+    the thermal decoherence rate.
     """
 
     gamma_sq: float
     gamma_asq: float
     gamma_sq_err: float = 0.0
     gamma_asq_err: float = 0.0
-
-    @property
-    def gamma_th_est(self) -> float:
-        return 0.5 * (self.gamma_sq + self.gamma_asq)
 
     @property
     def delta(self) -> float:
@@ -179,10 +175,10 @@ class DecoherenceRates:
         return math.hypot(self.gamma_sq_err, self.gamma_asq_err)
 
 
-def decoherence_rates(times, v_sq, v_asq, sigma=None) -> DecoherenceRates:
+def decoherence_rates(times, v_sq, v_asq) -> DecoherenceRates:
     """Fit the variance slopes; rates are reported cyclic (slope / 2 pi)."""
-    fit_sq = linear_fit(times, v_sq, sigma)
-    fit_asq = linear_fit(times, v_asq, sigma)
+    fit_sq = linear_fit(times, v_sq)
+    fit_asq = linear_fit(times, v_asq)
     return DecoherenceRates(
         gamma_sq=fit_sq.slope / TWO_PI,
         gamma_asq=fit_asq.slope / TWO_PI,

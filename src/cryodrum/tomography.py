@@ -91,10 +91,6 @@ class GaussianMechState:
         b2 = -(n_th + 0.5) * math.sinh(2.0 * r) * cmath.exp(2j * theta)
         return cls(n=n, b2=b2)
 
-    def rotated(self, theta: float) -> "GaussianMechState":
-        """State rotated by theta in phase space (axes move by +theta)."""
-        return GaussianMechState(n=self.n, b2=self.b2 * cmath.exp(2j * theta))
-
     @property
     def var_x1(self) -> float:
         return 0.5 + self.n + self.b2.real
@@ -127,11 +123,6 @@ class GaussianMechState:
         UnphysicalVariances for a state below the Heisenberg bound."""
         return squeezed_thermal_from_variances(*self.principal_variances)
 
-    @property
-    def is_physical(self) -> bool:
-        v_sq, v_asq = self.principal_variances
-        return v_sq * v_asq >= 0.25 - 1e-12
-
 
 @dataclass(frozen=True)
 class AmplifierSpec:
@@ -139,7 +130,7 @@ class AmplifierSpec:
 
     gamma_opt_b is the anti-damping rate of the pump [Hz]; gamma_amp =
     gamma_opt_b - Gamma_m the net amplification rate [Hz]; tau the pulse
-    length and dt the sample step [s].  chain_gain / n_add_h describe the
+    length and dt the sample step [s].  n_add_h is the added noise of the
     microwave chain after the cavity; g_opt_uv2 / n_add_opt are the
     *calibrated* conversion factor [uV^2/quanta] and input-referred added
     noise of the whole amplification readout.
@@ -150,7 +141,6 @@ class AmplifierSpec:
     tau: float
     dt: float
     eta_kappa: float = 1.0
-    chain_gain: float = 1.0
     n_add_h: float = 0.0
     g_opt_uv2: float = 1.0
     n_add_opt: float = 0.0
@@ -191,17 +181,6 @@ class AddedNoiseBudget:
     def total(self) -> float:
         return self.hybridization + self.decoherence + self.chain
 
-    @property
-    def total_noise_quanta(self) -> float:
-        """Mechanical vacuum + ideal amplifier half quanta + added terms."""
-        return 1.0 + self.total
-
-    @property
-    def ordering(self):
-        terms = {"hybridization": self.hybridization,
-                 "decoherence": self.decoherence, "chain": self.chain}
-        return tuple(sorted(terms, key=terms.get, reverse=True))
-
 
 def predict_added_noise(spec: AmplifierSpec, params: SystemParams,
                         baths: BathOccupations) -> AddedNoiseBudget:
@@ -240,6 +219,21 @@ class QuadratureBatch:
         return self.samples.shape[0]
 
 
+def _readout_covariance(var_x1, var_x2, cov_x1x2, g_opt: float,
+                        n_add_opt: float):
+    """Entries (s11, s22, s12) of the (I, Q) covariance Sigma of states
+    with these quadrature moments, seen through the amplifier:
+    g_opt (var + n_add_opt + 1/2) along each axis and g_opt cov_x1x2 across.
+    FloatingPointError when an entry is not finite.
+    """
+    s11 = g_opt * (var_x1 + n_add_opt + 0.5)
+    s22 = g_opt * (var_x2 + n_add_opt + 0.5)
+    s12 = g_opt * cov_x1x2
+    if not np.all(np.isfinite(s11) & np.isfinite(s22) & np.isfinite(s12)):
+        raise FloatingPointError("quadrature covariance is not finite")
+    return s11, s22, s12
+
+
 def sample_quadratures(state: GaussianMechState, g_opt: float,
                        n_add_opt: float, n_samples: int,
                        seed) -> QuadratureBatch:
@@ -251,12 +245,9 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
-    cov = g_opt * np.array([
-        [state.var_x1 + n_add_opt + 0.5, state.cov_x1x2],
-        [state.cov_x1x2, state.var_x2 + n_add_opt + 0.5]])
-    if not np.all(np.isfinite(cov)):
-        raise FloatingPointError("quadrature covariance is not finite")
-    chol = np.linalg.cholesky(cov)
+    s11, s22, s12 = _readout_covariance(state.var_x1, state.var_x2,
+                                        state.cov_x1x2, g_opt, n_add_opt)
+    chol = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]]))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, 2))
     samples = z @ chol.T
@@ -285,11 +276,8 @@ def _wishart_moments(n, b2, g_opt: float, n_add_opt: float, n_samples: int,
         raise InvalidArgument("n_samples must be >= 1")
     n = np.asarray(n, dtype=float)
     b2 = np.asarray(b2, dtype=complex)
-    s11 = g_opt * (0.5 + n + b2.real + n_add_opt + 0.5)
-    s22 = g_opt * (0.5 + n - b2.real + n_add_opt + 0.5)
-    s12 = g_opt * b2.imag
-    if not np.all(np.isfinite(s11) & np.isfinite(s22) & np.isfinite(s12)):
-        raise FloatingPointError("quadrature covariance is not finite")
+    s11, s22, s12 = _readout_covariance(0.5 + n + b2.real, 0.5 + n - b2.real,
+                                        b2.imag, g_opt, n_add_opt)
     if not np.all(s11 > 0.0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     l11 = np.sqrt(s11)
@@ -323,50 +311,28 @@ def _chi2_ppf(q: float, dof: int) -> float:
     return 2.0 * float(gammaincinv(0.5 * dof, q))
 
 
-def variance_interval(second_moment: float, n_samples: int,
-                      confidence: float = 0.6827):
-    """Chi-squared confidence interval of a raw Gaussian second moment.
+def variance_interval(second_moment: float, n_samples: int):
+    """68.27% (one-sigma) chi-squared interval of a raw Gaussian second
+    moment.
 
     N vhat / v ~ chi^2_N for zero-mean Gaussian samples, giving exact
     asymmetric intervals (lo, hi) around the estimate.  The chi^2_N
     quantile is 2 P^-1(N/2, q), with P^-1 the inverse regularized lower
     incomplete gamma function.
     """
-    alpha = 0.5 * (1.0 - confidence)
+    alpha = 0.5 * (1.0 - 0.6827)
     lo = second_moment * n_samples / _chi2_ppf(1.0 - alpha, n_samples)
     hi = second_moment * n_samples / _chi2_ppf(alpha, n_samples)
     return lo, hi
 
 
-def _db_rel_half(v: float) -> float:
-    if v <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(v / 0.5)
-
-
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """A noise-subtracted variance with its asymmetric interval.
-
-    db values are referenced to the zero-point variance 1/2; db_plus and
-    db_minus mirror the +up/-down error style of squeezing reports.
-    """
+    """A noise-subtracted variance with its asymmetric interval."""
 
     value: float
     lo: float
     hi: float
-
-    @property
-    def db(self) -> float:
-        return _db_rel_half(self.value)
-
-    @property
-    def db_plus(self) -> float:
-        return _db_rel_half(self.hi) - self.db
-
-    @property
-    def db_minus(self) -> float:
-        return self.db - _db_rel_half(self.lo)
 
 
 @dataclass(frozen=True)
@@ -379,7 +345,6 @@ class StateEstimate:
     v_sq: VarianceEstimate
     v_asq: VarianceEstimate
     axis_angle: float
-    theta_scan: np.ndarray | None = None
 
 
 def _moment_estimates(m11, m22, m12, n_samples: int, g_opt: float,
@@ -426,7 +391,7 @@ def _moment_estimates(m11, m22, m12, n_samples: int, g_opt: float,
     return n_m, n_m_err, b2, axis_angle, np.stack([eigvals, lo, hi])
 
 
-def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
+def estimate_state(batch: QuadratureBatch) -> StateEstimate:
     """Invert a quadrature batch to mechanical second moments.
 
     <X^2> = <I^2>/g_opt - n_add_opt - 1/2 per axis and n_m = (<X1^2> +
@@ -444,20 +409,11 @@ def estimate_state(batch: QuadratureBatch, theta_grid=None) -> StateEstimate:
         np.mean(samples[:, 0] * samples[:, 1]), batch.count, batch.g_opt,
         batch.n_add_opt)
     n_m = float(n_m)
-    b2 = complex(b2)
-
-    theta_scan = None
-    if theta_grid is not None:
-        theta_grid = np.asarray(theta_grid, dtype=float)
-        theta_scan = (0.5 + n_m
-                      + b2.real * np.cos(2.0 * theta_grid)
-                      + b2.imag * np.sin(2.0 * theta_grid))
-
-    return StateEstimate(state=GaussianMechState(n=n_m, b2=b2), n_m=n_m,
-                         n_m_err=float(n_m_err),
+    return StateEstimate(state=GaussianMechState(n=n_m, b2=complex(b2)),
+                         n_m=n_m, n_m_err=float(n_m_err),
                          v_sq=VarianceEstimate(*intervals[:, 0].tolist()),
                          v_asq=VarianceEstimate(*intervals[:, 1].tolist()),
-                         axis_angle=float(axis_angle), theta_scan=theta_scan)
+                         axis_angle=float(axis_angle))
 
 
 @dataclass(frozen=True)
@@ -469,7 +425,7 @@ class AmplifierCalibration:
     fit: LinearFitResult
 
 
-def calibrate_amplifier(points, sigma=None) -> AmplifierCalibration:
+def calibrate_amplifier(points) -> AmplifierCalibration:
     """Fit sigma^2 = G_opt (n_m + 1 + n_add_opt) to calibration points.
 
     points is a sequence of (n_m_known, variance_uv2); the slope is the
@@ -485,7 +441,7 @@ def calibrate_amplifier(points, sigma=None) -> AmplifierCalibration:
     if pts.shape[0] >= 3 and span < 10.0:
         warnings.warn("calibration points span less than a decade in n_m",
                       UserWarning, stacklevel=2)
-    fit = linear_fit(n_m, var, sigma)
+    fit = linear_fit(n_m, var)
     g_opt = fit.slope
     if g_opt <= 0.0:
         raise DegenerateDesign("fitted conversion factor is not positive")
@@ -575,17 +531,17 @@ def _relaxation_fit(times, n_est, n0: float):
 def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
                               gamma_m: float, n_m_th: float, times,
                               readout: AmplifierSpec, n_samples: int, seed,
-                              gamma_phi: float = 0.0,
                               linear_window: float = 2e-3) -> FreeEvolutionResult:
     """Simulated thermalization run: evolve, sample, estimate, fit.
 
     The states come from one finite-temperature squeezing.moments_evolve
-    trajectory; gamma_th, the expected (n_m_th + 1) gamma_m, is validated
-    there, and the evolution uses gamma_m.  The estimate reads only the
-    second moments of each time's batch of n_samples (I, Q) pairs, so time
-    i draws that moment matrix from its exact Wishart law
-    (_wishart_moments) on the stream default_rng([seed, i]), and all times
-    are estimated in one pass by estimate_state's law.  A linear fit over
+    trajectory without pure dephasing; gamma_th, the expected
+    (n_m_th + 1) gamma_m, is validated there, and the evolution uses
+    gamma_m.  The estimate reads only the second moments of each time's
+    batch of n_samples (I, Q) pairs, so time i draws that moment matrix
+    from its exact Wishart law (_wishart_moments) on the stream
+    default_rng([seed, i]), and all times are estimated in one pass by
+    estimate_state's law.  A linear fit over
     t <= linear_window (two distinct times at least) gives the thermal
     decoherence rate.  An exponential fit over all times gives the
     relaxation rate, the equilibrium occupation and the time to reach one
@@ -606,7 +562,7 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
         raise InvalidArgument("evolution times must be finite and >= 0, "
                               "two distinct ones in the linear window")
     traj = moments_evolve(DephasingModel(
-        gamma_th=gamma_th, gamma_phi=gamma_phi, initial=prep,
+        gamma_th=gamma_th, gamma_phi=0.0, initial=prep,
         mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
     moments = _wishart_moments(traj.n, traj.b2, readout.g_opt_uv2,
                                readout.n_add_opt, n_samples,

@@ -17,7 +17,7 @@ from cryodrum.errors import (
 )
 
 
-def forward_peaks(n_m, n_c, g_eta, r_gamma=1.0, n_floor=None):
+def forward_peaks(n_m, n_c, g_eta, r_gamma=1.0, floor=None):
     """Independent forward construction of the rate-normalised peaks."""
     return calibration.ScaledPeaks(
         N_p=g_eta * (n_m - 2.0 * n_c),
@@ -25,7 +25,7 @@ def forward_peaks(n_m, n_c, g_eta, r_gamma=1.0, n_floor=None):
         N_b=g_eta * (n_m + 1.0 + 2.0 * n_c),
         N_c=g_eta * n_c,
         r_gamma=r_gamma,
-        N_floor=n_floor)
+        N_floor=floor)
 
 
 def eliminate(peaks):
@@ -123,21 +123,13 @@ def test_asymmetry_pump_preferred_over_red():
 
 def test_asymmetry_floor_separation():
     g, eta, n_add = 0.2625, 0.8, 0.9
-    peaks = forward_peaks(0.2, 0.05, g * eta, n_floor=g * (1.0 + n_add))
+    peaks = forward_peaks(0.2, 0.05, g * eta, floor=g * (1.0 + n_add))
     result = calibration.asymmetry_solve(peaks, eta_kappa=eta)
     assert result.n_add == pytest.approx(n_add, rel=1e-9)
     no_eta = calibration.asymmetry_solve(peaks)
     assert no_eta.n_add is None
     assert no_eta.background_over_geta \
         == pytest.approx((1.0 + n_add) / eta, rel=1e-9)
-
-
-def test_asymmetry_blue_imbalance_correction():
-    peaks = forward_peaks(0.2, 0.05, 0.21)
-    skewed = calibration.ScaledPeaks(N_p=peaks.N_p, N_r=peaks.N_r,
-                                     N_b=peaks.N_b / 0.98, N_c=peaks.N_c)
-    result = calibration.asymmetry_solve(skewed, blue_imbalance=0.98)
-    assert result.n_m == pytest.approx(0.2, rel=1e-12)
 
 
 def test_asymmetry_singular():

@@ -66,12 +66,12 @@ def manifest_of(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text())
 
 
-def _fresh_process(code, *args):
-    """Standard output of `python -c code *args` run on this source tree."""
+def _fresh_process(code):
+    """Standard output of `python -c code` run on this source tree."""
     src = str(Path(cryodrum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -82,7 +82,8 @@ CLI_MODULES = {"cli", "config", "core", "datasets", "errors"}
 def test_cli_import_loads_no_scipy():
     # every command pays the import: the package itself loads no submodule,
     # the CLI only what parsing, config and manifests need, and scipy loads
-    # only where a call needs it
+    # only where a call needs it.  A fresh process, since it also pins what
+    # the fork server behind the other module-load tests starts from
     code = ("import sys\n"
             "def loaded(prefix):\n"
             "    return sorted(m.split('.', 1)[-1] for m in sys.modules\n"
@@ -136,7 +137,7 @@ def test_every_command_has_a_modules_row():
 
 
 @pytest.mark.parametrize("case", list(COMMAND_MODULES))
-def test_command_loads_only_its_modules(case, tmp_path, params):
+def test_command_loads_only_its_modules(case, tmp_path, params, forked):
     # each command process imports the layers it calls and no others
     argv, extra = COMMAND_MODULES[case]
     (tmp_path / "peaks.csv").write_text(
@@ -144,46 +145,40 @@ def test_command_loads_only_its_modules(case, tmp_path, params):
     datasets.write_sweep(tmp_path / "sweep.csv",
                          calibration.synthesize_g0_sweep(
                              params, 13.4, np.linspace(0.05, 0.4, 6)))
-    code = ("import json, sys\n"
-            "from cryodrum.cli import main\n"
-            "code = main(json.loads(sys.argv[1]))\n"
-            "print(code, sorted(m.split('.', 1)[1] for m in sys.modules\n"
-            "                   if m.startswith('cryodrum.')))\n")
     argv = argv.format(cfg=REFERENCE_CFG, d=tmp_path).split()
-    last = _fresh_process(code, json.dumps(argv)).splitlines()[-1]
-    assert last == f"0 {sorted(CLI_MODULES | extra)}"
+    status, modules = forked("from cryodrum.cli import main\n"
+                             f"result = main({argv!r})\n")
+    assert [status, [m.split(".", 1)[1] for m in modules
+                     if m.startswith("cryodrum.")]] \
+        == [0, sorted(CLI_MODULES | extra)]
 
 
-def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path):
+def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path,
+                                                             forked):
     # device evaluates J0 by its series and thermalize fits by variable
     # projection; only the chi^2 quantiles bring in scipy.special
     cfg = str(REFERENCE_CFG)
     code = (
-        "import sys\n"
         "from cryodrum.cli import main\n"
-        "def loaded(prefix):\n"
-        "    return sorted(m for m in sys.modules if m.startswith(prefix))\n"
         f"main(['device', '--config', {cfg!r}, '--out', "
         f"{str(tmp_path / 'f.csv')!r}])\n"
-        "print(loaded('scipy'))\n"
+        "result = [loaded('scipy')]\n"
         f"main(['thermalize', '--config', {cfg!r}, '--out', "
         f"{str(tmp_path / 'h.csv')!r}, '--seed', '11', '--points', '9'])\n"
-        "print(loaded('scipy.optimize'))\n")
-    assert _fresh_process(code).split("\n")[:2] == ["[]", "[]"]
+        "result.append(loaded('scipy.optimize'))\n")
+    assert forked(code)[0] == [[], []]
 
 
-def test_lindblad_solve_loads_no_scipy_sparse():
+def test_lindblad_solve_loads_no_scipy_sparse(forked):
     # the solver applies its tridiagonal generator itself
-    code = ("import sys, numpy as np\n"
+    code = ("import numpy as np\n"
             "from cryodrum import squeezing, tomography\n"
             "squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
             "    gamma_th=17.1, gamma_phi=0.09,\n"
             "    initial=tomography.GaussianMechState.squeezed_thermal("
             "0.4, 0.6)),\n"
-            "    np.linspace(0.0, 5e-3, 6))\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.sparse')))")
-    assert _fresh_process(code).strip() == "[]"
+            "    np.linspace(0.0, 5e-3, 6))\n")
+    assert [m for m in forked(code)[1] if m.startswith("scipy.sparse")] == []
 
 
 def test_unknown_subcommand():

@@ -35,7 +35,6 @@ def test_validate_params_populates_eta():
     assert p.eta_kappa == pytest.approx(0.8, rel=1e-12)
     # deep resolved-sideband regime for these constants
     assert p.resolved_sideband_param == pytest.approx(0.0012, rel=0.01)
-    assert p.is_resolved_sideband
 
 
 def test_validate_params_lossless_limit():

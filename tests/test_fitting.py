@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,9 +264,8 @@ def test_fit_peak_evaluation_cap(monkeypatch):
         fitting.fit_peak(spec, "voigt")
 
 
-def test_fit_peak_loads_no_scipy_optimize():
-    code = ("import sys\n"
-            "import numpy as np\n"
+def test_fit_peak_loads_no_scipy_optimize(forked):
+    code = ("import numpy as np\n"
             "from cryodrum import fitting\n"
             "from cryodrum.dynamics import Spectrum\n"
             "nu = np.linspace(-100.0, 100.0, 801)\n"
@@ -278,20 +273,16 @@ def test_fit_peak_loads_no_scipy_optimize():
             "    nu - 3.0, 5.0, fitting.sigma_from_rbw(20.0))[0]\n"
             "fit = fitting.fit_peak(Spectrum(freq=nu, values=values,\n"
             "                                rbw=20.0), 'voigt')\n"
-            "print(round(fit.area, 6), 'scipy.special' in sys.modules,\n"
-            "      'scipy.optimize' in sys.modules)\n")
-    src = str(Path(fitting.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["500.0", "True", "False"]
+            "result = round(fit.area, 6)\n")
+    area, modules = forked(code)
+    assert [area, "scipy.special" in modules, "scipy.optimize" in modules] \
+        == [500.0, True, False]
 
 
 def test_integrate_peak_analytic_area():
     nu = np.linspace(-600.0, 600.0, 24001)
-    spec = Spectrum(freq=nu, values=lorentzian(nu, 0.0, 2.0, 5.0, 0.3))
-    flux = fitting.integrate_peak(spec, floor_estimate=0.3)
+    spec = Spectrum(freq=nu, values=lorentzian(nu, 0.0, 2.0, 5.0, 0.3) - 0.3)
+    flux = fitting.integrate_peak(spec)
     assert flux == pytest.approx(5.0, rel=1e-6)
 
 
@@ -316,13 +307,15 @@ def test_integrate_matches_voigt_fit_area():
 
 
 def test_integrate_all_floor():
+    # a spectrum at its floor integrates to zero; noise on the floor is no
+    # peak, and this draw's edge samples reach 0.77 of its largest sample
     nu = np.linspace(-10.0, 10.0, 501)
+    assert fitting.integrate_peak(Spectrum(freq=nu,
+                                           values=np.zeros(nu.size))) == 0.0
     rng = np.random.default_rng(3)
     noise = 1e-6 * rng.standard_normal(nu.size)
-    spec = Spectrum(freq=nu, values=0.7 + noise)
-    flux = fitting.integrate_peak(spec, floor_estimate=0.7,
-                                  wing_correction=False)
-    assert abs(flux) < 1e-4
+    with pytest.raises(PeakUnresolved, match="left grid edge"):
+        fitting.integrate_peak(Spectrum(freq=nu, values=noise))
 
 
 def test_integrate_unresolved_peak():
@@ -332,15 +325,17 @@ def test_integrate_unresolved_peak():
         fitting.integrate_peak(spec)
 
 
-@pytest.mark.parametrize("side,center", [("left", -50.0), ("right", 50.0)])
+@pytest.mark.parametrize("side,center", [("left", -50.0), ("right", 50.0),
+                                         ("left", -49.9), ("left", -49.0)])
 def test_integrate_peak_on_grid_edge(side, center):
-    # the extremum on an end sample leaves no wing there to extrapolate:
-    # flag it rather than return an infinite flux
+    # a wing cut within half maximum by the grid edge leaves no tail there
+    # to extrapolate: flag it rather than return an infinite flux (extremum
+    # on the end sample) or a truncated one (0.563 one sample in, 0.736 at
+    # -49 for this unit-area line)
     nu = np.linspace(-50.0, 50.0, 1001)
     spec = Spectrum(freq=nu, values=lorentzian(nu, center, 4.0, 1.0))
     with pytest.raises(PeakUnresolved, match=f"{side} grid edge"):
         fitting.integrate_peak(spec)
-    assert math.isfinite(fitting.integrate_peak(spec, wing_correction=False))
 
 
 def test_linear_fit_exact():

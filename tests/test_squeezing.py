@@ -136,7 +136,8 @@ def test_mean_slope_equals_gamma_th():
     traj = squeezing.moments_evolve(model, times)
     rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
     # dephasing conserves <n>: the mean slope is the injected thermal rate
-    assert rates.gamma_th_est == pytest.approx(17.1, rel=1e-6)
+    assert 0.5 * (rates.gamma_sq + rates.gamma_asq) \
+        == pytest.approx(17.1, rel=1e-6)
 
 
 def test_finite_temperature_mode_saturates():
@@ -293,7 +294,7 @@ def test_offset_blocks_match_kron_on_uneven_grid(dim, kwargs, state):
 
 def _assert_blocks_match_kron(dim, kwargs, state, times):
     n_th, r, theta = state
-    initial = GaussianMechState.squeezed_thermal(n_th, r).rotated(theta)
+    initial = GaussianMechState.squeezed_thermal(n_th, r, theta)
     model = squeezing.DephasingModel(initial=initial, **kwargs)
     blocks, stack = squeezing._propagate(model, times,
                                          squeezing._initial_rho(model, dim))
@@ -432,7 +433,7 @@ def test_extract_dephasing_curve_monotone_guard():
 
 def test_lindblad_rotated_initial_state():
     # density-matrix construction honors the state's rotation convention
-    initial = GaussianMechState.squeezed_thermal(0.2, 0.5).rotated(0.4)
+    initial = GaussianMechState.squeezed_thermal(0.2, 0.5, 0.4)
     model = squeezing.DephasingModel(gamma_th=5.0, gamma_phi=0.0,
                                      initial=initial)
     traj = squeezing.lindblad_evolve(model, np.array([0.0]))
