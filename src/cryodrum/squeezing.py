@@ -209,36 +209,78 @@ SERIES_TAIL = 1e-16
 _CHUNK = 32
 
 
+def _bargmann(n_th: float, r: float):
+    """(rho_00, a, c) of a squeezed thermal state at theta = 0.
+
+    With N = (n_th + 1/2) cosh 2r - 1/2 and M = (n_th + 1/2) sinh 2r the
+    state is rho_00 exp(a/2 b^dag^2) c^{b^dag b} exp(a/2 b^2), with D =
+    (N + 1)^2 - M^2, rho_00 = 1/sqrt(D), a = -M/D and c = 1 - (N + 1)/D
+    (Miatto & Quesada, Quantum 4, 366 (2020)).  With nu = n_th + 1/2, D =
+    nu^2 + nu cosh 2r + 1/4 and c = n_th (n_th + 1)/D, forms free of
+    cancellation; a pure state, whose n_th can round below 0, has c = 0.
+    """
+    nu = max(n_th, 0.0) + 0.5
+    d = nu * nu + nu * math.cosh(2.0 * r) + 0.25
+    return (1.0 / math.sqrt(d), -nu * math.sinh(2.0 * r) / d,
+            (nu - 0.5) * (nu + 0.5) / d)
+
+
+def _gram_factor(a: float, c: float, parity: int, size: int) -> np.ndarray:
+    """Lower-triangular F, size x size, with F F^T the parity sector of
+    P rho P / rho_00 (P the projector on the levels below 2 size + parity).
+
+    Row i and column i' stand for the levels m = parity + 2i and
+    m' = parity + 2i'.  F is E c^{b^dag b / 2} with E = P exp(a/2 b^dag^2) P,
+    E_{m' + 2k, m'} = (a/2)^k / k! sqrt((m' + 2k)! / m'!): b^dag^2 only
+    raises, so cutting E is exact.  Each column runs its ratio
+    F_{i, i'} / F_{i - 1, i'} = (a/2) sqrt(m (m - 1)) / k from the diagonal
+    down; its c^{m'/2} is applied half before and half after, so no column
+    underflows on its way to a value that does not.
+    """
+    i = np.arange(size)
+    levels = parity + 2.0 * i
+    lag = i[:, None] - i
+    ratio = np.divide((0.5 * a) * np.sqrt(levels * (levels - 1.0))[:, None],
+                      lag, out=np.ones((size, size)), where=lag > 0)
+    half = c ** (0.25 * levels)
+    ratio[i, i] = half
+    return np.tril(np.cumprod(ratio, axis=0)) * half
+
+
 def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
                           dim: int) -> np.ndarray:
-    """Density matrix of a squeezed thermal state in a truncated Fock basis.
+    """P rho P, rho a squeezed thermal state and P the projector on the
+    Fock levels below dim.
 
-    The squeeze generator r/2 (b^2 - b^dag^2) is real and couples level n
-    only to n -+ 2, so its exponential S is block diagonal in the even and
-    odd levels: each parity sector is (S p) @ S^T with S one real half-size
-    expm and p the sector's thermal populations.  The rotation phase
+    rho is rho_00 E c^{b^dag b} E^T (see _bargmann and _gram_factor), and
+    E keeps the level parity, so each parity sector is rho_00 F F^T with F
+    its Gram factor: a sum of positive-weighted outer products, Hermitian
+    and positive semidefinite by construction, with trace 1 minus the
+    population above dim.  The factor of a smaller dim is the top-left
+    block of a larger one, and so is P rho P.  The rotation phase
     e^{i theta (j - l)} is applied afterwards; the matrix is real when
     theta is 0 and complex otherwise.
     """
-    from scipy.linalg import expm
-    levels = np.arange(dim)
-    if n_th > 0.0:
-        q = n_th / (1.0 + n_th)
-        populations = (1.0 - q) * q**levels
-    else:
-        populations = np.zeros(dim)
-        populations[0] = 1.0
+    rho_00, a, c = _bargmann(n_th, r)
     rho = np.zeros((dim, dim))
     for parity in range(min(dim, 2)):
-        sector = levels[parity::2]
-        pair = np.diag(np.sqrt(sector[1:] * (sector[1:] - 1.0)), 1)
-        squeeze = expm(0.5 * r * (pair - pair.T))
-        rho[np.ix_(sector, sector)] = (squeeze * populations[sector]) \
-            @ squeeze.T
+        factor = _gram_factor(a, c, parity, (dim - parity + 1) // 2)
+        rho[parity::2, parity::2] = rho_00 * (factor @ factor.T)
     if theta != 0.0:
-        phase = np.exp(1j * theta * levels)
+        phase = np.exp(1j * theta * np.arange(dim))
         rho = (phase[:, None] * rho) * phase.conjugate()[None, :]
     return rho
+
+
+def _top_populations(n_th: float, r: float, dim: int) -> np.ndarray:
+    """Populations of levels dim - 2 and dim - 1 of P rho P (see
+    _squeezed_thermal_rho): rho_00 times the squared norm of the last row
+    of each Gram factor, without the product of the factors."""
+    rho_00, a, c = _bargmann(n_th, r)
+    return np.array([
+        rho_00 * np.sum(_gram_factor(a, c, parity,
+                                     (dim - parity + 1) // 2)[-1] ** 2)
+        for parity in ((dim - 2) % 2, (dim - 1) % 2)])
 
 
 def _initial_rho(model: DephasingModel, dim: int) -> np.ndarray:
@@ -287,26 +329,58 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     return from_below[1:], diagonal, from_above[:-1]
 
 
+def _log_poisson(n, mean):
+    """log of the Poisson weight of count n at `mean`."""
+    from scipy.special import gammaln, xlogy
+    return xlogy(n, mean) - mean - gammaln(n + 1.0)
+
+
+def _skellam_weights(lags: int, mean: np.ndarray) -> np.ndarray:
+    """(2 - delta_n0) P(D = n), n < lags (rows), one column per mean, with
+    D the difference of two Poisson counts of that mean.
+
+    P(D = n) = sum_k p_{k+n} p_k, a correlation of Poisson weights whose
+    terms are all >= 0, summed directly over the lags asked for and over
+    the counts k within 10 spreads and 40 of the mean, so it costs
+    O(mean) per lag-spread.  The weights are the mode's, taken in logs,
+    times the exact ratios p_k / p_{k-1} = mean / k multiplied out from the
+    mode: each carries only the rounding of its steps from the mode, and
+    the logs' error is a factor common to its column.
+    """
+    out = np.empty((lags, mean.size))
+    for col, mu in enumerate(mean):
+        spread = 10.0 * math.sqrt(mu) + 40.0
+        lo, hi = max(math.floor(mu - spread), 0), math.ceil(mu + spread)
+        count = np.arange(lo, hi + lags - 1.0)
+        at = math.floor(mu) - lo
+        weight = np.empty(count.size)
+        weight[at] = math.exp(_log_poisson(at + lo, mu))
+        weight[at + 1:] = weight[at] * np.cumprod(mu / count[at + 1:])
+        weight[:at] = weight[at] * np.cumprod(
+            (count[:at][::-1] + 1.0) / mu)[::-1]
+        out[:, col] = np.correlate(weight, weight[:hi - lo], "valid")
+    out[1:] *= 2.0
+    return out
+
+
 def _series_weights(chebyshev: bool, scale: float,
                     times: np.ndarray) -> np.ndarray:
     """Weights w_n(t), terms x times, of exp(tA) v = sum_n w_n(t) u_n.
 
-    Chebyshev: (2 - delta_n0) ive(n, scale t / 2); uniformization: the
-    Poisson weights of mean scale t, taken in logs.  Each set is a
-    probability distribution in n (of |D|, D the difference of two Poisson
-    counts of mean scale t / 4, and of one Poisson count) whose tail grows
-    with t, so the latest time sets the cut: the series ends where the
-    weight left out is below SERIES_TAIL at every time.  The kept weights
-    are scaled to sum to 1 at each time, which keeps the trace: the logs
-    round the Poisson weights' sum by 2e-12 at a mean of 2600.
+    Chebyshev: (2 - delta_n0) ive(n, scale t / 2), taken as the law of |D|,
+    D the difference of two Poisson counts of mean scale t / 4
+    (_skellam_weights); uniformization: the Poisson weights of mean
+    scale t, taken in logs.  Each set is a probability distribution in n
+    whose tail grows with t, so the latest time sets the cut: the series
+    ends where the weight left out is below SERIES_TAIL at every time.
+    The kept weights are scaled to sum to 1 at each time, which keeps the
+    trace: the logs round the Poisson weights' sum by 2e-12 at a mean of
+    2600.
     """
-    from scipy.special import gammaln, ive, xlogy
-
     def weights(terms, x):
-        n = np.arange(terms)[:, None]
         if chebyshev:
-            return np.where(n == 0, 1.0, 2.0) * ive(n, 0.5 * x)
-        return np.exp(xlogy(n, x) - x - gammaln(n + 1.0))
+            return _skellam_weights(terms, 0.25 * x)
+        return np.exp(_log_poisson(np.arange(terms)[:, None], x))
 
     last = scale * float(np.max(times))
     mean = 0.0 if chebyshev else last     # |D| has spread sqrt(last / 2)
@@ -340,7 +414,10 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
     |T_n(X)| <= 1 in the 2-norm.  Otherwise it is uniformization: u_n =
     P^n v with P = I + A/lam and lam = max |diag A|; P is entrywise >= 0
     with column sums <= 1, so |P^n| <= 1 in the 1-norm.  The terms are
-    summed into all times _CHUNK at a time, as one matrix product.
+    summed into all times _CHUNK at a time, as one matrix product.  The
+    rows may hold only the leading entries of the stack, if those are whole
+    blocks: A couples no entry across a block boundary, so those entries
+    come out as in the whole stack, under the scale of the whole generator.
     """
     below, diagonal, above = generator
     if symmetric:
@@ -353,7 +430,9 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
         scale = -min(float(diagonal.min()), 0.0)
         shift, gain = 1.0, 1.0      # step = P = I + A/lam
     factor = gain / scale if scale > 0.0 else 0.0
-    step = (factor * below, shift + factor * diagonal, factor * above)
+    size = rows.shape[-1]
+    step = (factor * below[:size - 1], shift + factor * diagonal[:size],
+            factor * above[:size - 1])
     weights = _series_weights(symmetric, scale, times)
     terms = weights.shape[0]
     basis = np.empty((min(_CHUNK, terms),) + rows.shape)
@@ -411,7 +490,8 @@ class LindbladTrajectory:
     rungs: tuple                 # truncation dimensions tried, in order
 
 
-def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray):
+def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
+               moments_only: bool = False):
     """Evolve the even-offset blocks of rho at its truncation dimension:
     (trajectory, stack), the stack holding the blocks at every time.
 
@@ -428,17 +508,24 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray):
     -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
     applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
     of the series.  <n>, the trace and the top population come from block
-    0 and <b^2> from block 2.  The trajectory's min_eigenvalue is left
-    None: acceptance does not read it, and lindblad_evolve computes it
-    (_min_eigenvalues) for the rung it returns only.
+    0 and <b^2> from block 2, each reduced row by row, so that equal rows
+    give equal moments.  moments_only propagates blocks 0 and 2 alone (the
+    first 2 dim - 2 entries, under the whole stack's series scale): the
+    trajectory is the same, bit for bit, and the stack holds those blocks
+    only.  The trajectory's min_eigenvalue is left None: acceptance does
+    not read it, and lindblad_evolve computes it (_min_eigenvalues) for the
+    rung it returns only.
     """
     dim = rho.shape[0]
     j, l = _offset_blocks(dim)
+    generator = _block_generator(model, j, l, dim)
+    if moments_only:
+        j, l = j[:2 * dim - 2], l[:2 * dim - 2]
     state = rho[j, l]
     rows = np.stack([state.real, state.imag]) if np.iscomplexobj(state) \
         else state[None, :]
-    series, terms = _thermal_series(_block_generator(model, j, l, dim), rows,
-                                    times, model.mode == "high_temperature")
+    series, terms = _thermal_series(generator, rows, times,
+                                    model.mode == "high_temperature")
     stack = series[:, 0] + 1j * series[:, 1] if rows.shape[0] == 2 \
         else series[:, 0]
     dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
@@ -452,11 +539,11 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray):
 
     levels = np.arange(dim)
     populations = stack[:, :dim].real
-    out_n = populations @ levels
+    out_n = (populations * levels).sum(axis=1)
     trace_dev = np.abs(populations.sum(axis=1) - 1.0)
     top_pop = populations[:, -1]
     pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-    out_b2 = (stack[:, dim:2 * dim - 2] @ pair).astype(complex)
+    out_b2 = (stack[:, dim:2 * dim - 2] * pair).sum(axis=1).astype(complex)
 
     mag = np.abs(out_b2)
     return LindbladTrajectory(
@@ -469,14 +556,17 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray):
 
 
 def _tail_dimension(model: DephasingModel, times: np.ndarray):
-    """First rung of the dimension ladder and its initial state: (dim, rho).
+    """First rung of the dimension ladder and the initial state built one
+    rung above it: (dim, rho), rho at min(dim + LADDER_STEP, MAX_DIM)
+    levels, whose top-left block is the state at every rung up to there.
 
     It starts at eight times the largest anti-squeezed variance along the
     moment trajectory (the initial state included), rounded up to a
     multiple of LADDER_STEP, and rises by LADDER_STEP until the initial
-    state's two top populations are below 1e-10.  The moments only place
-    the start; acceptance rests on the solver's own tests.  A start above
-    MAX_DIM raises TruncationNonConvergence before any propagation.
+    state's two top populations (_top_populations, no matrix built) are
+    below 1e-10.  The moments only place the start; acceptance rests on
+    the solver's own tests.  A start above MAX_DIM raises
+    TruncationNonConvergence before any propagation.
     """
     v_asq = float(np.max(moments_evolve(model, np.append(0.0, times)).v_asq))
     dim = max(LADDER_STEP,
@@ -486,11 +576,10 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray):
             f"the trajectory reaches an anti-squeezed variance of "
             f"{v_asq:.4g}, which needs about {dim} Fock levels, above the "
             f"dimension cap {MAX_DIM}")
+    n_th, r = model.initial.squeezed_thermal_params
     while dim <= MAX_DIM:
-        rho = _initial_rho(model, dim)
-        if float(np.real(rho[-1, -1])) < 1e-10 \
-                and float(np.real(rho[-2, -2])) < 1e-10:
-            return dim, rho
+        if np.all(_top_populations(n_th, r, dim) < 1e-10):
+            return dim, _initial_rho(model, min(dim + LADDER_STEP, MAX_DIM))
         dim += LADDER_STEP
     raise TruncationNonConvergence(
         f"initial-state tail not below 1e-10 within the dimension cap "
@@ -511,11 +600,14 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     Chebyshev or uniformization series per truncation dimension (see
     _propagate), an independent oracle for the moment equations.  The
     truncation dimension climbs a ladder in steps of LADDER_STEP from the
-    start set by _tail_dimension, whose initial state the first rung
-    reuses; each rung is the stability reference for the next, and rung
-    i >= 1 is accepted once its top-level population stays below 1e-8
-    along the whole trajectory and its moments agree with rung i - 1 to
-    1e-4 relative.  An explicit model.truncation_dim bypasses the ladder
+    start set by _tail_dimension; each rung is the stability reference for
+    the next, and rung i >= 1 is accepted once its top-level population
+    stays below 1e-8 along the whole trajectory and its moments agree with
+    rung i - 1 to 1e-4 relative.  Every rung takes its initial state as the
+    top-left block of one build (_squeezed_thermal_rho), made by
+    _tail_dimension one rung above the start and made again only when the
+    ladder climbs past it.  Rung 0 is never returned, so it propagates its
+    moments only.  An explicit model.truncation_dim bypasses the ladder
     but is still checked.  The trajectory records the dimensions tried
     (rungs) and the series length of the accepted one (terms); its minimum
     eigenvalues are computed for the returned rung only.
@@ -533,10 +625,13 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
                 f"at fixed dim {model.truncation_dim}")
     else:
         start, rho = _tail_dimension(model, times)
-        traj = _propagate(model, times, rho)[0]
+        traj = _propagate(model, times, rho[:start, :start],
+                          moments_only=True)[0]
         for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
+            if dim > rho.shape[0]:
+                rho = _initial_rho(model, dim)
             reference = traj
-            traj, stack = _propagate(model, times, _initial_rho(model, dim))
+            traj, stack = _propagate(model, times, rho[:dim, :dim])
             traj = replace(traj, rungs=reference.rungs + traj.rungs)
             if (traj.top_population.max() < 1e-8
                     and _moment_drift(traj, reference) < 1e-4):

@@ -170,7 +170,8 @@ def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path,
 
 
 def test_lindblad_solve_loads_no_scipy_sparse(forked):
-    # the solver applies its tridiagonal generator itself
+    # the solver applies its tridiagonal generator itself and builds its
+    # initial state from a closed form, so it needs no scipy.linalg either
     code = ("import numpy as np\n"
             "from cryodrum import squeezing, tomography\n"
             "squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
@@ -178,7 +179,8 @@ def test_lindblad_solve_loads_no_scipy_sparse(forked):
             "    initial=tomography.GaussianMechState.squeezed_thermal("
             "0.4, 0.6)),\n"
             "    np.linspace(0.0, 5e-3, 6))\n")
-    assert [m for m in forked(code)[1] if m.startswith("scipy.sparse")] == []
+    assert [m for m in forked(code)[1]
+            if m.startswith(("scipy.sparse", "scipy.linalg"))] == []
 
 
 def test_unknown_subcommand():

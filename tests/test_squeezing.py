@@ -207,25 +207,106 @@ def test_lindblad_truncation_guard():
         squeezing.lindblad_evolve(model, np.linspace(0.0, 2e-3, 3))
 
 
-def _dense_rho(n_th, r, theta, dim):
-    """Squeezed thermal state from one complex expm of the full squeeze
-    generator, S rho_th S^dag, rotated by e^{i theta (j - l)}."""
+def _expm_rho(n_th, r, theta, dim):
+    """Squeezed thermal state from the exponential of the squeeze generator
+    truncated to dim levels, one real expm per level parity: (S p) S^T
+    per sector, p the thermal populations, rotated by e^{i theta (j - l)}.
+    Near dim it is not P rho P; its top-left block converges to P rho P as
+    dim grows."""
     levels = np.arange(dim)
     q = n_th / (1.0 + n_th)
-    rho = np.diag((1.0 - q) * q**levels).astype(complex)
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    squeeze_op = expm(0.5 * r * (lower @ lower - lower.T @ lower.T))
-    rho = squeeze_op @ rho @ squeeze_op.conjugate().T
+    populations = (1.0 - q) * q**levels
+    rho = np.zeros((dim, dim))
+    for parity in range(min(dim, 2)):
+        sector = levels[parity::2]
+        pair = np.diag(np.sqrt(sector[1:] * (sector[1:] - 1.0)), 1)
+        squeeze = expm(0.5 * r * (pair - pair.T))
+        rho[np.ix_(sector, sector)] = (squeeze * populations[sector]) \
+            @ squeeze.T
     phase = np.exp(1j * theta * levels)
     return (phase[:, None] * rho) * phase.conjugate()[None, :]
+
+
+#: rounding allowance of the _expm_rho reference (the Gram build rounds at
+#: a few eps): its converged blocks sat up to 1.7e-14 from the Gram build
+#: over criterion 6's ranges, and up to 2.3e-14 for states up to (5, 2)
+EXPM_ROUNDING = 2.0**8 * np.finfo(float).eps
+
+
+def _assert_matches_converged_expm(n_th, r, theta, dim):
+    # the reference is the top-left block of a build large enough for that
+    # block to have converged, as a build 64 levels larger confirms; the
+    # tolerance is twice that measured step plus the reference's rounding
+    size = dim + 128
+    reference = _expm_rho(n_th, r, theta, size)[:dim, :dim]
+    convergence = np.max(np.abs(
+        reference - _expm_rho(n_th, r, theta, size + 64)[:dim, :dim]))
+    assert convergence <= 1e-13
+    rho = squeezing._squeezed_thermal_rho(n_th, r, theta, dim)
+    assert np.max(np.abs(rho - reference)) <= 2.0 * convergence \
+        + EXPM_ROUNDING
 
 
 @pytest.mark.parametrize("dim", [33, 96, 256])
 @pytest.mark.parametrize("n_th, r, theta", [(0.4, 0.6, 0.0),
                                             (1.5, 0.9, 0.7)])
 def test_parity_sector_rho_matches_dense_expm(dim, n_th, r, theta):
+    _assert_matches_converged_expm(n_th, r, theta, dim)
+
+
+#: squeezed thermal states over criterion 6's ranges, any rotation, cut to
+#: 2-160 levels
+rho_cases = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+                      st.floats(-0.5 * math.pi, 0.5 * math.pi),
+                      st.integers(2, 160))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=rho_cases)
+def test_drawn_rho_matches_converged_expm(case):
+    _assert_matches_converged_expm(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=rho_cases)
+@example(case=(0.0, 0.7, 0.0, 64))
+@example(case=(1.5, 0.0, 0.3, 40))
+def test_rho_is_a_cut_state(case):
+    n_th, r, theta, dim = case
+    eps = np.finfo(float).eps
     rho = squeezing._squeezed_thermal_rho(n_th, r, theta, dim)
-    assert np.max(np.abs(rho - _dense_rho(n_th, r, theta, dim))) <= 1e-15
+    # a larger build holds this one as its top-left block; each entry is a
+    # sum of terms of one sign, so orders of summation differ by at most
+    # its term count of roundings (plus an absolute floor for subnormals)
+    floor = 1e-300
+    for size in (256, 512, 1024):
+        big = squeezing._squeezed_thermal_rho(n_th, r, theta, size)
+        if 1.0 - np.trace(big).real <= 1e-14:
+            break
+    assert 1.0 - np.trace(big).real <= 1e-14
+    assert np.all(np.abs(big[:dim, :dim] - rho)
+                  <= dim * eps * np.abs(rho) + floor)
+    # Hermitian (real symmetric when unrotated) and positive semidefinite
+    if theta == 0.0:
+        assert np.array_equal(rho, rho.T)
+    assert np.all(np.abs(rho - rho.conjugate().T)
+                  <= 8.0 * eps * np.abs(rho) + floor)
+    assert np.linalg.eigvalsh(rho)[0] >= -dim * eps
+    # trace 1 minus the population above dim, read from the larger build
+    tail = big.diagonal()[dim:].real.sum()
+    assert np.trace(rho).real + tail == pytest.approx(1.0, abs=1e-13)
+    # the whole state has the closed-form moments
+    initial = GaussianMechState.squeezed_thermal(n_th, r, theta)
+    levels = np.arange(size)
+    assert big.diagonal().real @ levels == pytest.approx(initial.n,
+                                                         rel=1e-12, abs=1e-14)
+    b2 = big.diagonal(-2) @ np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
+    assert abs(b2 - initial.b2) <= 1e-12 * max(abs(initial.b2), 1.0)
+    # the stop test of the dimension ladder reads the top populations
+    # without a build
+    top = squeezing._top_populations(n_th, r, dim)
+    assert np.all(np.abs(top - rho.diagonal()[-2:].real)
+                  <= dim * eps * top + floor)
 
 
 def _kron_reference(model, times, dim):
@@ -345,6 +426,85 @@ def test_lindblad_records_rungs_and_terms():
         times)
     assert frozen.terms == 1
     assert np.all(frozen.n == frozen.n[0])
+
+
+#: rung 0 of each perfbench oracle class box (the box centres), a
+#: finite-temperature model and a rotated, complex state:
+#: (dim, model keywords, (n_th, r, theta))
+MOMENTS_ONLY_CASES = [
+    (32, dict(gamma_th=33.0, gamma_phi=0.5), (0.5, 0.015, 0.0)),
+    (64, dict(gamma_th=15.5, gamma_phi=0.5), (1.37, 0.15, 0.0)),
+    (96, dict(gamma_th=18.5, gamma_phi=0.5), (0.245, 0.8525, 0.0)),
+    (128, dict(gamma_th=40.5, gamma_phi=0.5), (1.05, 0.655, 0.0)),
+    (64, dict(gamma_th=6.0, gamma_phi=0.3, mode="finite_temperature",
+              gamma_m=2.0, n_m_th=2.0), (0.3, 0.4, 0.0)),
+    (64, dict(gamma_th=17.1, gamma_phi=0.09), (0.4, 0.6, 0.7)),
+]
+
+
+@pytest.mark.parametrize("dim, kwargs, state", MOMENTS_ONLY_CASES)
+def test_moments_only_propagation_is_exact(dim, kwargs, state):
+    # blocks 0 and 2 under the whole stack's series scale give the moments
+    # of the full propagation bit for bit
+    model = squeezing.DephasingModel(
+        initial=GaussianMechState.squeezed_thermal(*state), **kwargs)
+    rho = squeezing._initial_rho(model, dim)
+    times = np.linspace(0.0, 5e-3, 6)
+    full, full_stack = squeezing._propagate(model, times, rho)
+    part, part_stack = squeezing._propagate(model, times, rho,
+                                            moments_only=True)
+    for field in ("n", "b2", "top_population", "trace_dev"):
+        assert np.array_equal(getattr(part, field), getattr(full, field))
+    assert part.terms == full.terms
+    assert np.array_equal(part_stack, full_stack[:, :2 * dim - 2])
+
+
+def _ive_weights(chebyshev, scale, times):
+    """Series weights as ive and the logs give them: (2 - delta_n0)
+    ive(n, scale t / 2), or the Poisson weights of mean scale t, with the
+    cut and normalisation of squeezing._series_weights."""
+    from scipy.special import gammaln, ive, xlogy
+
+    def weights(terms, x):
+        n = np.arange(terms)[:, None]
+        if chebyshev:
+            return np.where(n == 0, 1.0, 2.0) * ive(n, 0.5 * x)
+        return np.exp(xlogy(n, x) - x - gammaln(n + 1.0))
+
+    last = scale * float(np.max(times))
+    size = math.ceil((0.0 if chebyshev else last)
+                     + 10.0 * math.sqrt(last) + 40.0)
+    while True:
+        left_out = np.cumsum(weights(size, np.array([last]))[::-1, 0])[::-1]
+        cut = np.flatnonzero(left_out < squeezing.SERIES_TAIL)
+        if cut.size:
+            kept = weights(max(int(cut[0]), 1), scale * times)
+            return kept / kept.sum(axis=0)
+        size *= 2
+
+
+#: scale * t at the latest time, 0 to 3000
+SERIES_SPANS = [0.0, 1e-9, 0.3, 1.7, 12.5, *np.linspace(25.0, 3000.0, 120)]
+
+
+def test_skellam_weights_match_ive():
+    # the Chebyshev weights are the law of |D|, D a difference of two
+    # Poisson counts; the Bessel form is the reference
+    times = np.linspace(0.0, 5e-3, 6)
+    for span in SERIES_SPANS:
+        scale = span / times[-1]
+        weights = squeezing._series_weights(True, scale, times)
+        reference = _ive_weights(True, scale, times)
+        assert weights.shape == reference.shape
+        assert np.max(np.abs(weights - reference)) <= 1e-15
+
+
+def test_uniformization_weights_unchanged():
+    times = np.linspace(0.0, 5e-3, 6)
+    for span in SERIES_SPANS[::4]:
+        scale = span / times[-1]
+        assert np.array_equal(squeezing._series_weights(False, scale, times),
+                              _ive_weights(False, scale, times))
 
 
 @pytest.mark.parametrize("n_th, r, gamma_th", [(0.36, 0.95, 6.75),

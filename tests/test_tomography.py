@@ -160,14 +160,22 @@ def test_sampling_reference_variance():
 
 
 def test_variance_interval_matches_chi2_quantiles():
-    # the chi^2_N quantile is taken as 2 P^-1(N/2, q), without scipy.stats;
-    # it must equal chi2.ppf bit for bit
-    from scipy.stats import chi2
+    # the chi^2_N quantile is 2 P^-1(N/2, q), P the regularized lower
+    # incomplete gamma function: the expression scipy.stats.chi2.ppf
+    # evaluates (scipy 1.17), kept bit for bit; and P itself takes each
+    # quantile back to its probability
+    from scipy.special import gammainc, gammaincinv
     alpha = 0.5 * (1.0 - 0.6827)
     for n in (1, 2, 3, 17, 500, 12000, 400000):
         lo, hi = tomography.variance_interval(1.3, n)
-        assert lo == 1.3 * n / chi2.ppf(1.0 - alpha, n)
-        assert hi == 1.3 * n / chi2.ppf(alpha, n)
+        upper = 2.0 * gammaincinv(0.5 * n, 1.0 - alpha)
+        lower = 2.0 * gammaincinv(0.5 * n, alpha)
+        assert lo == 1.3 * n / upper
+        assert hi == 1.3 * n / lower
+        assert gammainc(0.5 * n, 0.5 * upper) == pytest.approx(1.0 - alpha,
+                                                               rel=1e-12)
+        assert gammainc(0.5 * n, 0.5 * lower) == pytest.approx(alpha,
+                                                               rel=1e-12)
 
 
 def test_estimate_exact_inversion():
