@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class ScaledPeaks:
     def n_ref(self) -> float:
         """Red-sideband estimate used by the solver (N_p preferred)."""
         return self.N_p if self.N_p is not None else self.N_r
-
-    @property
-    def r_n(self) -> float:
-        """Normalised sideband ratio N_b / N_r (or N_p in its place)."""
-        return self.N_b / self.n_ref
 
 
 def scaled_peaks_from_fluxes(p_b: float, p_c: float, *, gamma_b: float,
@@ -177,26 +172,31 @@ def combine_calibrations(values, errors):
 
 @dataclass(frozen=True)
 class ChainBudget:
-    """Measurement-chain noise budget around the cryogenic preamplifier.
+    """Measurement-chain inputs around the cryogenic preamplifier.
 
     Attenuations are stored as positive loss magnitudes in dB: eta_t_db is
     the preamp off-state insertion loss, eta_db the device-to-preamp path
     loss.  snri_db is the on/off signal-to-noise improvement; n_add_h the
-    effective downstream (HEMT) added noise.  Outputs: n_add_t, the preamp
-    added noise, and total_background = 1 + n_add referred to the device.
+    effective downstream (HEMT) added noise.
     """
 
     snri_db: float
     n_add_h: float
     eta_t_db: float
     eta_db: float
-    g_t_db: float | None = None
-    n_add_t: float | None = None
-    total_background: float | None = None
 
 
-def chain_noise_budget(budget: ChainBudget) -> ChainBudget:
-    """Complete a chain budget from (SNRI, n_add_h, eta_T, eta).
+@dataclass(frozen=True)
+class ChainNoise:
+    """n_add_t, the preamp added noise, and total_background = 1 + n_add
+    referred to the device [quanta]."""
+
+    n_add_t: float
+    total_background: float
+
+
+def chain_noise_budget(budget: ChainBudget) -> ChainNoise:
+    """Noise budget of a chain from (SNRI, n_add_h, eta_T, eta).
 
     n_add_T = (1/eta_T)(1 + n_add_H)/SNRI - 1 and
     1 + n_add = (1/(eta eta_T))(1 + n_add_H)/SNRI, all in linear units.
@@ -210,8 +210,8 @@ def chain_noise_budget(budget: ChainBudget) -> ChainBudget:
         raise InconsistentBudget(
             f"n_add_T = {n_add_t:.3g} < 0: SNRI too large for the stated "
             "HEMT noise and off-state attenuation")
-    total = referred / (eta * eta_t)
-    return replace(budget, n_add_t=n_add_t, total_background=total)
+    return ChainNoise(n_add_t=n_add_t,
+                      total_background=referred / (eta * eta_t))
 
 
 def tone_cancellation_floor(delta_phi: float, delta_att_db: float,

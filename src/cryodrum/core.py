@@ -72,11 +72,11 @@ class SystemParams:
 
 
 def validate_params(raw) -> SystemParams:
-    """Validate a SystemParams-like record and populate derived fields.
+    """Validate a mapping of the SystemParams fields and populate derived
+    fields.
 
-    Accepts a ``SystemParams``, a mapping, or any object exposing the field
-    names as attributes.  Checks positivity of all rates, the linewidth sum
-    rule kappa = kappa_ex + kappa_0 (1e-9 relative), and fills eta_kappa.
+    Checks positivity of all rates, the linewidth sum rule
+    kappa = kappa_ex + kappa_0 (1e-9 relative), and fills eta_kappa.
 
     Raises
     ------
@@ -86,15 +86,8 @@ def validate_params(raw) -> SystemParams:
     LinewidthMismatch
         kappa deviates from kappa_ex + kappa_0 beyond 1e-9 relative.
     """
-    if isinstance(raw, SystemParams):
-        values = {k: getattr(raw, k) for k in (
-            "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
-    elif hasattr(raw, "keys"):
-        values = {k: float(raw[k]) for k in (
-            "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
-    else:
-        values = {k: float(getattr(raw, k)) for k in (
-            "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
+    values = {k: float(raw[k]) for k in (
+        "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
 
     for name in ("omega_c", "kappa", "kappa_ex", "omega_m", "gamma_m", "g0"):
         if not values[name] > 0.0:
@@ -149,13 +142,12 @@ class DriveTone:
 
     delta is the detuning offset from the +/- Omega_m reference [Hz];
     gamma_opt = 4 g^2 / kappa is the optomechanical (anti-)damping rate the
-    tone induces [Hz]; cooperativity = gamma_opt / Gamma_m.
+    tone induces [Hz].
     """
 
     role: str
     delta: float = 0.0
     gamma_opt: float = 0.0
-    cooperativity: float = 0.0
 
     def __post_init__(self):
         if self.role not in DRIVE_ROLES:
@@ -163,8 +155,6 @@ class DriveTone:
                                   f"expected one of {DRIVE_ROLES}")
         if self.gamma_opt < 0.0:
             raise NonPositiveRate("gamma_opt must be >= 0")
-        if self.cooperativity < 0.0:
-            raise NonPositiveRate("cooperativity must be >= 0")
 
 
 def drive_tone(role: str, *, gamma_m: float, delta: float = 0.0,
@@ -181,16 +171,13 @@ def drive_tone(role: str, *, gamma_m: float, delta: float = 0.0,
         raise ValueError("need gamma_opt or cooperativity")
     if gamma_opt is None:
         gamma_opt = cooperativity * gamma_m
-    elif cooperativity is None:
-        cooperativity = gamma_opt / gamma_m
-    else:
+    elif cooperativity is not None:
         expect = gamma_opt / gamma_m
         if abs(cooperativity - expect) > 1e-12 * max(abs(expect), 1.0):
             raise ValueError(
                 f"cooperativity {cooperativity!r} inconsistent with "
                 f"gamma_opt/gamma_m = {expect!r}")
-    return DriveTone(role=role, delta=delta, gamma_opt=gamma_opt,
-                     cooperativity=cooperativity)
+    return DriveTone(role=role, delta=delta, gamma_opt=gamma_opt)
 
 
 @dataclass(frozen=True)

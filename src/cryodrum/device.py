@@ -258,33 +258,27 @@ SCALING_EXPONENTS = {
 #: bath temperature of the sweep's thermal decoherence column [K]
 SWEEP_TEMPERATURE = 0.011
 
-_AXIS_FIELD = {"R": "radius", "sigma_m": "stress", "t": "thickness",
-               "d": "gap", "radius": "radius", "stress": "stress",
-               "thickness": "thickness", "gap": "gap"}
-
 
 def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
                   kappa: float) -> list[SweepRow]:
     """Recompute all figures while scaling one geometry axis.
 
-    axis is one of R/sigma_m/t/d (or the field names radius/stress/
-    thickness/gap).  Scaling the radius is shape preserving: the bottom
-    radius follows, keeping xi_cap fixed (the scaling laws hold for
-    geometrically similar drums).  Gamma_m is derived as Omega_m/Q_m; the
-    thermal decoherence rate uses the *linear* bath occupancy k_B T/h Omega
-    at T = SWEEP_TEMPERATURE so that every column is an exact power law of
-    the sweep factor (the exact Bose occupation would bend the log-log
-    slope at the 1e-3 level).
+    axis is the field radius, stress, thickness or gap.  Scaling the radius
+    is shape preserving: the bottom radius follows, keeping xi_cap fixed
+    (the scaling laws hold for geometrically similar drums).  Gamma_m is
+    derived as Omega_m/Q_m; the thermal decoherence rate uses the *linear*
+    bath occupancy k_B T/h Omega at T = SWEEP_TEMPERATURE so that every
+    column is an exact power law of the sweep factor (the exact Bose
+    occupation would bend the log-log slope at the 1e-3 level).
     """
-    field = _AXIS_FIELD.get(axis)
-    if field is None:
+    if axis not in ("radius", "stress", "thickness", "gap"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     rows = []
     for factor in factors:
         if factor <= 0.0:
             raise NonPositiveRate("sweep factors must be > 0")
-        changes = {field: getattr(base, field) * factor}
-        if field == "radius":
+        changes = {axis: getattr(base, axis) * factor}
+        if axis == "radius":
             changes["bottom_radius"] = base.bottom_radius * factor
         geom = replace(base, **changes)
         res = mode_figures(geom, omega_c)
@@ -292,7 +286,7 @@ def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
         n_th = bose_occupation_linear(res.omega_m, SWEEP_TEMPERATURE)
         gamma_th = n_th * gamma_m
         c0 = 4.0 * res.g0**2 / (kappa * gamma_m)
-        rows.append(SweepRow(axis=field, factor=float(factor), result=res,
+        rows.append(SweepRow(axis=axis, factor=float(factor), result=res,
                              gamma_m=gamma_m, gamma_th=gamma_th, c0=c0))
     return rows
 

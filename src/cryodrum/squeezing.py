@@ -92,18 +92,15 @@ def squeezing_limit(n_m_th: float, cooperativity: float) -> float:
 class DephasingModel:
     """Free-evolution model: thermal decoherence plus pure dephasing.
 
-    mode "high_temperature" is the equal-rate dissipator pair (valid for
-    n_m_th >> 1, no equilibrium); "finite_temperature" uses Gamma_m(n+1)/
-    Gamma_m n dissipators and saturates at n_m_th (needs gamma_m, n_m_th).
-    truncation_dim caps the Fock space of the density-matrix solver; None
-    selects it adaptively.
+    Without gamma_m and n_m_th it is the high-temperature form, the
+    equal-rate dissipator pair at gamma_th (valid for n_m_th >> 1, no
+    equilibrium).  With both it is the finite-temperature form, Gamma_m
+    (n + 1) / Gamma_m n dissipators that saturate at n_m_th.
     """
 
     gamma_th: float
     gamma_phi: float
     initial: GaussianMechState
-    truncation_dim: int | None = None
-    mode: str = "high_temperature"
     gamma_m: float | None = None
     n_m_th: float | None = None
 
@@ -113,11 +110,9 @@ class DephasingModel:
                    for rate in (self.gamma_th, self.gamma_phi)):
             raise NonPositiveRate("rates must be >= 0, and 8 pi times a "
                                   "rate finite")
-        if self.mode not in ("high_temperature", "finite_temperature"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "finite_temperature" and (
-                self.gamma_m is None or self.n_m_th is None):
-            raise ValueError("finite_temperature mode needs gamma_m and n_m_th")
+        if (self.gamma_m is None) != (self.n_m_th is None):
+            raise ValueError("the finite-temperature form needs both gamma_m "
+                             "and n_m_th")
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,7 @@ def moments_evolve(model: DephasingModel, times) -> MomentTrajectory:
     n0 = model.initial.n
     b2_0 = model.initial.b2
     phi_decay = np.exp(-4.0 * TWO_PI * model.gamma_phi * t)
-    if model.mode == "high_temperature":
+    if model.gamma_m is None:
         n = n0 + TWO_PI * model.gamma_th * t
         b2 = b2_0 * phi_decay
     else:
@@ -163,27 +158,16 @@ class DecoherenceRates:
 
     gamma_sq: float
     gamma_asq: float
-    gamma_sq_err: float = 0.0
-    gamma_asq_err: float = 0.0
 
     @property
     def delta(self) -> float:
         return self.gamma_sq - self.gamma_asq
 
-    @property
-    def delta_err(self) -> float:
-        return math.hypot(self.gamma_sq_err, self.gamma_asq_err)
-
 
 def decoherence_rates(times, v_sq, v_asq) -> DecoherenceRates:
     """Fit the variance slopes; rates are reported cyclic (slope / 2 pi)."""
-    fit_sq = linear_fit(times, v_sq)
-    fit_asq = linear_fit(times, v_asq)
-    return DecoherenceRates(
-        gamma_sq=fit_sq.slope / TWO_PI,
-        gamma_asq=fit_asq.slope / TWO_PI,
-        gamma_sq_err=fit_sq.slope_err / TWO_PI,
-        gamma_asq_err=fit_asq.slope_err / TWO_PI)
+    return DecoherenceRates(gamma_sq=linear_fit(times, v_sq).slope / TWO_PI,
+                            gamma_asq=linear_fit(times, v_asq).slope / TWO_PI)
 
 
 def initial_slope_delta(model: DephasingModel) -> float:
@@ -313,7 +297,7 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     diagonal, above): row i reads below[i - 1] x_{i-1} and above[i] x_{i+1}.
     Both vanish across a block boundary (l = 0 below, j = dim - 1 above).
     """
-    if model.mode == "high_temperature":
+    if model.gamma_m is None:
         down = up = TWO_PI * model.gamma_th
     else:
         down = TWO_PI * model.gamma_m * (model.n_m_th + 1.0)
@@ -500,9 +484,9 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
     the whole state (k < 0 are their complex conjugates): about dim^2 / 4
     entries.  The thermal part acts on them through the tridiagonal
     generator of _block_generator, and every output time comes from one
-    pass of _thermal_series: Chebyshev in high-temperature mode, where
-    down == up makes every block symmetric, and uniformization in
-    finite-temperature mode, where the blocks are symmetric only up to a
+    pass of _thermal_series: Chebyshev in the high-temperature form, where
+    down == up makes every block symmetric, and uniformization in the
+    finite-temperature form, where the blocks are symmetric only up to a
     diagonal similarity of condition number (down/up)^{dim/2}, which can
     cost a Chebyshev series all its digits.  Pure dephasing acts as the scalar
     -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
@@ -525,7 +509,7 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
     rows = np.stack([state.real, state.imag]) if np.iscomplexobj(state) \
         else state[None, :]
     series, terms = _thermal_series(generator, rows, times,
-                                    model.mode == "high_temperature")
+                                    model.gamma_m is None)
     stack = series[:, 0] + 1j * series[:, 1] if rows.shape[0] == 2 \
         else series[:, 0]
     dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
@@ -607,39 +591,28 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     top-left block of one build (_squeezed_thermal_rho), made by
     _tail_dimension one rung above the start and made again only when the
     ladder climbs past it.  Rung 0 is never returned, so it propagates its
-    moments only.  An explicit model.truncation_dim bypasses the ladder
-    but is still checked.  The trajectory records the dimensions tried
-    (rungs) and the series length of the accepted one (terms); its minimum
-    eigenvalues are computed for the returned rung only.
+    moments only.  The trajectory records the dimensions tried (rungs) and
+    the series length of the accepted one (terms); its minimum eigenvalues
+    are computed for the returned rung only.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be >= 0 and sorted")
 
-    if model.truncation_dim is not None:
-        traj, stack = _propagate(
-            model, times, _initial_rho(model, int(model.truncation_dim)))
-        if traj.top_population.max() > 1e-8:
-            raise TruncationNonConvergence(
-                f"top-level population {traj.top_population.max():.3g} > 1e-8 "
-                f"at fixed dim {model.truncation_dim}")
-    else:
-        start, rho = _tail_dimension(model, times)
-        traj = _propagate(model, times, rho[:start, :start],
-                          moments_only=True)[0]
-        for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
-            if dim > rho.shape[0]:
-                rho = _initial_rho(model, dim)
-            reference = traj
-            traj, stack = _propagate(model, times, rho[:dim, :dim])
-            traj = replace(traj, rungs=reference.rungs + traj.rungs)
-            if (traj.top_population.max() < 1e-8
-                    and _moment_drift(traj, reference) < 1e-4):
-                break
-        else:
-            raise TruncationNonConvergence(
-                f"moments not stable below the dimension cap {MAX_DIM}")
-    return replace(traj, min_eigenvalue=_min_eigenvalues(stack, traj.dim))
+    start, rho = _tail_dimension(model, times)
+    traj = _propagate(model, times, rho[:start, :start], moments_only=True)[0]
+    for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
+        if dim > rho.shape[0]:
+            rho = _initial_rho(model, dim)
+        reference = traj
+        traj, stack = _propagate(model, times, rho[:dim, :dim])
+        traj = replace(traj, rungs=reference.rungs + traj.rungs)
+        if (traj.top_population.max() < 1e-8
+                and _moment_drift(traj, reference) < 1e-4):
+            return replace(traj,
+                           min_eigenvalue=_min_eigenvalues(stack, dim))
+    raise TruncationNonConvergence(
+        f"moments not stable below the dimension cap {MAX_DIM}")
 
 
 # ---- dephasing extraction ----
@@ -668,19 +641,26 @@ def _delta_curve(gamma_phi, initial: GaussianMechState, times):
             / (TWO_PI * (centred @ centred)))
 
 
+def _bisect(below, hi, tol):
+    """Midpoint of the bracket [0, hi] bisected to width `tol`, with
+    below(x) true left of the point sought and false right of it."""
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _delta_peak(times, hi, tol):
     """Gphi of the maximum of _delta_curve below `hi`, to `tol`: the
     curve's slope has the sign of sum_i (t_i - tbar) t_i e^{-8 pi Gphi t_i},
     which changes once, from + at 0 to -."""
     weights = (times - times.mean()) * times
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if weights @ np.exp(-4.0 * TWO_PI * mid * times) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: weights @ np.exp(-4.0 * TWO_PI * x * times) > 0.0,
+                   hi, tol)
 
 
 def _invert_delta(target, initial, times, tol):
@@ -691,7 +671,7 @@ def _invert_delta(target, initial, times, tol):
             "rate difference must be >= 0 for a squeezed state")
     beyond = InvalidArgument(f"rate difference {target:.4g} Hz beyond the "
                              "achievable range for this initial state")
-    lo, hi, last = 0.0, 1.0, -math.inf
+    hi, last = 1.0, -math.inf
     for _ in range(60):
         value = _delta_curve(hi, initial, times)
         if value >= target:
@@ -705,40 +685,27 @@ def _invert_delta(target, initial, times, tol):
         hi *= 2.0
     else:
         raise beyond
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _delta_curve(mid, initial, times) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: _delta_curve(x, initial, times) < target, hi, tol)
 
 
-def extract_dephasing(observed, initial: GaussianMechState, *,
-                      gamma_th: float, times=None, delta_err: float = 0.0,
+def extract_dephasing(delta: float, initial: GaussianMechState, *,
+                      gamma_th: float, times, delta_err: float = 0.0,
                       n_th_err: float = 0.0, r_err: float = 0.0,
                       tol: float = 1e-4) -> DephasingExtraction:
     """Invert the slope-difference curve to the pure dephasing rate.
 
-    observed is a DecoherenceRates record or the rate difference in Hz
-    (cyclic).  The forward curve over `times` (default 0-5 ms) is
-    _delta_curve, from which gamma_th cancels.  It rises to one maximum and
-    falls (its derivative is a sum of exponentials whose coefficients
-    (t_i - tbar) t_i change sign once); doubling then bisection returns the
-    rising-branch root to `tol` Hz.  Input errors propagate by interval
+    delta is the rate difference in Hz (cyclic), delta_err its error.  The
+    forward curve over `times` is _delta_curve, from which gamma_th
+    cancels.  It rises to one maximum and falls (its derivative is a sum of
+    exponentials whose coefficients (t_i - tbar) t_i change sign once);
+    doubling then bisection returns the rising-branch root to `tol` Hz.
+    Input errors propagate by interval
     arithmetic: the upper bound pairs the high rate difference with the
     least-sensitive initial state and vice versa.
     """
-    if isinstance(observed, DecoherenceRates):
-        target = observed.delta
-        if delta_err == 0.0:
-            delta_err = observed.delta_err
-    else:
-        target = float(observed)
+    target = float(delta)
     if not (math.isfinite(target) and math.isfinite(delta_err)):
         raise InvalidArgument("rate difference and its error must be finite")
-    if times is None:
-        times = np.linspace(0.0, 5e-3, 11)
     times = np.asarray(times, dtype=float)
 
     phi_probe = max(target, delta_err, 1e-3)

@@ -177,10 +177,6 @@ class AddedNoiseBudget:
     decoherence: float
     chain: float
 
-    @property
-    def total(self) -> float:
-        return self.hybridization + self.decoherence + self.chain
-
 
 def predict_added_noise(spec: AmplifierSpec, params: SystemParams,
                         baths: BathOccupations) -> AddedNoiseBudget:
@@ -562,8 +558,8 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
         raise InvalidArgument("evolution times must be finite and >= 0, "
                               "two distinct ones in the linear window")
     traj = moments_evolve(DephasingModel(
-        gamma_th=gamma_th, gamma_phi=0.0, initial=prep,
-        mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
+        gamma_th=gamma_th, gamma_phi=0.0, initial=prep, gamma_m=gamma_m,
+        n_m_th=n_m_th), times)
     moments = _wishart_moments(traj.n, traj.b2, readout.g_opt_uv2,
                                readout.n_add_opt, n_samples,
                                [[seed, idx] for idx in range(times.size)])

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -238,7 +238,7 @@ def test_phase_noise_requirement(params):
                                                                   abs=1e-9)
     # g0 doubling buys 20 log10(2) ~ 6 dB
     harder = calibration.phase_noise_requirement(
-        core.validate_params(replace(params, g0=2.0 * params.g0)), 255.0,
+        core.validate_params(dict(asdict(params), g0=2.0 * params.g0)), 255.0,
         0.1)
     assert harder.dbc_per_hz - limit.dbc_per_hz \
         == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)

@@ -123,8 +123,10 @@ def test_thermal_decoherence_rate_values():
 def test_drive_tone_consistency():
     tone = core.drive_tone("cooling_pump", gamma_m=0.045, cooperativity=2000.0)
     assert tone.gamma_opt == pytest.approx(90.0, rel=1e-12)
-    tone2 = core.drive_tone("red_probe", gamma_m=0.045, gamma_opt=12.9)
-    assert tone2.cooperativity == pytest.approx(12.9 / 0.045, rel=1e-12)
+    # both given: accepted when consistent, refused otherwise
+    tone2 = core.drive_tone("red_probe", gamma_m=0.045, gamma_opt=12.9,
+                            cooperativity=12.9 / 0.045)
+    assert tone2.gamma_opt == 12.9
     with pytest.raises(ValueError):
         core.drive_tone("red_probe", gamma_m=0.045, gamma_opt=12.9,
                         cooperativity=1.0)

@@ -176,7 +176,8 @@ def test_dilution_overflow_is_flagged(thickness):
 
 
 def test_scaling_rows_identity_and_examples(params):
-    rows = device.scaling_sweep(GEOM, "t", [1.0, 2.0], omega_c=OMEGA_C,
+    rows = device.scaling_sweep(GEOM, "thickness", [1.0, 2.0],
+                                omega_c=OMEGA_C,
                                 kappa=params.kappa)
     base, doubled = rows
     # factor 1 reproduces the unscaled figures
@@ -185,7 +186,8 @@ def test_scaling_rows_identity_and_examples(params):
     # thickness x2 -> single-photon cooperativity x 1/4
     assert doubled.c0 == pytest.approx(base.c0 / 4.0, rel=1e-12)
 
-    rows_r = device.scaling_sweep(GEOM, "R", [1.0, 4.0], omega_c=OMEGA_C,
+    rows_r = device.scaling_sweep(GEOM, "radius", [1.0, 4.0],
+                                  omega_c=OMEGA_C,
                                   kappa=params.kappa)
     assert rows_r[1].result.q_m == pytest.approx(4.0 * rows_r[0].result.q_m,
                                                  rel=1e-12)
@@ -205,11 +207,13 @@ def test_scaling_exponent_table(params):
 
 def test_sweep_guards(params):
     with pytest.raises(NonPositiveRate):
-        device.scaling_sweep(GEOM, "t", [0.0], omega_c=OMEGA_C,
+        device.scaling_sweep(GEOM, "thickness", [0.0], omega_c=OMEGA_C,
                              kappa=params.kappa)
-    with pytest.raises(ValueError):
-        device.scaling_sweep(GEOM, "unknown", [1.0], omega_c=OMEGA_C,
-                             kappa=params.kappa)
+    # the field names only: no short aliases
+    for axis in ("unknown", "t", "R"):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            device.scaling_sweep(GEOM, axis, [1.0], omega_c=OMEGA_C,
+                                 kappa=params.kappa)
 
 
 @pytest.mark.parametrize("axis,factor,figure", [

@@ -143,11 +143,17 @@ def test_mean_slope_equals_gamma_th():
 def test_finite_temperature_mode_saturates():
     initial = GaussianMechState.vacuum()
     model = squeezing.DephasingModel(gamma_th=20.5, gamma_phi=0.0,
-                                     initial=initial,
-                                     mode="finite_temperature",
-                                     gamma_m=0.08, n_m_th=255.0)
+                                     initial=initial, gamma_m=0.08,
+                                     n_m_th=255.0)
     traj = squeezing.moments_evolve(model, np.array([0.0, 30.0]))
     assert traj.n[-1] == pytest.approx(255.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("bath", [dict(gamma_m=0.08), dict(n_m_th=255.0)])
+def test_finite_temperature_form_needs_both_bath_values(bath):
+    with pytest.raises(ValueError, match="both gamma_m and n_m_th"):
+        squeezing.DephasingModel(gamma_th=20.5, gamma_phi=0.0,
+                                 initial=GaussianMechState.vacuum(), **bath)
 
 
 # ---- Lindblad oracle ----
@@ -176,15 +182,20 @@ def test_lindblad_initial_state_axes():
     assert traj.var_x2[0] == pytest.approx(initial.var_x2, rel=1e-6)
 
 
+def _propagate_at(model, times, dim):
+    """The solver at a fixed dimension: (trajectory, minimum eigenvalues)."""
+    traj, stack = squeezing._propagate(model, times,
+                                       squeezing._initial_rho(model, dim))
+    return traj, squeezing._min_eigenvalues(stack, dim)
+
+
 def test_lindblad_dephasing_invariant_on_isotropic():
     initial = GaussianMechState.thermal(0.5)
     times = np.linspace(0.0, 3e-3, 4)
-    base = squeezing.lindblad_evolve(squeezing.DephasingModel(
-        gamma_th=10.0, gamma_phi=0.0, initial=initial,
-        truncation_dim=48), times)
-    dephased = squeezing.lindblad_evolve(squeezing.DephasingModel(
-        gamma_th=10.0, gamma_phi=0.7, initial=initial,
-        truncation_dim=48), times)
+    base = _propagate_at(squeezing.DephasingModel(
+        gamma_th=10.0, gamma_phi=0.0, initial=initial), times, 48)[0]
+    dephased = _propagate_at(squeezing.DephasingModel(
+        gamma_th=10.0, gamma_phi=0.7, initial=initial), times, 48)[0]
     assert np.allclose(base.v_sq, dephased.v_sq, atol=1e-10)
     assert np.allclose(base.n, dephased.n, atol=1e-10)
 
@@ -192,19 +203,11 @@ def test_lindblad_dephasing_invariant_on_isotropic():
 def test_lindblad_finite_temperature_equilibrium():
     initial = GaussianMechState.thermal(0.2)
     model = squeezing.DephasingModel(
-        gamma_th=6.0, gamma_phi=0.0, initial=initial,
-        mode="finite_temperature", gamma_m=2.0, n_m_th=2.0)
+        gamma_th=6.0, gamma_phi=0.0, initial=initial, gamma_m=2.0,
+        n_m_th=2.0)
     times = np.linspace(0.0, 1.3, 3)   # ~16 relaxation times
     traj = squeezing.lindblad_evolve(model, times)
     assert traj.n[-1] == pytest.approx(2.0, rel=1e-3)
-
-
-def test_lindblad_truncation_guard():
-    initial = GaussianMechState.squeezed_thermal(1.5, 0.9)
-    model = squeezing.DephasingModel(gamma_th=30.0, gamma_phi=0.2,
-                                     initial=initial, truncation_dim=12)
-    with pytest.raises(TruncationNonConvergence):
-        squeezing.lindblad_evolve(model, np.linspace(0.0, 2e-3, 3))
 
 
 def _expm_rho(n_th, r, theta, dim):
@@ -321,7 +324,7 @@ def _kron_reference(model, times, dim):
         return (sp.kron(op, op.conjugate()) - 0.5 * sp.kron(opd_op, eye)
                 - 0.5 * sp.kron(eye, opd_op.T))
 
-    if model.mode == "high_temperature":
+    if model.gamma_m is None:
         down = up = TWO_PI * model.gamma_th
     else:
         down = TWO_PI * model.gamma_m * (model.n_m_th + 1.0)
@@ -355,8 +358,8 @@ def _kron_reference(model, times, dim):
 KRON_CASES = [
     (24, dict(gamma_th=17.1, gamma_phi=0.09), (0.4, 0.6, 0.0)),
     (40, dict(gamma_th=30.0, gamma_phi=0.7), (0.2, 0.5, 0.4)),
-    (48, dict(gamma_th=6.0, gamma_phi=0.3, mode="finite_temperature",
-              gamma_m=2.0, n_m_th=2.0), (0.3, 0.4, 0.0)),
+    (48, dict(gamma_th=6.0, gamma_phi=0.3, gamma_m=2.0, n_m_th=2.0),
+     (0.3, 0.4, 0.0)),
 ]
 
 
@@ -377,15 +380,13 @@ def _assert_blocks_match_kron(dim, kwargs, state, times):
     n_th, r, theta = state
     initial = GaussianMechState.squeezed_thermal(n_th, r, theta)
     model = squeezing.DephasingModel(initial=initial, **kwargs)
-    blocks, stack = squeezing._propagate(model, times,
-                                         squeezing._initial_rho(model, dim))
+    blocks, min_eigenvalue = _propagate_at(model, times, dim)
     reference = _kron_reference(model, times, dim)
     assert np.max(np.abs(blocks.n - reference["n"])) < 1e-12
     assert np.max(np.abs(blocks.b2 - reference["b2"])) < 1e-12
     assert np.max(np.abs(blocks.trace_dev
                          - np.abs(reference["trace"] - 1.0))) < 1e-12
-    assert np.max(np.abs(squeezing._min_eigenvalues(stack, dim)
-                         - reference["min_eig"])) < 1e-12
+    assert np.max(np.abs(min_eigenvalue - reference["min_eig"])) < 1e-12
 
 
 @pytest.mark.parametrize("n_m_th", [0.01, 0.1, 0.3])
@@ -395,12 +396,12 @@ def test_finite_temperature_series_stays_physical(n_m_th):
     # -2e-5 here
     initial = GaussianMechState.squeezed_thermal(1.0, 0.5)
     model = squeezing.DephasingModel(
-        gamma_th=1.0, gamma_phi=0.3, initial=initial,
-        mode="finite_temperature", gamma_m=50.0, n_m_th=n_m_th,
-        truncation_dim=256)
+        gamma_th=1.0, gamma_phi=0.3, initial=initial, gamma_m=50.0,
+        n_m_th=n_m_th)
     times = np.linspace(0.0, 5e-3, 6)
-    traj = squeezing.lindblad_evolve(model, times)
-    assert traj.min_eigenvalue.min() >= -1e-12
+    traj, min_eigenvalue = _propagate_at(model, times, 256)
+    assert traj.top_population.max() <= 1e-8
+    assert min_eigenvalue.min() >= -1e-12
     assert traj.trace_dev.max() <= 1e-12
     assert np.max(np.abs(traj.n - squeezing.moments_evolve(model, times).n)) \
         <= 1e-9
@@ -416,14 +417,9 @@ def test_lindblad_records_rungs_and_terms():
     assert np.all(np.diff(traj.rungs) == squeezing.LADDER_STEP)
     assert traj.terms == squeezing._propagate(
         model, times, squeezing._initial_rho(model, traj.dim))[0].terms > 1
-    fixed = squeezing.lindblad_evolve(squeezing.DephasingModel(
-        gamma_th=17.1, gamma_phi=0.09, initial=initial, truncation_dim=64),
-        times)
-    assert fixed.rungs == (64,)
     # a zero-rate generator needs the initial state only
     frozen = squeezing.lindblad_evolve(squeezing.DephasingModel(
-        gamma_th=0.0, gamma_phi=0.0, initial=initial, truncation_dim=64),
-        times)
+        gamma_th=0.0, gamma_phi=0.0, initial=initial), times)
     assert frozen.terms == 1
     assert np.all(frozen.n == frozen.n[0])
 
@@ -436,8 +432,8 @@ MOMENTS_ONLY_CASES = [
     (64, dict(gamma_th=15.5, gamma_phi=0.5), (1.37, 0.15, 0.0)),
     (96, dict(gamma_th=18.5, gamma_phi=0.5), (0.245, 0.8525, 0.0)),
     (128, dict(gamma_th=40.5, gamma_phi=0.5), (1.05, 0.655, 0.0)),
-    (64, dict(gamma_th=6.0, gamma_phi=0.3, mode="finite_temperature",
-              gamma_m=2.0, n_m_th=2.0), (0.3, 0.4, 0.0)),
+    (64, dict(gamma_th=6.0, gamma_phi=0.3, gamma_m=2.0, n_m_th=2.0),
+     (0.3, 0.4, 0.0)),
     (64, dict(gamma_th=17.1, gamma_phi=0.09), (0.4, 0.6, 0.7)),
 ]
 
@@ -533,8 +529,8 @@ def test_lindblad_dimension_estimate_above_cap(monkeypatch):
     monkeypatch.setattr(squeezing, "_propagate", no_propagation)
     model = squeezing.DephasingModel(
         gamma_th=20.5, gamma_phi=0.09,
-        initial=GaussianMechState.squeezed_thermal(0.4, 0.6),
-        mode="finite_temperature", gamma_m=0.08, n_m_th=255.0)
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6), gamma_m=0.08,
+        n_m_th=255.0)
     with pytest.raises(TruncationNonConvergence, match="2048"):
         squeezing.lindblad_evolve(model, np.linspace(0.0, 30.0, 4))
 
@@ -548,14 +544,19 @@ def test_extract_dephasing_roundtrip():
                                      initial=initial)
     traj = squeezing.moments_evolve(model, times)
     rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
-    result = squeezing.extract_dephasing(rates, initial, gamma_th=17.1,
+    result = squeezing.extract_dephasing(rates.delta, initial, gamma_th=17.1,
                                          times=times)
     assert result.gamma_phi == pytest.approx(0.05, abs=1e-3)
 
 
+#: the 0-5 ms grid of criterion 5
+TIMES_5MS = np.linspace(0.0, 5e-3, 11)
+
+
 def test_extract_dephasing_zero():
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
-    result = squeezing.extract_dephasing(0.0, initial, gamma_th=17.1)
+    result = squeezing.extract_dephasing(0.0, initial, gamma_th=17.1,
+                                         times=TIMES_5MS)
     assert result.gamma_phi == 0.0
 
 
@@ -563,8 +564,8 @@ def test_extract_dephasing_reference_rates():
     # measured slope difference 1.1 +/- 0.6 Hz on the (0.4, 0.6) state
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
     result = squeezing.extract_dephasing(1.1, initial, gamma_th=17.1,
-                                         delta_err=0.6, n_th_err=0.2,
-                                         r_err=0.1)
+                                         times=TIMES_5MS, delta_err=0.6,
+                                         n_th_err=0.2, r_err=0.1)
     assert result.gamma_phi == pytest.approx(0.09, abs=0.05)
     assert result.lo < 0.09 < result.hi
     # forward curve attached and monotone
@@ -576,19 +577,21 @@ def test_extract_dephasing_bracket_past_the_maximum():
     # doubling the bracket from 16 Hz (71.59 Hz) lands at 32 Hz (73.04 Hz),
     # past the peak, so a value between the two was called unreachable
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
-    times = np.linspace(0.0, 5e-3, 11)
-    result = squeezing.extract_dephasing(74.13, initial, gamma_th=17.1)
+    result = squeezing.extract_dephasing(74.13, initial, gamma_th=17.1,
+                                         times=TIMES_5MS)
     assert 16.0 < result.gamma_phi < 23.73
-    assert squeezing._delta_curve(result.gamma_phi, initial, times) \
+    assert squeezing._delta_curve(result.gamma_phi, initial, TIMES_5MS) \
         == pytest.approx(74.13, abs=1e-3)
     with pytest.raises(InvalidArgument, match="beyond the achievable"):
-        squeezing.extract_dephasing(74.9, initial, gamma_th=17.1)
+        squeezing.extract_dephasing(74.9, initial, gamma_th=17.1,
+                                    times=TIMES_5MS)
 
 
 def test_extract_dephasing_curve_monotone_guard():
     initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
     with pytest.raises(ValueError):
-        squeezing.extract_dephasing(-0.5, initial, gamma_th=17.1)
+        squeezing.extract_dephasing(-0.5, initial, gamma_th=17.1,
+                                    times=TIMES_5MS)
 
 
 def test_lindblad_rotated_initial_state():

@@ -110,7 +110,8 @@ def test_added_noise_ideal():
     params_like = type("P", (), {"gamma_m": 0.08})()
     budget = tomography.predict_added_noise(spec, params_like,
                                             BathOccupations())
-    assert budget.total == pytest.approx(0.0, abs=1e-12)
+    assert budget.hybridization + budget.decoherence + budget.chain \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_added_noise_needs_amplification():
@@ -303,7 +304,7 @@ def free_trajectory(prep, times, gamma_m, n_m_th):
     """The finite-temperature moments free_evolution_experiment samples."""
     return squeezing.moments_evolve(squeezing.DephasingModel(
         gamma_th=(n_m_th + 1.0) * gamma_m, gamma_phi=0.0, initial=prep,
-        mode="finite_temperature", gamma_m=gamma_m, n_m_th=n_m_th), times)
+        gamma_m=gamma_m, n_m_th=n_m_th), times)
 
 
 def test_evolve_moments_equilibrium():
