@@ -8,8 +8,7 @@ detector scale G eta_kappa in
     N_c = G eta n_c,                   N_floor = G (1 + n_add).
 
 Three of these invert in closed form to (n_m, n_c, G eta) without any chain
-calibration; the calibrated G eta then gives probe-free occupations from
-the pump sideband and cavity emission alone.
+calibration.
 """
 
 from __future__ import annotations
@@ -146,19 +145,6 @@ def asymmetry_solve(peaks: ScaledPeaks,
             n_add = peaks.N_floor / gain - 1.0
     return AsymmetryResult(n_m=n_m, n_c=n_c, g_eta=g_eta, n_add=n_add,
                            background_over_geta=floor_ratio)
-
-
-def probe_free_occupations(n_p: float, n_c_peak: float, g_eta: float):
-    """(n_m, n_c) from the pump sideband and cavity emission alone.
-
-    n_c = N_c / (G eta); n_m = N_p / (G eta) + 2 n_c.  N_p may be negative
-    (spectral dip): the returned n_m is then below 2 n_c, as it must be.
-    """
-    if g_eta <= 0.0:
-        raise NonPositiveRate("g_eta must be > 0")
-    n_c = n_c_peak / g_eta
-    n_m = n_p / g_eta + 2.0 * n_c
-    return n_m, n_c
 
 
 def combine_calibrations(values, errors):

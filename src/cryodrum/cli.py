@@ -195,7 +195,7 @@ def cmd_cool(args, cp):
 def cmd_asymmetry(args, cp):
     from . import calibration
 
-    peaks = datasets.load_dataset(args.peaks, "peaks")
+    peaks = datasets.read_peaks(args.peaks)
     records = []
     for row in peaks:
         solved = calibration.asymmetry_solve(row, eta_kappa=args.eta_kappa)
@@ -218,7 +218,7 @@ def cmd_amplify(args, cp):
 
     if args.calibrate:
         cal = tomography.calibrate_amplifier(
-            datasets.load_dataset(args.calibrate, "line"))
+            datasets.read_line(args.calibrate))
         _json_out(args.out, {
             "g_opt_uv2_per_quanta": cal.g_opt, "g_opt_err": cal.g_opt_err,
             "n_add_opt": cal.n_add_opt, "n_add_err": cal.n_add_err,
@@ -312,7 +312,7 @@ def cmd_g0fit(args, cp):
     from . import calibration
 
     params = config_mod.load_system(cp)
-    sweep = datasets.load_dataset(args.sweep, "sweep")
+    sweep = datasets.read_sweep(args.sweep)
     result = calibration.g0_from_sweep(sweep, params,
                                        eta_att_db=args.eta_att_db)
     _json_out(args.out, {

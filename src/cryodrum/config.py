@@ -20,6 +20,7 @@ scientific notation is accepted as well.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from pathlib import Path
 
 from .core import (
@@ -118,23 +119,16 @@ def load_drives(cp: configparser.ConfigParser,
 
 
 def load_geometry(cp: configparser.ConfigParser):
-    """Build a DrumGeometry from the [geometry] section."""
+    """Build a DrumGeometry from the [geometry] section's keys that are
+    DrumGeometry fields; DrumGeometry alone holds the defaults of the
+    optional ones, and other keys are ignored."""
     from .device import DrumGeometry
 
     values = _section_numbers(cp, "geometry")
-    try:
-        return DrumGeometry(
-            radius=values["radius"],
-            bottom_radius=values["bottom_radius"],
-            thickness=values["thickness"],
-            gap=values["gap"],
-            density=values["density"],
-            stress=values["stress"],
-            youngs_modulus=values.get("youngs_modulus", 0.0),
-            xi_par=values.get("xi_par"),
-            q0=values.get("q0", 0.0),
-            dilution_a=values.get("dilution_a", 2.0),
-            dilution_b=values.get("dilution_b", 0.0),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"[geometry] missing key {exc}") from exc
+    known = {}
+    for field in dataclasses.fields(DrumGeometry):
+        if field.name in values:
+            known[field.name] = values[field.name]
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"[geometry] missing key {field.name!r}")
+    return DrumGeometry(**known)

@@ -452,12 +452,3 @@ def read_line(path) -> np.ndarray:
 def write_trajectory(path, times, v_sq, v_asq, n):
     write_columns(path, TRAJECTORY_HEADER, [times, v_sq, v_asq, n])
 
-
-def load_dataset(path, kind: str):
-    """Typed dataset loader: kind is one of the formats named below."""
-    loaders = {"spectrum": read_spectrum, "quadratures": read_quadratures,
-               "sweep": read_sweep, "peaks": read_peaks, "line": read_line}
-    if kind not in loaders:
-        raise SchemaMismatch(f"unknown dataset kind {kind!r}; "
-                             f"expected one of {sorted(loaders)}")
-    return loaders[kind](path)

@@ -7,12 +7,13 @@ Omega_m = (j01 / R) sqrt(sigma/rho) / 2pi, with j01 the first root of J0.
 From it follow the effective mass, zero-point fluctuation, the capacitive
 coupling g0 = (omega_c / 2d) xi_cap xi_par x_zpf of a vacuum-gap capacitor,
 and the dissipation-dilution enhancement of the quality factor.  J0 is
-evaluated on [0, j01] by its power series, so this module needs no scipy.
+evaluated on [0, j01] by its power series, so this module needs no scipy,
+and the two radial mode integrals (effective mass, xi_cap) have polynomial
+integrands that one fixed 64-node Gauss-Legendre rule integrates exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -20,11 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PLANCK_H, TWO_PI, bose_occupation_linear
-from .errors import (
-    MissingParticipation,
-    NonPositiveRate,
-    QuadratureNonConvergence,
-)
+from .errors import MissingParticipation, NonPositiveRate
 
 HBAR = PLANCK_H / TWO_PI      # reduced Planck constant [J s]
 
@@ -109,61 +106,29 @@ def drum_mode(geom: DrumGeometry):
     return omega_m, mode_shape
 
 
-#: largest Gauss-Legendre rule of _radial_quadrature: leggauss(n) takes the
-#: eigenvalues of an n x n matrix, 0.1 s at 1024 nodes and ~6x per doubling
-MAX_QUADRATURE_NODES = 1024
+#: 64-node Gauss-Legendre rule on [-1, 1], built once at import and read
+#: only.  It integrates polynomials of degree <= 127 exactly, and both mode
+#: integrands are polynomials: r u(r)^2 of degree 93, r u(r) of degree 47.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+_NODES.flags.writeable = False
+_WEIGHTS.flags.writeable = False
 
 
-@functools.cache
-def _gauss_legendre(npts: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
-
-    The rule is a pure function of npts, and the table is bit-identical to a
-    fresh `np.polynomial.legendre.leggauss(npts)`, so no result depends on
-    whether it came from the cache.  _radial_quadrature only asks for
-    32 * 2^k <= MAX_QUADRATURE_NODES nodes, which bounds the keys.
-    """
-    x, w = np.polynomial.legendre.leggauss(npts)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _radial_quadrature(func, upper: float) -> float:
-    """integral_0^upper func(r) dr by Gauss-Legendre with node doubling.
-
-    Each rule is built once per process by _gauss_legendre; every mode
-    integral reuses the 32- and 64-node tables instead of recomputing them.
-    Rules double from 32 nodes up to MAX_QUADRATURE_NODES at most.  Raises
-    QuadratureNonConvergence when the relative change between refinements
-    stays above 1e-10 at the refinement cap.
-    """
-    previous = None
-    npts = 32
-    while npts <= MAX_QUADRATURE_NODES:
-        x, w = _gauss_legendre(npts)
-        r = 0.5 * upper * (x + 1.0)
-        value = 0.5 * upper * float(np.sum(w * func(r)))
-        if previous is not None:
-            scale = max(abs(value), abs(previous), 1e-300)
-            if abs(value - previous) <= 1e-10 * scale:
-                return value
-        previous = value
-        npts *= 2
-    raise QuadratureNonConvergence(
-        "radial quadrature not converged to rtol 1e-10 with up to "
-        f"{npts // 2} nodes")
+def _radial_integral(func, upper: float) -> float:
+    """integral_0^upper func(r) dr by the 64-node Gauss-Legendre rule."""
+    r = 0.5 * upper * (_NODES + 1.0)
+    return 0.5 * upper * float(np.sum(_WEIGHTS * func(r)))
 
 
 def effective_mass_xzpf(geom: DrumGeometry, omega_m: float, mode_shape):
     """Effective mass, physical mass, mass ratio and x_zpf of the mode of
     frequency omega_m and radial shape mode_shape (drum_mode's pair).
 
-    xi_mass = (2/R^2) integral_0^R r |u(r)|^2 dr evaluated by quadrature;
+    xi_mass = (2/R^2) integral_0^R r |u(r)|^2 dr, exact by _radial_integral;
     m_phys = rho pi R^2 t; x_zpf = sqrt(hbar / (2 m_eff * 2pi Omega_m)).
     """
     R = geom.radius
-    integral = _radial_quadrature(
+    integral = _radial_integral(
         lambda r: r * np.abs(mode_shape(r)) ** 2, R)
     xi_mass = 2.0 / R**2 * integral
     m_phys = geom.density * math.pi * R**2 * geom.thickness
@@ -212,7 +177,7 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
     m_eff, m_phys, xi_mass, x_zpf = effective_mass_xzpf(geom, omega_m,
                                                         mode_shape)
     Rb = geom.bottom_radius
-    xi_cap = 2.0 / Rb**2 * _radial_quadrature(lambda r: r * mode_shape(r), Rb)
+    xi_cap = 2.0 / Rb**2 * _radial_integral(lambda r: r * mode_shape(r), Rb)
     g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
     lam, d_q, q_m = dilution_factor(geom)
     figures = dict(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,

@@ -35,10 +35,6 @@ class UnstableDriveSet(CryodrumError):
 
 # ---- device geometry ----
 
-class QuadratureNonConvergence(CryodrumError):
-    """Radial quadrature did not converge within the refinement cap."""
-
-
 class MissingParticipation(CryodrumError):
     """Capacitive participation ratio xi_par required but not supplied."""
 
@@ -59,12 +55,6 @@ class PeakUnresolved(CryodrumError):
 
 class DegenerateDesign(CryodrumError):
     """Regression design matrix is rank deficient (e.g. all x equal)."""
-
-
-# ---- tomography ----
-
-class NonPositiveAmplification(CryodrumError):
-    """An amplification readout needs a positive amplification rate."""
 
 
 # ---- calibration ----

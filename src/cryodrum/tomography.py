@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, BathOccupations, SystemParams
+from .core import TWO_PI
 from .errors import (
     DegenerateDesign,
     InvalidArgument,
     LowGainWarning,
     NegativeVarianceEstimate,
-    NonPositiveAmplification,
     NonPositiveRate,
     UnphysicalVariances,
 )
@@ -130,8 +129,7 @@ class AmplifierSpec:
 
     gamma_opt_b is the anti-damping rate of the pump [Hz]; gamma_amp =
     gamma_opt_b - Gamma_m the net amplification rate [Hz]; tau the pulse
-    length and dt the sample step [s].  n_add_h is the added noise of the
-    microwave chain after the cavity; g_opt_uv2 / n_add_opt are the
+    length and dt the sample step [s].  g_opt_uv2 / n_add_opt are the
     *calibrated* conversion factor [uV^2/quanta] and input-referred added
     noise of the whole amplification readout.
     """
@@ -141,7 +139,6 @@ class AmplifierSpec:
     tau: float
     dt: float
     eta_kappa: float = 1.0
-    n_add_h: float = 0.0
     g_opt_uv2: float = 1.0
     n_add_opt: float = 0.0
 
@@ -161,33 +158,6 @@ class AmplifierSpec:
     @property
     def gain_db(self) -> float:
         return 10.0 * math.log10(self.gain)
-
-
-@dataclass(frozen=True)
-class AddedNoiseBudget:
-    """Input-referred added-noise terms of the amplification readout [quanta].
-
-    hybridization: thermal quanta entering through the internal cavity port,
-    (1 - eta_kappa) n_c_th.  decoherence: bath heating during the pulse,
-    Gamma_m n_m_th / gamma_amp.  chain: microwave chain noise referred back
-    through the optomechanical gain, n_add_h / (eta_kappa e^{Gamma_amp tau}).
-    """
-
-    hybridization: float
-    decoherence: float
-    chain: float
-
-
-def predict_added_noise(spec: AmplifierSpec, params: SystemParams,
-                        baths: BathOccupations) -> AddedNoiseBudget:
-    """Itemised added-noise budget in the large-gain regime."""
-    if spec.gamma_amp <= 0.0:
-        raise NonPositiveAmplification("gamma_amp must be > 0")
-    hybrid = (1.0 - spec.eta_kappa) * baths.n_c_th
-    decoherence = params.gamma_m * baths.n_m_th / spec.gamma_amp
-    chain = spec.n_add_h / (spec.eta_kappa * spec.gain)
-    return AddedNoiseBudget(hybridization=hybrid, decoherence=decoherence,
-                            chain=chain)
 
 
 @dataclass(frozen=True)

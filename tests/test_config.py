@@ -102,3 +102,29 @@ def test_kappa_sum_fallback(tmp_path):
     path.write_text(text)
     params = config.load_system(config.read_config(path))
     assert params.kappa == pytest.approx(250e3)
+
+
+def test_geometry_missing_key(tmp_path, capsys):
+    from cryodrum.cli import main
+
+    path = tmp_path / "s.cfg"
+    path.write_text(SAMPLE.replace("radius = 75e-6\n", ""))
+    with pytest.raises(ConfigError, match=r"^\[geometry\] missing key "
+                                          r"'radius'$"):
+        config.load_geometry(config.read_config(path))
+    out = tmp_path / "figures.csv"
+    assert main(["device", "--config", str(path), "--out", str(out)]) == 2
+    assert "[geometry] missing key 'radius'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_geometry_omitted_optional_key_takes_the_field_default(tmp_path):
+    from cryodrum.device import DrumGeometry
+
+    # q0 omitted, an unknown key ignored: the dataclass holds the default
+    path = tmp_path / "s.cfg"
+    path.write_text(SAMPLE.replace("q0 = 4e5\n", "colour = 1\n"))
+    geom = config.load_geometry(config.read_config(path))
+    assert geom == DrumGeometry(
+        radius=75e-6, bottom_radius=23e-6, thickness=180e-9, gap=180e-9,
+        density=2700.0, stress=350e6, youngs_modulus=75e9, xi_par=0.8)

@@ -24,7 +24,7 @@ def test_spectrum_roundtrip_lossless(tmp_path):
                     rbw=1.0, floor=0.5, label="blue")
     path = tmp_path / "spec.csv"
     datasets.write_spectrum(path, spec)
-    again = datasets.load_dataset(path, "spectrum")
+    again = datasets.read_spectrum(path)
     assert np.array_equal(again.freq, spec.freq)
     assert np.array_equal(again.values, spec.values)
     assert again.rbw == spec.rbw
@@ -51,7 +51,7 @@ def test_quadratures_roundtrip(tmp_path):
         tomography.GaussianMechState.thermal(0.4), 1.13, 0.8, 200, seed=5)
     path = tmp_path / "batch.csv"
     datasets.write_quadratures(path, batch)
-    again = datasets.load_dataset(path, "quadratures")
+    again = datasets.read_quadratures(path)
     assert np.array_equal(again.samples, batch.samples)
     assert again.g_opt == batch.g_opt
     assert again.n_add_opt == batch.n_add_opt
@@ -142,7 +142,7 @@ def test_sweep_roundtrip(tmp_path, params):
                                            np.linspace(0.05, 0.4, 5))
     path = tmp_path / "sweep.csv"
     datasets.write_sweep(path, rows)
-    again = datasets.load_dataset(path, "sweep")
+    again = datasets.read_sweep(path)
     assert len(again) == 5
     for a, b in zip(again, rows):
         assert a.calibrated_ratio == pytest.approx(b.calibrated_ratio,
@@ -153,18 +153,13 @@ def test_peaks_table(tmp_path):
     path = tmp_path / "peaks.csv"
     path.write_text("N_p,N_b,N_c,r_gamma,N_floor\n"
                     "0.021,0.273,0.0105,1.0,0.25\n")
-    rows = datasets.load_dataset(path, "peaks")
+    rows = datasets.read_peaks(path)
     assert rows[0].N_p == 0.021
     assert rows[0].N_floor == 0.25
     path2 = tmp_path / "peaks2.csv"
     path2.write_text("N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,1.0\n")
-    rows2 = datasets.load_dataset(path2, "peaks")
+    rows2 = datasets.read_peaks(path2)
     assert rows2[0].N_floor is None
-
-
-def test_unknown_kind(tmp_path):
-    with pytest.raises(SchemaMismatch):
-        datasets.load_dataset(tmp_path / "x.csv", "telemetry")
 
 
 # ---- byte format: every bulk writer against a csv.writer + repr reference
@@ -420,22 +415,22 @@ def test_quadratures_schema_errors(tmp_path, text):
         datasets.read_quadratures(path)
 
 
-@pytest.mark.parametrize("kind,header", [
-    ("sweep", "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src"),
-    ("peaks", "N_p,N_b,N_c,r_gamma"),
-    ("peaks", "N_p,N_b,N_c,r_gamma,N_floor"),
-    ("line", "n_m,var_uV2"),
+@pytest.mark.parametrize("reader,header", [
+    (datasets.read_sweep, "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src"),
+    (datasets.read_peaks, "N_p,N_b,N_c,r_gamma"),
+    (datasets.read_peaks, "N_p,N_b,N_c,r_gamma,N_floor"),
+    (datasets.read_line, "n_m,var_uV2"),
 ], ids=["sweep", "peaks", "peaks-floor", "line"])
 @pytest.mark.parametrize("body", ["{row}\n1,x{tail}\n", "{row}\n1\n",
                                   "{row}\n{row},1\n", "", "\n\n",
                                   "{row}\n{row}1,\n"],
                          ids=["text-cell", "short-row", "long-row",
                               "header-only", "blank-body", "empty-cell"])
-def test_table_schema_errors(tmp_path, kind, header, body):
+def test_table_schema_errors(tmp_path, reader, header, body):
     width = header.count(",") + 1
     row = ",".join(["0.5"] * width)
     path = tmp_path / "bad.csv"
     path.write_text(header + "\n" + body.format(row=row,
                                                 tail=",1" * (width - 2)))
     with pytest.raises(SchemaMismatch):
-        datasets.load_dataset(path, kind)
+        reader(path)

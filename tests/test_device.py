@@ -1,5 +1,4 @@
 import math
-import time
 from collections import Counter
 from dataclasses import replace
 
@@ -9,11 +8,7 @@ from scipy.constants import hbar
 from scipy.special import j0, j1, jn, jn_zeros
 
 from cryodrum import device
-from cryodrum.errors import (
-    MissingParticipation,
-    NonPositiveRate,
-    QuadratureNonConvergence,
-)
+from cryodrum.errors import MissingParticipation, NonPositiveRate
 
 GEOM = device.DrumGeometry(
     radius=75e-6, bottom_radius=23e-6, thickness=180e-9, gap=180e-9,
@@ -137,13 +132,13 @@ def test_g0_gap_scaling():
 
 def test_mode_figures_evaluates_the_mode_once(monkeypatch):
     calls = Counter()
-    for name in ("drum_mode", "_radial_quadrature"):
+    for name in ("drum_mode", "_radial_integral"):
         def counted(*args, _name=name, _func=getattr(device, name)):
             calls[_name] += 1
             return _func(*args)
         monkeypatch.setattr(device, name, counted)
     device.mode_figures(GEOM, OMEGA_C)
-    assert calls == {"drum_mode": 1, "_radial_quadrature": 2}
+    assert calls == {"drum_mode": 1, "_radial_integral": 2}
 
 
 def test_g0_requires_participation():
@@ -226,26 +221,6 @@ def test_overflowing_geometry_is_flagged(axis, factor, figure, params):
                              kappa=params.kappa)
 
 
-def test_quadrature_cap():
-    # an effectively random integrand never converges, up to the rule cap
-    rng = np.random.default_rng(0)
-
-    def noisy(r):
-        return rng.standard_normal(np.shape(r))
-
-    with pytest.raises(QuadratureNonConvergence):
-        device._radial_quadrature(noisy, 1.0)
-
-
-def test_quadrature_gives_up_on_a_singular_integrand():
-    # Gauss-Legendre converges only like 1/n on r^-1/2; the rule cap stops
-    # the doubling at 1024 nodes instead of growing leggauss's n x n matrix
-    start = time.perf_counter()
-    with pytest.raises(QuadratureNonConvergence, match="1024 nodes"):
-        device._radial_quadrature(lambda r: r ** -0.5, 1.0)
-    assert time.perf_counter() - start < 1.0
-
-
 def test_geometry_validation():
     with pytest.raises(NonPositiveRate):
         device.DrumGeometry(radius=10e-6, bottom_radius=20e-6,
@@ -255,17 +230,26 @@ def test_geometry_validation():
 
 @pytest.mark.parametrize("npts", [32, 64, 128])
 def test_gauss_legendre_table_is_leggauss_and_read_only(npts):
-    x, w = device._gauss_legendre(npts)
-    fresh_x, fresh_w = np.polynomial.legendre.leggauss(npts)
-    assert x.tobytes() == fresh_x.tobytes()
-    assert w.tobytes() == fresh_w.tobytes()
+    # the one table is leggauss(64), bit for bit and read only; its mass
+    # integral r u(r)^2 agrees with the npts-node rule's
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert device._NODES.tobytes() == x.tobytes()
+    assert device._WEIGHTS.tobytes() == w.tobytes()
     with pytest.raises(ValueError):
-        x[0] = 0.0
+        device._NODES[0] = 0.0
     with pytest.raises(ValueError):
-        w[0] = 0.0
+        device._WEIGHTS[0] = 0.0
+    _, mode_shape = device.drum_mode(GEOM)
+    R = GEOM.radius
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    r = 0.5 * R * (nodes + 1.0)
+    ref = 0.5 * R * float(np.sum(weights * r * mode_shape(r) ** 2))
+    fixed = device._radial_integral(lambda r: r * mode_shape(r) ** 2, R)
+    assert fixed == pytest.approx(ref, rel=1e-12)
 
 
 def test_scaling_sweep_builds_each_rule_once(monkeypatch):
+    # the one rule is built at import: a sweep over every axis builds none
     calls = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -274,8 +258,46 @@ def test_scaling_sweep_builds_each_rule_once(monkeypatch):
         return leggauss(npts)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    device._gauss_legendre.cache_clear()
     for axis in ("radius", "stress", "thickness", "gap"):
         device.scaling_sweep(GEOM, axis, [0.5, 1.0, 2.0], omega_c=OMEGA_C,
                              kappa=250e3)
-    assert len(calls) <= 2
+    assert calls == []
+
+
+def _doubling_quadrature(func, upper):
+    """The adaptive rule the fixed one replaced: Gauss-Legendre from 32
+    nodes, doubling until two rules agree to 1e-10, returning the finer."""
+    previous = None
+    npts = 32
+    while npts <= 1024:
+        x, w = np.polynomial.legendre.leggauss(npts)
+        r = 0.5 * upper * (x + 1.0)
+        value = 0.5 * upper * float(np.sum(w * func(r)))
+        if previous is not None:
+            scale = max(abs(value), abs(previous), 1e-300)
+            if abs(value - previous) <= 1e-10 * scale:
+                return value
+        previous = value
+        npts *= 2
+    raise AssertionError("reference quadrature did not converge")
+
+
+def test_fixed_rule_matches_the_doubling_result(monkeypatch):
+    # both integrands are polynomials of degree <= 93 that the 64-node rule
+    # integrates exactly, and the doubling always stopped at 64 nodes: the
+    # figures are the same doubles over geometries spanning decades
+    rng = np.random.default_rng(20221019)
+    geoms = [GEOM]
+    for _ in range(200):
+        radius = 10.0 ** rng.uniform(-6.0, -3.0)
+        geoms.append(replace(
+            GEOM, radius=radius,
+            bottom_radius=radius * rng.uniform(0.01, 0.99),
+            thickness=10.0 ** rng.uniform(-9.0, -6.0),
+            stress=10.0 ** rng.uniform(6.0, 10.0)))
+    fixed = [device.mode_figures(geom, OMEGA_C) for geom in geoms]
+    monkeypatch.setattr(device, "_radial_integral", _doubling_quadrature)
+    for geom, res in zip(geoms, fixed):
+        ref = device.mode_figures(geom, OMEGA_C)
+        assert (res.xi_mass, res.xi_cap, res.m_eff, res.x_zpf, res.g0) \
+            == (ref.xi_mass, ref.xi_cap, ref.m_eff, ref.x_zpf, ref.g0), geom

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryodrum import squeezing, tomography
-from cryodrum.core import TWO_PI, BathOccupations
+from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     DegenerateDesign,
-    LowGainWarning,
     NegativeVarianceEstimate,
-    NonPositiveAmplification,
     UnphysicalVariances,
 )
 from cryodrum.tomography import GaussianMechState
@@ -21,7 +19,7 @@ from cryodrum.tomography import GaussianMechState
 
 def make_spec(**kwargs):
     base = dict(gamma_opt_b=85.08, gamma_amp=85.0, tau=22e-3, dt=1e-5,
-                eta_kappa=0.8, n_add_h=8.7)
+                eta_kappa=0.8)
     base.update(kwargs)
     return tomography.AmplifierSpec(**base)
 
@@ -101,40 +99,6 @@ def test_matched_filter_snr_optimality():
         snrs.append(gain**2 / noise_power)
     best = ratios[int(np.argmax(snrs))]
     assert best == pytest.approx(1.0, abs=0.011)
-
-
-# ---- added-noise budget ----
-
-def test_added_noise_ideal():
-    spec = make_spec(eta_kappa=1.0, n_add_h=0.0)
-    params_like = type("P", (), {"gamma_m": 0.08})()
-    budget = tomography.predict_added_noise(spec, params_like,
-                                            BathOccupations())
-    assert budget.hybridization + budget.decoherence + budget.chain \
-        == pytest.approx(0.0, abs=1e-12)
-
-
-def test_added_noise_needs_amplification():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowGainWarning)
-        spec = make_spec(gamma_amp=-1.0)
-    with pytest.raises(NonPositiveAmplification):
-        tomography.predict_added_noise(spec, type("P", (), {"gamma_m": 0.08})(),
-                                       BathOccupations())
-
-
-def test_added_noise_terms(params):
-    spec = make_spec()
-    baths = BathOccupations(n_c_th=0.3, n_m_th=255.0)
-    params = type(params)(**{**params.__dict__, "gamma_m": 0.08})
-    budget = tomography.predict_added_noise(spec, params, baths)
-    assert budget.decoherence == pytest.approx(0.08 * 255.0 / 85.0, rel=1e-12)
-    assert budget.decoherence == pytest.approx(0.24, rel=1e-2)
-    assert budget.hybridization == pytest.approx(0.2 * 0.3, rel=1e-12)
-    gain = math.exp(TWO_PI * 85.0 * 22e-3)
-    assert budget.chain == pytest.approx(8.7 / (0.8 * gain), rel=1e-12)
-    assert budget.chain == pytest.approx(8.6e-5, rel=0.01)
-    assert budget.decoherence > max(budget.hybridization, budget.chain)
 
 
 # ---- sampling and estimation ----
