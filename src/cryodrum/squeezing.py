@@ -630,15 +630,26 @@ class DephasingExtraction:
     curve_delta: np.ndarray     # corresponding rate differences
 
 
-def _delta_curve(gamma_phi, initial: GaussianMechState, times):
-    """Slope difference [Hz, cyclic] of the unweighted fits over `times` of
-    v = 1/2 + n -+ |b2_0| e^{-8 pi Gphi t}, for one Gphi or an array: <n>
-    cancels, leaving -2 |b2_0| sum (t - tbar) e^{-8 pi Gphi t}
-    / (2 pi sum (t - tbar)^2)."""
+def _forward_curve(b2_abs, times):
+    """delta(Gphi) [Hz, cyclic] for one |b2_0| over `times`, with its
+    constants fixed once: the slope difference of the unweighted fits of
+    v = 1/2 + n -+ |b2_0| e^{-8 pi Gphi t}, where <n> cancels, leaving
+    -2 |b2_0| sum (t - tbar) e^{-8 pi Gphi t} / (2 pi sum (t - tbar)^2).
+    The returned curve takes one Gphi, or an array of them with a trailing
+    axis of length 1."""
     centred = times - times.mean()
-    decay = np.exp(-4.0 * TWO_PI * np.multiply.outer(gamma_phi, times))
-    return (-2.0 * abs(initial.b2) * (decay @ centred)
-            / (TWO_PI * (centred @ centred)))
+    amp = -2.0 * b2_abs
+    rate = -4.0 * TWO_PI
+    denom = TWO_PI * (centred @ centred)
+    return lambda gamma_phi: (amp * (np.exp(rate * (gamma_phi * times))
+                                     @ centred) / denom)
+
+
+def _delta_curve(gamma_phi, initial: GaussianMechState, times):
+    """The forward curve of `initial` over `times` at one Gphi or an array
+    of them."""
+    return _forward_curve(abs(initial.b2), times)(
+        np.asarray(gamma_phi)[..., None])
 
 
 def _bisect(below, hi, tol):
@@ -663,7 +674,7 @@ def _delta_peak(times, hi, tol):
                    hi, tol)
 
 
-def _invert_delta(target, initial, times, tol):
+def _invert_delta(target, curve, times, tol):
     if target == 0.0:
         return 0.0
     if target < 0.0:
@@ -673,19 +684,19 @@ def _invert_delta(target, initial, times, tol):
                              "achievable range for this initial state")
     hi, last = 1.0, -math.inf
     for _ in range(60):
-        value = _delta_curve(hi, initial, times)
+        value = curve(hi)
         if value >= target:
             break
         if value < last:        # doubling stepped over the maximum
             hi = _delta_peak(times, hi, tol)
-            if _delta_curve(hi, initial, times) < target:
+            if curve(hi) < target:
                 raise beyond
             break
         last = value
         hi *= 2.0
     else:
         raise beyond
-    return _bisect(lambda x: _delta_curve(x, initial, times) < target, hi, tol)
+    return _bisect(lambda x: curve(x) < target, hi, tol)
 
 
 def extract_dephasing(delta: float, initial: GaussianMechState, *,
@@ -701,7 +712,11 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
     doubling then bisection returns the rising-branch root to `tol` Hz.
     Input errors propagate by interval
     arithmetic: the upper bound pairs the high rate difference with the
-    least-sensitive initial state and vice versa.
+    least-sensitive initial state and vice versa.  The curve's constants
+    are fixed once per |b2_0|, and each distinct (target, |b2_0|) among
+    the three requests is inverted once: with zero input errors lo and hi
+    ask for the same root, and gamma_phi too when the (n_th, r) round trip
+    keeps |b2_0|.
     """
     target = float(delta)
     if not (math.isfinite(target) and math.isfinite(delta_err)):
@@ -710,18 +725,29 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
 
     phi_probe = max(target, delta_err, 1e-3)
     curve_phi = np.linspace(0.0, 4.0 * phi_probe, CURVE_POINTS)
-    curve_delta = _delta_curve(curve_phi, initial, times)
+    b2_abs = abs(initial.b2)
+    curve = _forward_curve(b2_abs, times)
+    curve_delta = curve(curve_phi[:, None])
+    roots = {}
+
+    def root(goal, state):
+        key = (goal, abs(state.b2))
+        if key not in roots:
+            roots[key] = _invert_delta(
+                goal, curve if key[1] == b2_abs
+                else _forward_curve(key[1], times), times, tol)
+        return roots[key]
 
     n_th, r = initial.squeezed_thermal_params
     n_th = max(n_th, 0.0)       # a pure state's n_th can round below 0
-    gamma_phi = _invert_delta(target, initial, times, tol)
+    gamma_phi = root(target, initial)
 
     lo_target = max(target - delta_err, 0.0)
     hi_target = target + delta_err
     stiff = GaussianMechState.squeezed_thermal(n_th + n_th_err, r + r_err)
     soft = GaussianMechState.squeezed_thermal(max(n_th - n_th_err, 0.0),
                                               max(r - r_err, 1e-6))
-    lo = _invert_delta(lo_target, stiff, times, tol)
-    hi = _invert_delta(hi_target, soft, times, tol)
+    lo = root(lo_target, stiff)
+    hi = root(hi_target, soft)
     return DephasingExtraction(gamma_phi=gamma_phi, lo=lo, hi=hi,
                                curve_phi=curve_phi, curve_delta=curve_delta)

@@ -326,16 +326,27 @@ def test_integrate_unresolved_peak():
 
 
 @pytest.mark.parametrize("side,center", [("left", -50.0), ("right", 50.0),
-                                         ("left", -49.9), ("left", -49.0)])
+                                         ("left", -49.9), ("left", -49.0),
+                                         ("left", -47.5), ("left", -45.0),
+                                         ("left", -40.0)])
 def test_integrate_peak_on_grid_edge(side, center):
-    # a wing cut within half maximum by the grid edge leaves no tail there
-    # to extrapolate: flag it rather than return an infinite flux (extremum
-    # on the end sample) or a truncated one (0.563 one sample in, 0.736 at
-    # -49 for this unit-area line)
+    # a wing cut by the grid edge before its far tail leaves no tail to
+    # extrapolate: flag it rather than return an infinite flux (extremum on
+    # the end sample) or a short one (0.563 one sample in, 0.736 at -49,
+    # 0.930 at -47.5 and 0.987 at -45 for this unit-area line, whose edge
+    # samples there reach 0.48 and 0.16 of the peak; 0.9983 at -40, 0.042)
     nu = np.linspace(-50.0, 50.0, 1001)
     spec = Spectrum(freq=nu, values=lorentzian(nu, center, 4.0, 1.0))
     with pytest.raises(PeakUnresolved, match=f"{side} grid edge"):
         fitting.integrate_peak(spec)
+
+
+def test_integrate_peak_near_grid_edge():
+    # edge samples below 2% of the peak (0.018 here) are far enough out on
+    # the 1/nu^2 tail for its estimate to hold the area to 1e-3
+    nu = np.linspace(-50.0, 50.0, 1001)
+    spec = Spectrum(freq=nu, values=lorentzian(nu, -35.0, 4.0, 1.0))
+    assert fitting.integrate_peak(spec) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_linear_fit_exact():

@@ -665,3 +665,189 @@ def test_extract_dephasing_roundtrip_property(case):
                                          gamma_th=gamma_th, times=times,
                                          tol=tol)
     assert abs(result.gamma_phi - gamma_phi) <= tol
+
+
+# ---- the dephasing inversion against the parent's per-evaluation curve
+
+def _reference_curve(gamma_phi, initial, times):
+    centred = times - times.mean()
+    decay = np.exp(-4.0 * TWO_PI * np.multiply.outer(gamma_phi, times))
+    return (-2.0 * abs(initial.b2) * (decay @ centred)
+            / (TWO_PI * (centred @ centred)))
+
+
+def _reference_bisect(below, hi, tol):
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_invert(target, initial, times, tol):
+    if target == 0.0:
+        return 0.0
+    if target < 0.0:
+        raise InvalidArgument(
+            "rate difference must be >= 0 for a squeezed state")
+    beyond = InvalidArgument(f"rate difference {target:.4g} Hz beyond the "
+                             "achievable range for this initial state")
+    hi, last = 1.0, -math.inf
+    for _ in range(60):
+        value = _reference_curve(hi, initial, times)
+        if value >= target:
+            break
+        if value < last:
+            weights = (times - times.mean()) * times
+            hi = _reference_bisect(
+                lambda x: weights @ np.exp(-4.0 * TWO_PI * x * times) > 0.0,
+                hi, tol)
+            if _reference_curve(hi, initial, times) < target:
+                raise beyond
+            break
+        last = value
+        hi *= 2.0
+    else:
+        raise beyond
+    return _reference_bisect(
+        lambda x: _reference_curve(x, initial, times) < target, hi, tol)
+
+
+def _reference_extraction(delta, initial, times, delta_err, n_th_err, r_err,
+                          tol):
+    """(gamma_phi, lo, hi, curve_delta) as the curve evaluated with all
+    its constants per call and one inversion per request gave them."""
+    target = float(delta)
+    curve_phi = np.linspace(0.0, 4.0 * max(target, delta_err, 1e-3), 33)
+    curve_delta = _reference_curve(curve_phi, initial, times)
+    n_th, r = initial.squeezed_thermal_params
+    n_th = max(n_th, 0.0)
+    gamma_phi = _reference_invert(target, initial, times, tol)
+    stiff = GaussianMechState.squeezed_thermal(n_th + n_th_err, r + r_err)
+    soft = GaussianMechState.squeezed_thermal(max(n_th - n_th_err, 0.0),
+                                              max(r - r_err, 1e-6))
+    lo = _reference_invert(max(target - delta_err, 0.0), stiff, times, tol)
+    hi = _reference_invert(target + delta_err, soft, times, tol)
+    return gamma_phi, lo, hi, curve_delta
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _extraction_inputs(count, seed):
+    """Seeded (delta, initial, times, delta_err, n_th_err, r_err, tol):
+    targets on the curve, between its points and beyond its maximum (or
+    below 0), each error zero or not."""
+    rng = np.random.default_rng(seed)
+    grids = [np.linspace(0.0, span, points) for points in (6, 11, 25)
+             for span in (5e-3, 12e-3)]
+    cases = [(74.13, GaussianMechState.squeezed_thermal(0.4, 0.6), TIMES_5MS,
+              0.0, 0.0, 0.0, 1e-4),
+             (74.9, GaussianMechState.squeezed_thermal(0.4, 0.6), TIMES_5MS,
+              0.0, 0.0, 0.0, 1e-4)]
+    for _ in range(count):
+        initial = GaussianMechState.squeezed_thermal(rng.uniform(0.0, 2.0),
+                                                     rng.uniform(0.05, 1.0))
+        times = grids[rng.integers(len(grids))]
+        peak = abs(initial.b2) * 40.0
+        delta = [float(_reference_curve(rng.uniform(0.0, 5.0), initial,
+                                        times)),
+                 rng.uniform(-0.1, 1.2) * peak,
+                 rng.uniform(0.0, 3.0)][rng.integers(3)]
+        errors = rng.uniform(0.0, 0.3, 3) * rng.integers(0, 2, 3)
+        cases.append((delta, initial, times, *errors,
+                      [1e-4, 1e-6][rng.integers(2)]))
+    return cases
+
+
+def test_extraction_bit_identical_to_per_evaluation_curve():
+    # the curve with its constants fixed per solve and the shared roots give
+    # the same doubles and the same errors as the parent's inversion
+    raised = 0
+    for delta, initial, times, d_err, n_err, r_err, tol in \
+            _extraction_inputs(520, seed=20):
+        want = _outcome(lambda: _reference_extraction(
+            delta, initial, times, d_err, n_err, r_err, tol))
+
+        def run():
+            got = squeezing.extract_dephasing(
+                delta, initial, gamma_th=17.1, times=times, delta_err=d_err,
+                n_th_err=n_err, r_err=r_err, tol=tol)
+            return got.gamma_phi, got.lo, got.hi, got.curve_delta
+        got = _outcome(run)
+        if isinstance(want[0], type):
+            raised += 1
+            assert got == want
+        else:
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3], want[3])
+            # one Gphi at a time, as the bisection evaluates it
+            curve = squeezing._forward_curve(abs(initial.b2), times)
+            assert [curve(x) for x in got[:3]] \
+                == [_reference_curve(x, initial, times) for x in got[:3]]
+    assert 0 < raised < 260
+
+
+def test_extraction_solves_each_distinct_root_once(monkeypatch):
+    calls = []
+    invert = squeezing._invert_delta
+
+    def counted(*args):
+        calls.append(args[0])
+        return invert(*args)
+    monkeypatch.setattr(squeezing, "_invert_delta", counted)
+    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    squeezing.extract_dephasing(1.1, initial, gamma_th=17.1, times=TIMES_5MS)
+    assert len(calls) <= 2          # lo and hi share one root
+
+    # a state rebuilt from its own (n_th, r) whose |b2_0| survives the
+    # round trip: all three requests are the same root
+    for n_th in np.linspace(0.1, 2.0, 40):
+        survivor = GaussianMechState.squeezed_thermal(
+            *GaussianMechState.squeezed_thermal(n_th, 0.5)
+            .squeezed_thermal_params)
+        again = GaussianMechState.squeezed_thermal(
+            *survivor.squeezed_thermal_params)
+        if abs(again.b2) == abs(survivor.b2):
+            break
+    else:
+        pytest.fail("no |b2_0| survived the (n_th, r) round trip")
+    calls.clear()
+    squeezing.extract_dephasing(1.1, survivor, gamma_th=17.1,
+                                times=TIMES_5MS)
+    assert len(calls) == 1
+
+    calls.clear()
+    squeezing.extract_dephasing(1.1, initial, gamma_th=17.1, times=TIMES_5MS,
+                                delta_err=0.6, n_th_err=0.2, r_err=0.1)
+    assert len(calls) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_th=st.floats(0.0, 2.0), r=st.floats(0.05, 1.0),
+       gamma_phi=st.floats(0.0, 5.0),
+       errors=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_extraction_interval_contains_estimate(n_th, r, gamma_phi, errors):
+    # nonnegative input errors widen the interval on both sides: the stiff
+    # state under the low target gives a smaller root, the soft state under
+    # the high target a larger one (each to the bisection's tol)
+    initial = GaussianMechState.squeezed_thermal(n_th, r)
+    delta = float(squeezing._delta_curve(gamma_phi, initial, TIMES_5MS))
+    tol = 1e-4
+    try:
+        result = squeezing.extract_dephasing(
+            delta, initial, gamma_th=17.1, times=TIMES_5MS,
+            delta_err=errors[0], n_th_err=errors[1], r_err=errors[2],
+            tol=tol)
+    except InvalidArgument as exc:
+        assert "beyond the achievable range" in str(exc)
+        return
+    assert result.lo <= result.gamma_phi + tol
+    assert result.hi >= result.gamma_phi - tol
