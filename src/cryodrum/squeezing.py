@@ -52,9 +52,11 @@ class SqueezeDrive:
 
 def squeeze_drive(gamma_r: float, gamma_b: float,
                   kappa: float) -> SqueezeDrive:
-    """Build a SqueezeDrive with the derived fields populated."""
-    if gamma_b < 0.0 or gamma_r <= 0.0:
-        raise NonPositiveRate("need gamma_r > 0 and gamma_b >= 0")
+    """Build a SqueezeDrive with the derived fields populated, from finite
+    gamma_r > 0 and kappa > 0 and 0 <= gamma_b < gamma_r."""
+    if not (0.0 < gamma_r < math.inf and 0.0 < kappa < math.inf
+            and gamma_b >= 0.0):
+        raise NonPositiveRate("need finite gamma_r, kappa > 0, gamma_b >= 0")
     if gamma_b >= gamma_r:
         raise UnstableSqueeze(
             "gamma_b >= gamma_r: the Bogoliubov mode is not damped")
@@ -285,8 +287,9 @@ def _offset_blocks(dim: int):
 
 
 def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
-                     dim: int):
-    """Thermal Lindblad generator on the stacked offset blocks.
+                     dim):
+    """Thermal Lindblad generator on the stacked offset blocks, at the
+    truncation dimension `dim` (one for all entries, or one per entry).
 
     Down- and up-jumps (D[b] and D[b^dag]) keep k = j - l fixed, so the
     generator is block diagonal with one tridiagonal block per offset: x_m
@@ -398,10 +401,10 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
     |T_n(X)| <= 1 in the 2-norm.  Otherwise it is uniformization: u_n =
     P^n v with P = I + A/lam and lam = max |diag A|; P is entrywise >= 0
     with column sums <= 1, so |P^n| <= 1 in the 1-norm.  The terms are
-    summed into all times _CHUNK at a time, as one matrix product.  The
-    rows may hold only the leading entries of the stack, if those are whole
-    blocks: A couples no entry across a block boundary, so those entries
-    come out as in the whole stack, under the scale of the whole generator.
+    summed into all times _CHUNK at a time, as one matrix product.  A
+    couples no entry across a block boundary, so blocks of two truncation
+    dimensions can share one pass: each comes out as in a pass of its own
+    stack, under the scale of the larger one, which bounds both spectra.
     """
     below, diagonal, above = generator
     if symmetric:
@@ -414,9 +417,7 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
         scale = -min(float(diagonal.min()), 0.0)
         shift, gain = 1.0, 1.0      # step = P = I + A/lam
     factor = gain / scale if scale > 0.0 else 0.0
-    size = rows.shape[-1]
-    step = (factor * below[:size - 1], shift + factor * diagonal[:size],
-            factor * above[:size - 1])
+    step = (factor * below, shift + factor * diagonal, factor * above)
     weights = _series_weights(symmetric, scale, times)
     terms = weights.shape[0]
     basis = np.empty((min(_CHUNK, terms),) + rows.shape)
@@ -474,8 +475,28 @@ class LindbladTrajectory:
     rungs: tuple                 # truncation dimensions tried, in order
 
 
+def _trajectory(stack: np.ndarray, dim: int, times: np.ndarray,
+                terms: int) -> LindbladTrajectory:
+    """One rung's trajectory from its blocks 0 and 2, the first 2 dim - 2
+    entries of `stack`, each reduced row by row, so that equal rows give
+    equal moments.  lindblad_evolve computes min_eigenvalue (left None)
+    for the rung it returns only."""
+    levels = np.arange(dim)
+    populations = stack[:, :dim].real
+    out_n = (populations * levels).sum(axis=1)
+    pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
+    out_b2 = (stack[:, dim:2 * dim - 2] * pair).sum(axis=1).astype(complex)
+    mag = np.abs(out_b2)
+    return LindbladTrajectory(
+        times=times, n=out_n, b2=out_b2, v_sq=0.5 + out_n - mag,
+        v_asq=0.5 + out_n + mag, var_x1=0.5 + out_n + np.real(out_b2),
+        var_x2=0.5 + out_n - np.real(out_b2), dim=dim,
+        trace_dev=np.abs(populations.sum(axis=1) - 1.0), min_eigenvalue=None,
+        top_population=populations[:, -1], terms=terms, rungs=(dim,))
+
+
 def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
-               moments_only: bool = False):
+               reference: int | None = None):
     """Evolve the even-offset blocks of rho at its truncation dimension:
     (trajectory, stack), the stack holding the blocks at every time.
 
@@ -491,25 +512,25 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
     cost a Chebyshev series all its digits.  Pure dephasing acts as the scalar
     -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
     applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
-    of the series.  <n>, the trace and the top population come from block
-    0 and <b^2> from block 2, each reduced row by row, so that equal rows
-    give equal moments.  moments_only propagates blocks 0 and 2 alone (the
-    first 2 dim - 2 entries, under the whole stack's series scale): the
-    trajectory is the same, bit for bit, and the stack holds those blocks
-    only.  The trajectory's min_eigenvalue is left None: acceptance does
-    not read it, and lindblad_evolve computes it (_min_eigenvalues) for the
-    rung it returns only.
+    of the series.  With `reference`, a smaller dimension, blocks 0 and 2
+    of the top-left reference x reference state ride in the same pass,
+    after the whole stack and under their own dimension's generator, and
+    (trajectory, stack, reference trajectory) is returned: the trajectory
+    and the stack are those of a pass without them, bit for bit.
     """
     dim = rho.shape[0]
     j, l = _offset_blocks(dim)
-    generator = _block_generator(model, j, l, dim)
-    if moments_only:
-        j, l = j[:2 * dim - 2], l[:2 * dim - 2]
+    size, dims = j.size, dim
+    if reference is not None:
+        ref_j, ref_l = (x[:2 * reference - 2]
+                        for x in _offset_blocks(reference))
+        j, l = np.concatenate([j, ref_j]), np.concatenate([l, ref_l])
+        dims = np.repeat([dim, reference], [size, ref_j.size])
     state = rho[j, l]
     rows = np.stack([state.real, state.imag]) if np.iscomplexobj(state) \
         else state[None, :]
-    series, terms = _thermal_series(generator, rows, times,
-                                    model.gamma_m is None)
+    series, terms = _thermal_series(_block_generator(model, j, l, dims),
+                                    rows, times, model.gamma_m is None)
     stack = series[:, 0] + 1j * series[:, 1] if rows.shape[0] == 2 \
         else series[:, 0]
     dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
@@ -521,22 +542,11 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
             f"non-finite density matrix at t = {times[np.argmin(finite)]:g}"
             f" s (dim {dim})")
 
-    levels = np.arange(dim)
-    populations = stack[:, :dim].real
-    out_n = (populations * levels).sum(axis=1)
-    trace_dev = np.abs(populations.sum(axis=1) - 1.0)
-    top_pop = populations[:, -1]
-    pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-    out_b2 = (stack[:, dim:2 * dim - 2] * pair).sum(axis=1).astype(complex)
-
-    mag = np.abs(out_b2)
-    return LindbladTrajectory(
-        times=times, n=out_n, b2=out_b2, v_sq=0.5 + out_n - mag,
-        v_asq=0.5 + out_n + mag,
-        var_x1=0.5 + out_n + np.real(out_b2),
-        var_x2=0.5 + out_n - np.real(out_b2),
-        dim=dim, trace_dev=trace_dev, min_eigenvalue=None,
-        top_population=top_pop, terms=terms, rungs=(dim,)), stack
+    traj = _trajectory(stack, dim, times, terms)
+    if reference is None:
+        return traj, stack
+    return (traj, stack[:, :size],
+            _trajectory(stack[:, size:], reference, times, terms))
 
 
 def _tail_dimension(model: DephasingModel, times: np.ndarray):
@@ -581,7 +591,7 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     """Density-matrix evolution in a truncated Fock basis.
 
     The state is propagated as its even coherence-offset blocks by one
-    Chebyshev or uniformization series per truncation dimension (see
+    Chebyshev or uniformization series pass per truncation dimension (see
     _propagate), an independent oracle for the moment equations.  The
     truncation dimension climbs a ladder in steps of LADDER_STEP from the
     start set by _tail_dimension; each rung is the stability reference for
@@ -590,22 +600,27 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     rung i - 1 to 1e-4 relative.  Every rung takes its initial state as the
     top-left block of one build (_squeezed_thermal_rho), made by
     _tail_dimension one rung above the start and made again only when the
-    ladder climbs past it.  Rung 0 is never returned, so it propagates its
-    moments only.  The trajectory records the dimensions tried (rungs) and
-    the series length of the accepted one (terms); its minimum eigenvalues
-    are computed for the returned rung only.
+    ladder climbs past it.  Rung 0 is never returned: the first two rungs
+    share one series pass, rung 0's moment blocks under rung 1's scale.
+    The trajectory records the dimensions tried (rungs) and the series
+    length of the accepted one (terms); its minimum eigenvalues are
+    computed for the returned rung only.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be >= 0 and sorted")
 
     start, rho = _tail_dimension(model, times)
-    traj = _propagate(model, times, rho[:start, :start], moments_only=True)[0]
+    traj = None
     for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
         if dim > rho.shape[0]:
             rho = _initial_rho(model, dim)
-        reference = traj
-        traj, stack = _propagate(model, times, rho[:dim, :dim])
+        if traj is None:
+            traj, stack, reference = _propagate(model, times,
+                                                rho[:dim, :dim], start)
+        else:
+            reference = traj
+            traj, stack = _propagate(model, times, rho[:dim, :dim])
         traj = replace(traj, rungs=reference.rungs + traj.rungs)
         if (traj.top_population.max() < 1e-8
                 and _moment_drift(traj, reference) < 1e-4):
@@ -705,12 +720,12 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
                       tol: float = 1e-4) -> DephasingExtraction:
     """Invert the slope-difference curve to the pure dephasing rate.
 
-    delta is the rate difference in Hz (cyclic), delta_err its error.  The
-    forward curve over `times` is _delta_curve, from which gamma_th
-    cancels.  It rises to one maximum and falls (its derivative is a sum of
-    exponentials whose coefficients (t_i - tbar) t_i change sign once);
-    doubling then bisection returns the rising-branch root to `tol` Hz.
-    Input errors propagate by interval
+    delta is the rate difference in Hz (cyclic); its error delta_err and
+    those of n_th and r are finite and >= 0.  The forward curve over `times`
+    is _delta_curve, from which gamma_th cancels.  It rises to one maximum
+    and falls (its derivative is a sum of exponentials whose coefficients
+    (t_i - tbar) t_i change sign once); doubling then bisection returns the
+    rising-branch root to `tol` Hz.  Input errors propagate by interval
     arithmetic: the upper bound pairs the high rate difference with the
     least-sensitive initial state and vice versa.  The curve's constants
     are fixed once per |b2_0|, and each distinct (target, |b2_0|) among
@@ -719,8 +734,12 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
     keeps |b2_0|.
     """
     target = float(delta)
-    if not (math.isfinite(target) and math.isfinite(delta_err)):
-        raise InvalidArgument("rate difference and its error must be finite")
+    if not math.isfinite(target):
+        raise InvalidArgument("rate difference must be finite")
+    for name, err in (("delta_err", delta_err), ("n_th_err", n_th_err),
+                      ("r_err", r_err)):
+        if not 0.0 <= err < math.inf:
+            raise InvalidArgument(f"{name} = {err!r}: must be finite, >= 0")
     times = np.asarray(times, dtype=float)
 
     phi_probe = max(target, delta_err, 1e-3)

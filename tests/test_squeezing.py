@@ -56,6 +56,21 @@ def test_squeeze_ratio_underflow_is_flagged():
     assert drive.ratio_db == pytest.approx(-3118.75, abs=0.01)
 
 
+@pytest.mark.parametrize("gamma_r, gamma_b, kappa, match", [
+    (75.0, math.nan, 1e5, "gamma_r"),
+    (math.nan, 1.0, 1e5, "gamma_r"),
+    (math.inf, 1.0, 1e5, "gamma_r"),
+    (75.0, 1.0, -1.0, "kappa"),
+    (75.0, 1.0, 0.0, "kappa"),
+    (75.0, 1.0, math.nan, "kappa"),
+    (75.0, 1.0, math.inf, "kappa"),
+])
+def test_squeeze_drive_rejects_rates_outside_domain(gamma_r, gamma_b, kappa,
+                                                    match):
+    with pytest.raises(NonPositiveRate, match=match):
+        squeezing.squeeze_drive(gamma_r, gamma_b, kappa)
+
+
 def test_squeeze_parameter_monotonicity():
     ratios = np.linspace(0.01, 0.99, 37)
     values = [squeezing.squeeze_drive(75.0, 75.0 * x, kappa=250e3).r_target
@@ -427,7 +442,7 @@ def test_lindblad_records_rungs_and_terms():
 #: rung 0 of each perfbench oracle class box (the box centres), a
 #: finite-temperature model and a rotated, complex state:
 #: (dim, model keywords, (n_th, r, theta))
-MOMENTS_ONLY_CASES = [
+REFERENCE_CASES = [
     (32, dict(gamma_th=33.0, gamma_phi=0.5), (0.5, 0.015, 0.0)),
     (64, dict(gamma_th=15.5, gamma_phi=0.5), (1.37, 0.15, 0.0)),
     (96, dict(gamma_th=18.5, gamma_phi=0.5), (0.245, 0.8525, 0.0)),
@@ -438,21 +453,47 @@ MOMENTS_ONLY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("dim, kwargs, state", MOMENTS_ONLY_CASES)
-def test_moments_only_propagation_is_exact(dim, kwargs, state):
-    # blocks 0 and 2 under the whole stack's series scale give the moments
-    # of the full propagation bit for bit
+@pytest.mark.parametrize("dim, kwargs, state", REFERENCE_CASES)
+def test_reference_rung_rides_in_one_series_pass(dim, kwargs, state):
+    # rung 0 (dim) in rung 1's pass leaves rung 1 bit for bit as a pass of
+    # its own, and rung 0's moments differ from its own pass by rounding
     model = squeezing.DephasingModel(
         initial=GaussianMechState.squeezed_thermal(*state), **kwargs)
-    rho = squeezing._initial_rho(model, dim)
+    rho = squeezing._initial_rho(model, dim + squeezing.LADDER_STEP)
     times = np.linspace(0.0, 5e-3, 6)
-    full, full_stack = squeezing._propagate(model, times, rho)
-    part, part_stack = squeezing._propagate(model, times, rho,
-                                            moments_only=True)
-    for field in ("n", "b2", "top_population", "trace_dev"):
-        assert np.array_equal(getattr(part, field), getattr(full, field))
-    assert part.terms == full.terms
-    assert np.array_equal(part_stack, full_stack[:, :2 * dim - 2])
+    fused, fused_stack, reference = squeezing._propagate(model, times, rho,
+                                                         dim)
+    alone, alone_stack = squeezing._propagate(model, times, rho)
+    for field in alone.__dataclass_fields__:
+        assert np.array_equal(getattr(fused, field), getattr(alone, field))
+    assert np.array_equal(fused_stack, alone_stack)
+
+    own = squeezing._propagate(model, times, rho[:dim, :dim])[0]
+    assert reference.dim == dim and reference.rungs == (dim,)
+    for field in ("n", "b2", "v_sq", "v_asq"):
+        ours, theirs = getattr(reference, field), getattr(own, field)
+        assert np.max(np.abs(ours - theirs)) \
+            <= 1e-12 * np.max(np.abs(theirs))
+    for field in ("trace_dev", "top_population"):
+        assert np.max(np.abs(getattr(reference, field)
+                             - getattr(own, field))) <= 1e-12
+
+
+def test_first_two_rungs_share_one_series_pass(monkeypatch):
+    calls = []
+    series = squeezing._thermal_series
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(squeezing, "_thermal_series", counted)
+    model = squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6))
+    traj = squeezing.lindblad_evolve(model, np.linspace(0.0, 5e-3, 6))
+    assert len(traj.rungs) == 2
+    assert len(calls) == 1
 
 
 def _ive_weights(chebyshev, scale, times):
@@ -592,6 +633,22 @@ def test_extract_dephasing_curve_monotone_guard():
     with pytest.raises(ValueError):
         squeezing.extract_dephasing(-0.5, initial, gamma_th=17.1,
                                     times=TIMES_5MS)
+
+
+@pytest.mark.parametrize("name", ["delta_err", "n_th_err", "r_err"])
+@pytest.mark.parametrize("value", [math.nan, -0.5, math.inf])
+def test_extract_dephasing_rejects_bad_errors(monkeypatch, name, value):
+    # named before any root is sought: unchecked, a NaN r_err runs the
+    # doubling out and blames the range, and r_err = -0.5 gives lo 0.798 >
+    # hi 0.034
+    def no_root(*args):
+        raise AssertionError("sought a root despite a bad input error")
+
+    monkeypatch.setattr(squeezing, "_invert_delta", no_root)
+    initial = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    with pytest.raises(InvalidArgument, match=f"^{name} = "):
+        squeezing.extract_dephasing(1.1, initial, gamma_th=17.1,
+                                    times=TIMES_5MS, **{name: value})
 
 
 def test_lindblad_rotated_initial_state():
