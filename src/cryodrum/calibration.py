@@ -335,19 +335,24 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     return G0SweepResult(g0=g0, g0_err=g0_err, fit=fit, n_ba=tuple(n_ba))
 
 
+#: source pump power [W], source-to-device attenuation [dB, positive loss]
+#: and output-chain gain [dB] of a synthetic sweep
+SWEEP_P_MW_SRC = 1e-6
+SWEEP_ATT_DB = 70.0
+SWEEP_GAIN_DB = 60.0
+
+
 def synthesize_g0_sweep(params: SystemParams, g0_true: float, temperatures,
-                        *, p_mw_src: float = 1e-6, eta_att_db: float = 70.0,
-                        gain_db: float = 60.0, noise_rel: float = 0.0,
-                        seed=None) -> list:
+                        *, noise_rel: float = 0.0, seed=None) -> list:
     """Forward-model a calibration sweep (synthetic-data generator).
 
-    Produces measured powers with the stated attenuation/gain and optional
-    multiplicative log-normal noise on the detector readings; the
-    calibration tone leaves the source at 1 nW.
+    Produces measured powers at SWEEP_P_MW_SRC, SWEEP_ATT_DB and
+    SWEEP_GAIN_DB with optional multiplicative log-normal noise on the
+    detector readings; the calibration tone leaves the source at 1 nW.
     """
-    p_cal_src = 1e-9
-    eta_att = 10.0 ** (-eta_att_db / 10.0)
-    gain = 10.0 ** (gain_db / 10.0)
+    p_mw_src, p_cal_src = SWEEP_P_MW_SRC, 1e-9
+    eta_att = 10.0 ** (-SWEEP_ATT_DB / 10.0)
+    gain = 10.0 ** (SWEEP_GAIN_DB / 10.0)
     prefactor = _sweep_prefactor(params)
     f_cal_num = (params.omega_m**2
                  + ((params.kappa_ex - params.kappa_0) / 2.0) ** 2)

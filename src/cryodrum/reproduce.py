@@ -311,10 +311,10 @@ def criterion_9_g0_sweep():
     """Coupling-rate sweep inversion under noise and gain rescaling."""
     params = _params()
     temps = np.linspace(0.05, 0.4, 8)
-    rows = calibration.synthesize_g0_sweep(
-        params, 13.4, temps, eta_att_db=70.0, gain_db=60.0, noise_rel=0.03,
-        seed=SUITE_SEED + 9, p_mw_src=1e-6)
-    result = calibration.g0_from_sweep(rows, params, eta_att_db=70.0)
+    rows = calibration.synthesize_g0_sweep(params, 13.4, temps,
+                                           noise_rel=0.03, seed=SUITE_SEED + 9)
+    result = calibration.g0_from_sweep(
+        rows, params, eta_att_db=calibration.SWEEP_ATT_DB)
     ok_value = abs(result.g0 - 13.4) <= 0.5
 
     rescaled = [calibration.G0SweepPoint(

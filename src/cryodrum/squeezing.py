@@ -316,69 +316,56 @@ def _block_generator(model: DephasingModel, j: np.ndarray, l: np.ndarray,
     return from_below[1:], diagonal, from_above[:-1]
 
 
-def _log_poisson(n, mean):
-    """log of the Poisson weight of count n at `mean`."""
-    from scipy.special import gammaln, xlogy
-    return xlogy(n, mean) - mean - gammaln(n + 1.0)
-
-
-def _skellam_weights(lags: int, mean: np.ndarray) -> np.ndarray:
-    """(2 - delta_n0) P(D = n), n < lags (rows), one column per mean, with
-    D the difference of two Poisson counts of that mean.
-
-    P(D = n) = sum_k p_{k+n} p_k, a correlation of Poisson weights whose
-    terms are all >= 0, summed directly over the lags asked for and over
-    the counts k within 10 spreads and 40 of the mean, so it costs
-    O(mean) per lag-spread.  The weights are the mode's, taken in logs,
-    times the exact ratios p_k / p_{k-1} = mean / k multiplied out from the
-    mode: each carries only the rounding of its steps from the mode, and
-    the logs' error is a factor common to its column.
-    """
-    out = np.empty((lags, mean.size))
-    for col, mu in enumerate(mean):
-        spread = 10.0 * math.sqrt(mu) + 40.0
-        lo, hi = max(math.floor(mu - spread), 0), math.ceil(mu + spread)
-        count = np.arange(lo, hi + lags - 1.0)
-        at = math.floor(mu) - lo
-        weight = np.empty(count.size)
-        weight[at] = math.exp(_log_poisson(at + lo, mu))
-        weight[at + 1:] = weight[at] * np.cumprod(mu / count[at + 1:])
-        weight[:at] = weight[at] * np.cumprod(
-            (count[:at][::-1] + 1.0) / mu)[::-1]
-        out[:, col] = np.correlate(weight, weight[:hi - lo], "valid")
-    out[1:] *= 2.0
-    return out
+def _poisson_weights(mean: float, lo: int, size: int) -> np.ndarray:
+    """Poisson weights of the counts lo ... lo + size - 1 at `mean`, over
+    the weight of the mode floor(mean), which lies among them: the exact
+    ratios p_k / p_{k-1} = mean / k multiplied out from the mode, so each
+    carries only the rounding of its steps from the mode (Fox & Glynn,
+    Commun. ACM 31, 440 (1988)).  Every caller normalises, so no log or
+    lgamma is taken."""
+    count = np.arange(lo, lo + size, dtype=float)
+    at = math.floor(mean) - lo
+    weight = np.ones(size)
+    weight[at + 1:] = np.cumprod(mean / count[at + 1:])
+    weight[:at] = np.cumprod((count[:at][::-1] + 1.0) / mean)[::-1]
+    return weight
 
 
 def _series_weights(chebyshev: bool, scale: float,
                     times: np.ndarray) -> np.ndarray:
     """Weights w_n(t), terms x times, of exp(tA) v = sum_n w_n(t) u_n.
 
-    Chebyshev: (2 - delta_n0) ive(n, scale t / 2), taken as the law of |D|,
-    D the difference of two Poisson counts of mean scale t / 4
-    (_skellam_weights); uniformization: the Poisson weights of mean
-    scale t, taken in logs.  Each set is a probability distribution in n
-    whose tail grows with t, so the latest time sets the cut: the series
-    ends where the weight left out is below SERIES_TAIL at every time.
-    The kept weights are scaled to sum to 1 at each time, which keeps the
-    trace: the logs round the Poisson weights' sum by 2e-12 at a mean of
-    2600.
+    Chebyshev: (2 - delta_n0) ive(n, scale t / 2), taken as (2 - delta_n0)
+    P(|D| = n), D the difference of two Poisson counts of mean mu =
+    scale t / 4: P(D = n) = sum_k p_{k+n} p_k, a correlation of
+    _poisson_weights whose terms are all >= 0, over the counts within 10
+    spreads and 40 of mu, so it costs O(mu) per lag-spread.
+    Uniformization: the _poisson_weights of mean scale t.  Each set is a
+    probability distribution in n whose tail grows with t.  All are
+    evaluated once, 10 spreads and 40 beyond the latest mean, past which
+    Chernoff's bound leaves less than e^-50, and the latest time sets the
+    cut: the series ends where the weight left out is below SERIES_TAIL at
+    every time.  The kept weights are scaled to sum to 1 at each time,
+    which keeps the trace.
     """
-    def weights(terms, x):
-        if chebyshev:
-            return _skellam_weights(terms, 0.25 * x)
-        return np.exp(_log_poisson(np.arange(terms)[:, None], x))
-
     last = scale * float(np.max(times))
     mean = 0.0 if chebyshev else last     # |D| has spread sqrt(last / 2)
     size = math.ceil(mean + 10.0 * math.sqrt(last) + 40.0)
-    while True:
-        left_out = np.cumsum(weights(size, np.array([last]))[::-1, 0])[::-1]
-        cut = np.flatnonzero(left_out < SERIES_TAIL)
-        if cut.size:
-            kept = weights(max(int(cut[0]), 1), scale * times)
-            return kept / kept.sum(axis=0)
-        size *= 2
+    weights = np.empty((size, times.size))
+    for col, x in enumerate(scale * times):
+        if chebyshev:
+            mu = 0.25 * x
+            spread = 10.0 * math.sqrt(mu) + 40.0
+            lo, hi = max(math.floor(mu - spread), 0), math.ceil(mu + spread)
+            weight = _poisson_weights(mu, lo, hi - lo + size - 1)
+            weights[:, col] = np.correlate(weight, weight[:hi - lo], "valid")
+            weights[1:, col] *= 2.0
+        else:
+            weights[:, col] = _poisson_weights(x, 0, size)
+    latest = weights[:, np.argmax(times)]
+    left_out = np.cumsum(latest[::-1])[::-1] / latest.sum()
+    kept = weights[:max(int(np.flatnonzero(left_out < SERIES_TAIL)[0]), 1)]
+    return kept / kept.sum(axis=0)
 
 
 def _tridiagonal(coefficients, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -607,8 +594,9 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     computed for the returned rung only.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be >= 0 and sorted")
+    if not (np.all(0.0 <= times) and np.all(times < math.inf)
+            and np.all(np.diff(times) >= 0.0)):
+        raise ValueError("times must be finite, >= 0 and sorted")
 
     start, rho = _tail_dimension(model, times)
     traj = None
@@ -725,13 +713,13 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
     is _delta_curve, from which gamma_th cancels.  It rises to one maximum
     and falls (its derivative is a sum of exponentials whose coefficients
     (t_i - tbar) t_i change sign once); doubling then bisection returns the
-    rising-branch root to `tol` Hz.  Input errors propagate by interval
-    arithmetic: the upper bound pairs the high rate difference with the
-    least-sensitive initial state and vice versa.  The curve's constants
-    are fixed once per |b2_0|, and each distinct (target, |b2_0|) among
-    the three requests is inverted once: with zero input errors lo and hi
-    ask for the same root, and gamma_phi too when the (n_th, r) round trip
-    keeps |b2_0|.
+    rising-branch root to `tol` Hz, finite and > 0.  Input errors propagate
+    by interval arithmetic: the upper bound pairs the high rate difference
+    with the least-sensitive initial state and vice versa.  The curve's
+    constants are fixed once per |b2_0|, and each distinct (target, |b2_0|)
+    among the three requests is inverted once: with zero input errors lo
+    and hi ask for the same root, and gamma_phi too when the (n_th, r)
+    round trip keeps |b2_0|.
     """
     target = float(delta)
     if not math.isfinite(target):
@@ -740,6 +728,8 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
                       ("r_err", r_err)):
         if not 0.0 <= err < math.inf:
             raise InvalidArgument(f"{name} = {err!r}: must be finite, >= 0")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgument(f"tol = {tol!r}: must be finite, > 0")
     times = np.asarray(times, dtype=float)
 
     phi_probe = max(target, delta_err, 1e-3)

@@ -265,8 +265,9 @@ def test_g0_sweep_gain_invariance(params):
 
 def test_g0_sweep_back_action_guard(params):
     temps = np.linspace(0.05, 0.4, 5)
-    rows = calibration.synthesize_g0_sweep(params, 13.4, temps,
-                                           p_mw_src=10.0, eta_att_db=10.0)
+    # the synthetic pump, 1 uW at the source, reaches the device with
+    # 100 nW when only 10 dB are lost on the way
+    rows = calibration.synthesize_g0_sweep(params, 13.4, temps)
     with pytest.raises(BackActionDominated):
         calibration.g0_from_sweep(rows, params, eta_att_db=10.0)
 

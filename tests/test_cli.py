@@ -169,18 +169,19 @@ def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path,
     assert forked(code)[0] == [[], []]
 
 
-def test_lindblad_solve_loads_no_scipy_sparse(forked):
-    # the solver applies its tridiagonal generator itself and builds its
-    # initial state from a closed form, so it needs no scipy.linalg either
+def test_lindblad_solve_loads_no_scipy(forked):
+    # the solver applies its tridiagonal generator itself, builds its
+    # initial state from a closed form and its series weights from Poisson
+    # ratios, so neither form loads scipy
     code = ("import numpy as np\n"
             "from cryodrum import squeezing, tomography\n"
-            "squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
-            "    gamma_th=17.1, gamma_phi=0.09,\n"
-            "    initial=tomography.GaussianMechState.squeezed_thermal("
-            "0.4, 0.6)),\n"
-            "    np.linspace(0.0, 5e-3, 6))\n")
-    assert [m for m in forked(code)[1]
-            if m.startswith(("scipy.sparse", "scipy.linalg"))] == []
+            "initial = tomography.GaussianMechState.squeezed_thermal("
+            "0.4, 0.6)\n"
+            "for bath in ({}, {'gamma_m': 2.0, 'n_m_th': 2.0}):\n"
+            "    squeezing.lindblad_evolve(squeezing.DephasingModel(\n"
+            "        gamma_th=17.1, gamma_phi=0.09, initial=initial, **bath),\n"
+            "        np.linspace(0.0, 5e-3, 6))\n")
+    assert [m for m in forked(code)[1] if m.startswith("scipy")] == []
 
 
 def test_unknown_subcommand():

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -496,17 +497,30 @@ def test_first_two_rungs_share_one_series_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def _decimal_poisson(mean, terms):
+    """Poisson weights of the counts below `terms` at `mean`, multiplied
+    up from exp(-mean) in 40-digit decimal arithmetic and rounded once."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        mu = decimal.Decimal(float(mean))
+        weight, out = (-mu).exp(), []
+        for n in range(terms):
+            out.append(float(weight))
+            weight = weight * mu / (n + 1)
+    return out
+
+
 def _ive_weights(chebyshev, scale, times):
-    """Series weights as ive and the logs give them: (2 - delta_n0)
-    ive(n, scale t / 2), or the Poisson weights of mean scale t, with the
-    cut and normalisation of squeezing._series_weights."""
-    from scipy.special import gammaln, ive, xlogy
+    """Reference series weights, with the cut and normalisation of
+    squeezing._series_weights: (2 - delta_n0) ive(n, scale t / 2), or the
+    Poisson law of mean scale t in 40-digit decimal arithmetic."""
+    from scipy.special import ive
 
     def weights(terms, x):
-        n = np.arange(terms)[:, None]
         if chebyshev:
+            n = np.arange(terms)[:, None]
             return np.where(n == 0, 1.0, 2.0) * ive(n, 0.5 * x)
-        return np.exp(xlogy(n, x) - x - gammaln(n + 1.0))
+        return np.array([_decimal_poisson(mean, terms) for mean in x]).T
 
     last = scale * float(np.max(times))
     size = math.ceil((0.0 if chebyshev else last)
@@ -536,12 +550,16 @@ def test_skellam_weights_match_ive():
         assert np.max(np.abs(weights - reference)) <= 1e-15
 
 
-def test_uniformization_weights_unchanged():
+def test_uniformization_weights_match_exact_poisson():
+    # the Poisson weights multiplied out from the mode against the law in
+    # 40-digit decimal arithmetic
     times = np.linspace(0.0, 5e-3, 6)
-    for span in SERIES_SPANS[::4]:
+    for span in [*SERIES_SPANS[::8], SERIES_SPANS[-1]]:
         scale = span / times[-1]
-        assert np.array_equal(squeezing._series_weights(False, scale, times),
-                              _ive_weights(False, scale, times))
+        weights = squeezing._series_weights(False, scale, times)
+        reference = _ive_weights(False, scale, times)
+        assert weights.shape == reference.shape
+        assert np.max(np.abs(weights - reference)) <= 1e-15
 
 
 @pytest.mark.parametrize("n_th, r, gamma_th", [(0.36, 0.95, 6.75),
@@ -560,6 +578,18 @@ def test_lindblad_ladder_stops_where_converged(n_th, r, gamma_th):
     for a, b in ((lind.n, mom.n), (lind.v_sq, mom.v_sq),
                  (lind.v_asq, mom.v_asq)):
         assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)) < 1e-3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lindblad_rejects_non_finite_times(bad):
+    # unchecked, a NaN time reached math.ceil in the series weights and an
+    # infinite one overflowed there
+    model = squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6))
+    with pytest.raises(ValueError, match="^times must be finite, >= 0 and "
+                                         "sorted$"):
+        squeezing.lindblad_evolve(model, np.array([0.0, 1e-3, bad]))
 
 
 def test_lindblad_dimension_estimate_above_cap(monkeypatch):
@@ -635,12 +665,15 @@ def test_extract_dephasing_curve_monotone_guard():
                                     times=TIMES_5MS)
 
 
-@pytest.mark.parametrize("name", ["delta_err", "n_th_err", "r_err"])
-@pytest.mark.parametrize("value", [math.nan, -0.5, math.inf])
-def test_extract_dephasing_rejects_bad_errors(monkeypatch, name, value):
+@pytest.mark.parametrize("value, name", [
+    *((value, name) for value in (math.nan, -0.5, math.inf)
+      for name in ("delta_err", "n_th_err", "r_err")),
+    *((value, "tol") for value in (0.0, -1.0, math.nan, math.inf))])
+def test_extract_dephasing_rejects_bad_errors(monkeypatch, value, name):
     # named before any root is sought: unchecked, a NaN r_err runs the
-    # doubling out and blames the range, and r_err = -0.5 gives lo 0.798 >
-    # hi 0.034
+    # doubling out and blames the range, r_err = -0.5 gives lo 0.798 >
+    # hi 0.034, tol = 0 or -1 bisects forever and tol = nan returns the
+    # bracket's first midpoint
     def no_root(*args):
         raise AssertionError("sought a root despite a bad input error")
 
