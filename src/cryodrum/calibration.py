@@ -9,6 +9,10 @@ detector scale G eta_kappa in
 
 Three of these invert in closed form to (n_m, n_c, G eta) without any chain
 calibration.
+
+The chain budget, the tone-cancellation floor and the phase-noise ceiling
+are scalar laws in `math`; numpy and `fitting` load inside the functions
+that build arrays, so `budget` and `limits` run without them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (BOLTZMANN_K, PLANCK_H, TWO_PI, SystemParams,
                    bose_occupation_linear)
@@ -29,7 +32,9 @@ from .errors import (
     NonPositiveRate,
     SingularAsymmetry,
 )
-from .fitting import LinearFitResult, linear_fit
+
+if TYPE_CHECKING:
+    from .fitting import LinearFitResult
 
 LN10_OVER_20 = math.log(10.0) / 20.0
 
@@ -148,9 +153,20 @@ def asymmetry_solve(peaks: ScaledPeaks,
 
 
 def combine_calibrations(values, errors):
-    """Inverse-variance weighted average used for the G eta plateau."""
+    """Inverse-variance weighted average used for the G eta plateau.
+
+    InvalidArgument unless there is one error per value, at least one
+    value, every value finite and every error finite and > 0.
+    """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if not (values.size and values.shape == errors.shape
+            and np.all(np.isfinite(values))
+            and np.all((errors > 0.0) & (errors < math.inf))):
+        raise InvalidArgument("combine_calibrations needs one finite value "
+                              "per error, each error finite and > 0")
     w = 1.0 / errors**2
     mean = float((w * values).sum() / w.sum())
     return mean, float(1.0 / math.sqrt(w.sum()))
@@ -304,6 +320,10 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     loss), the pump back-action occupation is evaluated per point and
     BackActionDominated is raised if it exceeds 10% of the bath occupancy.
     """
+    import numpy as np
+
+    from .fitting import linear_fit
+
     points = [p if isinstance(p, G0SweepPoint) else G0SweepPoint(*p)
               for p in sweep]
     if len(points) < 3:
@@ -350,6 +370,8 @@ def synthesize_g0_sweep(params: SystemParams, g0_true: float, temperatures,
     SWEEP_GAIN_DB with optional multiplicative log-normal noise on the
     detector readings; the calibration tone leaves the source at 1 nW.
     """
+    import numpy as np
+
     p_mw_src, p_cal_src = SWEEP_P_MW_SRC, 1e-9
     eta_att = 10.0 ** (-SWEEP_ATT_DB / 10.0)
     gain = 10.0 ** (SWEEP_GAIN_DB / 10.0)

@@ -8,7 +8,11 @@ except `reproduce` takes the parsed arguments and the config (read once by
 `main` when there is a --config), writes its outputs and returns their
 paths; `main` then writes every manifest.  Stochastic commands require an
 explicit --seed.  Each command imports the layers it calls inside its
-function, so a process loads only the modules of the command it runs.
+function, numpy and `datasets` included, so a process loads only the
+modules of the command it runs: `import cryodrum.cli` loads `config`,
+`core` and `errors` and no numpy, and neither do `--help`, an option out
+of its domain, a missing --seed, an unreadable config, `budget` or
+`limits`.  No command loads scipy.
 
 OPTION_DOMAINS is the only place where option domains are defined: `main`
 checks every numeric option against it once, before the config is read.
@@ -22,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, datasets
+from . import __version__
 from . import config as config_mod
 from .errors import (ConfigError, CryodrumError, InvalidArgument,
                      SchemaMismatch)
@@ -86,9 +89,9 @@ def _numbers(text, kind, option):
                               f"got {text!r}") from None
 
 
-_FINITE = ("finite", lambda v: -np.inf < v < np.inf)
-_POSITIVE = ("finite and > 0", lambda v: 0 < v < np.inf)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
+_FINITE = ("finite", lambda v: -math.inf < v < math.inf)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
 
 #: option -> (domain, test); a list option (--factors) tests each number
 OPTION_DOMAINS = {
@@ -125,7 +128,9 @@ def _json_out(path, payload):
 
 
 def cmd_device(args, cp):
-    from . import device
+    import numpy as np
+
+    from . import datasets, device
 
     geom = config_mod.load_geometry(cp)
     params = config_mod.load_system(cp)
@@ -148,16 +153,19 @@ def cmd_device(args, cp):
 
 
 def cmd_psd(args, cp):
-    from . import dynamics
-
+    # a config or span error exits before numpy loads
     params, baths, drives = _load_stack(cp)
     half = args.span_widths * drives.gamma_tot
     # linspace takes the difference of the end points, and the cavity
     # Lorentzian 4 nu^2: both must stay finite
-    if not 2.0 * half < np.sqrt(np.finfo(float).max):
+    if not 2.0 * half < math.sqrt(sys.float_info.max):
         raise InvalidArgument(
             f"--span-widths {args.span_widths!r} times Gamma_tot = "
             f"{drives.gamma_tot:.6g} Hz overflows the frequency grid")
+    import numpy as np
+
+    from . import datasets, dynamics
+
     grid = np.linspace(-half, half, args.points)
     comps = dynamics.output_psd(params, baths, drives, grid,
                                 simplified=args.simplified)
@@ -182,7 +190,9 @@ def cmd_psd(args, cp):
 
 
 def cmd_cool(args, cp):
-    from . import dynamics
+    import numpy as np
+
+    from . import datasets, dynamics
 
     _, baths, _ = _load_stack(cp)
     coops = np.geomspace(args.cmin, args.cmax, args.points)
@@ -193,7 +203,7 @@ def cmd_cool(args, cp):
 
 
 def cmd_asymmetry(args, cp):
-    from . import calibration
+    from . import calibration, datasets
 
     peaks = datasets.read_peaks(args.peaks)
     records = []
@@ -214,7 +224,7 @@ def cmd_asymmetry(args, cp):
 
 
 def cmd_amplify(args, cp):
-    from . import tomography
+    from . import datasets, tomography
 
     if args.calibrate:
         cal = tomography.calibrate_amplifier(
@@ -233,7 +243,9 @@ def cmd_amplify(args, cp):
 
 
 def cmd_thermalize(args, cp):
-    from . import core, tomography
+    import numpy as np
+
+    from . import core, datasets, tomography
 
     params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
@@ -259,6 +271,8 @@ def cmd_thermalize(args, cp):
 
 
 def cmd_squeeze(args, cp):
+    import numpy as np
+
     from . import squeezing
 
     params, baths, _ = _load_stack(cp)
@@ -279,7 +293,9 @@ def cmd_squeeze(args, cp):
 
 
 def cmd_dephase(args, cp):
-    from . import squeezing, tomography
+    import numpy as np
+
+    from . import datasets, squeezing, tomography
 
     initial = tomography.GaussianMechState.squeezed_thermal(args.n_th, args.r)
     times = np.linspace(0.0, args.tmax, args.points)
@@ -309,7 +325,7 @@ def cmd_dephase(args, cp):
 
 
 def cmd_g0fit(args, cp):
-    from . import calibration
+    from . import calibration, datasets
 
     params = config_mod.load_system(cp)
     sweep = datasets.read_sweep(args.sweep)
@@ -471,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-min", type=float, default=0.1)
-    p.add_argument("--delta-phi", type=float, default=np.pi / 360.0)
+    p.add_argument("--delta-phi", type=float, default=math.pi / 360.0)
     p.add_argument("--delta-att-db", type=float, default=0.125)
     p.add_argument("--branches", type=int, default=1)
     p.set_defaults(func=cmd_limits)

@@ -546,10 +546,14 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray):
     multiple of LADDER_STEP, and rises by LADDER_STEP until the initial
     state's two top populations (_top_populations, no matrix built) are
     below 1e-10.  The moments only place the start; acceptance rests on
-    the solver's own tests.  A start above MAX_DIM raises
-    TruncationNonConvergence before any propagation.
+    the solver's own tests.  A start above MAX_DIM, or a variance that
+    overflows, raises TruncationNonConvergence before any propagation.
     """
     v_asq = float(np.max(moments_evolve(model, np.append(0.0, times)).v_asq))
+    if not 8.0 * v_asq < math.inf:
+        raise TruncationNonConvergence(
+            f"the trajectory's anti-squeezed variance is {v_asq}, beyond "
+            f"any dimension up to the cap {MAX_DIM}")
     dim = max(LADDER_STEP,
               LADDER_STEP * math.ceil(8.0 * v_asq / LADDER_STEP))
     if dim > MAX_DIM:
@@ -591,11 +595,12 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     share one series pass, rung 0's moment blocks under rung 1's scale.
     The trajectory records the dimensions tried (rungs) and the series
     length of the accepted one (terms); its minimum eigenvalues are
-    computed for the returned rung only.
+    computed for the returned rung only.  ValueError unless times is a
+    non-empty, sorted 1-d sequence of finite times >= 0.
     """
     times = np.asarray(times, dtype=float)
-    if not (np.all(0.0 <= times) and np.all(times < math.inf)
-            and np.all(np.diff(times) >= 0.0)):
+    if not (times.ndim == 1 and times.size and np.all(0.0 <= times)
+            and np.all(times < math.inf) and np.all(np.diff(times) >= 0.0)):
         raise ValueError("times must be finite, >= 0 and sorted")
 
     start, rho = _tail_dimension(model, times)

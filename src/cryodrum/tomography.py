@@ -18,7 +18,9 @@ on how work is partitioned.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -272,23 +274,206 @@ def _wishart_moments(n, b2, g_opt: float, n_add_opt: float, n_samples: int,
             b11 * b21 / n_samples)
 
 
+def _temme_coefficients(rows: int, length: int):
+    """Taylor coefficients d[k][n] of Temme's c_k(eta) = sum_n d_kn eta^n.
+
+    mu = x/a - 1 solves eta^2 / 2 = mu - log(1 + mu) with the sign of eta,
+    so mu mu' = eta (1 + mu) gives its coefficients m_n, and h = eta / mu
+    follows by series division.  Then c_0 = 1/mu - 1/eta and
+    c_k = c_{k-1}' / eta + (-1)^k g_k / mu (DLMF 8.12.8), where the
+    Stirling coefficient g_k is the one that cancels the pole at eta = 0:
+    d_kn = (n + 2) d_{k-1,n+2} - d_{k-1,1} h_{n+1}.  Float arithmetic; the
+    rounding it leaves in the later coefficients sits far below 1e-17 of
+    the sum at a >= _TEMME_MIN_A and |mu| <= _TEMME_SPAN.
+    """
+    size = length + 2 * rows + 1
+    m = [0.0, 1.0]
+    for n in range(2, size + 1):
+        m.append((m[n - 1] - sum((n - i + 1) * m[i] * m[n - i + 1]
+                                 for i in range(2, n))) / (n + 1))
+    h = [1.0]
+    for n in range(1, size):
+        h.append(-sum(m[j + 1] * h[n - j] for j in range(1, n + 1)))
+    d = [h[1:]]
+    for _ in range(1, rows):
+        prev = d[-1]
+        d.append([(n + 2) * prev[n + 2] - prev[1] * h[n + 1]
+                  for n in range(len(prev) - 2)])
+    return tuple(tuple(row[:length]) for row in d)
+
+
+#: Temme's expansion serves a = dof/2 >= _TEMME_MIN_A at |x/a - 1| <=
+#: _TEMME_SPAN, where 10 terms of 18 coefficients reach the double
+#: precision; the series serves every other point
+_TEMME_MIN_A = 20.0
+_TEMME_SPAN = 0.3
+_TEMME = _temme_coefficients(10, 18)
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
+
+
+def _log1pmx(t: float) -> float:
+    """log(1 + t) - t, accurate at small |t| too: with u = t / (2 + t),
+    log(1 + t) = 2 atanh(u), so log(1 + t) - t = -t u + 2 (u^3/3 + u^5/5
+    + ...)."""
+    if not -0.5 <= t <= 0.5:
+        return math.log1p(t) - t
+    u = t / (2.0 + t)
+    u2 = u * u
+    total, power, k = 0.0, u * u2, 3.0
+    while power != 0.0 and abs(power) > 1e-17 * k * abs(total):
+        total += power / k
+        power *= u2
+        k += 2.0
+    return 2.0 * total - t * u
+
+
+def _temme_excess(a: float, mu: float, q: float) -> float:
+    """P(a, a (1 + mu)) - q by Temme's uniform expansion (DLMF 8.12.3-4):
+    Q = erfc(eta sqrt(a/2)) / 2 + e^{-a eta^2/2} / sqrt(2 pi a)
+    sum_k c_k(eta) a^-k, eta^2 / 2 = mu - log(1 + mu).  Whichever of P and
+    Q is the smaller tail is formed directly; eta^n is kept to n ~ 39 /
+    log(3.5 / |eta|), the radius of convergence being 2 sqrt(pi)."""
+    eta = math.copysign(math.sqrt(-2.0 * _log1pmx(mu)), mu)
+    size = int(39.2 / math.log(3.5 / abs(eta))) + 1 if eta else 1
+    powers = list(itertools.accumulate(itertools.repeat(eta, size),
+                                       operator.mul, initial=1.0))
+    total, scale = 0.0, 1.0
+    for row in _TEMME:
+        term = scale * sum(map(operator.mul, row, powers))
+        total += term
+        if abs(term) <= 1e-16 * abs(total):
+            break
+        scale /= a
+    tail = (math.exp(-0.5 * a * eta * eta) / math.sqrt(2.0 * math.pi * a)
+            * total)
+    y = eta * math.sqrt(0.5 * a)
+    if eta < 0.0:
+        return 0.5 * math.erfc(-y) - tail - q
+    return (1.0 - q) - (0.5 * math.erfc(y) + tail)
+
+
+def _series_sum(a, x, front, tol):
+    """front sum_k x^k / ((a + 1) ... (a + k)), in floats or in Decimals."""
+    total = term = front
+    k = a
+    while term > tol * total:
+        k += 1
+        term = term * x / k
+        total += term
+    return total
+
+
+def _series_excess(dof: int, x: float, q: float, exact: bool) -> float:
+    """P(dof/2, x) - q from the series P(a, x) = x^a e^-x / Gamma(a + 1)
+    sum_k x^k / ((a + 1) ... (a + k)): in floats, with the prefactor from
+    lgamma (about 1e-14 relative), or, when exact, in 40-digit decimal
+    arithmetic.  There, for an even dof, x^a is a power and Gamma(a + 1) a
+    factorial; for an odd one both gain a square root: x^a = x^(a - 1/2)
+    sqrt(x) and Gamma(a + 1) = sqrt(pi) (1/2)(3/2)...(a)."""
+    if not exact:
+        a = 0.5 * dof
+        front = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+        return _series_sum(a, x, front, 1e-17) - q
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 40
+        half, odd = divmod(dof, 2)
+        x = Decimal(x)
+        front = x ** half * (-x).exp()
+        if odd:
+            front *= (x / Decimal(_PI_DIGITS)).sqrt()
+            for j in range(half + 1):
+                front /= Decimal(2 * j + 1) / 2
+        else:
+            front /= math.factorial(half)
+        total = _series_sum(Decimal(dof) / 2, x, front, Decimal("1e-42"))
+        return float(total - Decimal(q))
+
+
+def _normal_ppf(p: float) -> float:
+    """Standard normal quantile: Abramowitz & Stegun 26.2.23 (|error| <
+    4.5e-4) and one Halley step on erfc."""
+    s = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+    if p < 0.5:
+        z = -z
+    u = ((0.5 * math.erfc(-z / math.sqrt(2.0)) - p)
+         * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z))
+    return z - u / (1.0 + 0.5 * z * u)
+
+
 def _chi2_ppf(q: float, dof: int) -> float:
-    from scipy.special import gammaincinv
-    return 2.0 * float(gammaincinv(0.5 * dof, q))
+    """The chi^2_dof quantile 2 x, P(dof/2, x) = q, for 0 < q < 1.
+
+    Halley steps on P (DiDonato & Morris, ACM TOMS 12, 377 (1986); Gil,
+    Segura & Temme, SIAM J. Sci. Comput. 34, A2965 (2012)) from the
+    Wilson-Hilferty start, or from x = (q / c)^(1/a) for a = dof/2 <= 1.
+    P - q comes from Temme's uniform expansion (_temme_excess) for
+    a >= _TEMME_MIN_A near the centre, else from the series
+    (_series_excess): in floats until the steps converge, then once more
+    in 40-digit decimals.  The steps stop once Halley's cubic error
+    |f'''/6f' - (f''/2f')^2| step^3 is below 1e-18 x: Temme's form is
+    evaluated once at the one-sigma q for dof >= 2000, twice down to dof
+    40.  At the one-sigma q and 74 dof from 1 to 3e6 the quantiles were
+    within 0.58 ulp of a 40-digit reference, and gammaincinv within 5.6.
+    """
+    a = 0.5 * dof
+    if a > 1.0:
+        x = a * (1.0 - 1.0 / (9.0 * a)
+                 + _normal_ppf(q) / (3.0 * math.sqrt(a))) ** 3
+        x = max(x, 1e-3)
+    else:
+        cut = 1.0 - a * (0.253 + a * 0.12)
+        x = ((q / cut) ** (1.0 / a) if q < cut
+             else 1.0 - math.log1p(-(q - cut) / (1.0 - cut)))
+    log_gamma = math.lgamma(a)
+    # at large dof the series only serves the far tails, where its float
+    # prefactor would underflow: decimals from the first step
+    exact = a >= _TEMME_MIN_A
+    for _ in range(40):
+        mu = (x - a) / a
+        if a >= _TEMME_MIN_A and abs(mu) <= _TEMME_SPAN:
+            excess = _temme_excess(a, mu, q)
+        else:
+            excess = _series_excess(dof, x, q, exact)
+        newton = excess / math.exp((a - 1.0) * math.log(x) - x - log_gamma)
+        bend = (a - 1.0) / x - 1.0          # P'' / P'
+        step = newton / (1.0 - 0.5 * min(1.0, newton * bend))
+        x -= step
+        if x <= 0.0:
+            x = 0.5 * (x + step)
+        elif ((bend * bend / 12.0 + abs(a - 1.0) / (6.0 * x * x))
+              * abs(step) ** 3 <= 1e-18 * x):
+            if exact:
+                break
+            exact = True
+    return 2.0 * x
 
 
-def variance_interval(second_moment: float, n_samples: int):
+def variance_interval(second_moment, n_samples: int):
     """68.27% (one-sigma) chi-squared interval of a raw Gaussian second
     moment.
 
     N vhat / v ~ chi^2_N for zero-mean Gaussian samples, giving exact
     asymmetric intervals (lo, hi) around the estimate.  The chi^2_N
     quantile is 2 P^-1(N/2, q), with P^-1 the inverse regularized lower
-    incomplete gamma function.
+    incomplete gamma function, solved by Halley steps on P in Temme's
+    uniform expansion (Temme, SIAM J. Math. Anal. 10, 757 (1979); DLMF
+    8.12) and, at small dof, its power series (_chi2_ppf).  second_moment
+    may be an array.
+    InvalidArgument for a second moment that is negative or not finite,
+    and for an n_samples that is not an integer >= 1.
     """
+    moment = np.asarray(second_moment, dtype=float)
+    if moment.size and not (moment.min() >= 0.0 and moment.max() < math.inf):
+        raise InvalidArgument("second moments must be finite and >= 0")
+    if not (n_samples >= 1 and float(n_samples).is_integer()):
+        raise InvalidArgument(f"n_samples must be an integer >= 1, got "
+                              f"{n_samples!r}")
     alpha = 0.5 * (1.0 - 0.6827)
-    lo = second_moment * n_samples / _chi2_ppf(1.0 - alpha, n_samples)
-    hi = second_moment * n_samples / _chi2_ppf(alpha, n_samples)
+    lo = second_moment * n_samples / _chi2_ppf(1.0 - alpha, int(n_samples))
+    hi = second_moment * n_samples / _chi2_ppf(alpha, int(n_samples))
     return lo, hi
 
 
@@ -347,9 +532,11 @@ def _moment_estimates(m11, m22, m12, n_samples: int, g_opt: float,
             "allowed near vacuum); reported unclamped",
             NegativeVarianceEstimate, stacklevel=3)
 
-    # principal-axis measured moments for the intervals
+    # principal-axis measured moments for the intervals: means of squares,
+    # so a rank-one batch (N = 1) leaves only rounding below 0
     rot = np.swapaxes(eigvecs, -1, -2) @ matrices(m11, m12, m22) @ eigvecs
-    lo, hi = variance_interval(rot.diagonal(axis1=-2, axis2=-1), n_samples)
+    lo, hi = variance_interval(
+        np.maximum(rot.diagonal(axis1=-2, axis2=-1), 0.0), n_samples)
     lo = lo / g_opt - sub
     hi = hi / g_opt - sub
     err = (hi - lo) / 2.0

@@ -11,12 +11,14 @@ import cryodrum
 from cryodrum import core
 
 #: one interpreter for the module-load tests.  It imports cryodrum.cli and
-#: then forks once per request line.  The fork runs the request's code,
-#: which may set `result` and call `loaded`, and writes back result and its
-#: cryodrum.* and scipy* modules.  The code's own standard output goes to
-#: /dev/null.
+#: numpy (which the CLI loads only in the commands that build arrays, so no
+#: fork pays for it again), then forks once per request line.  The fork
+#: runs the request's code, which may set `result` and call `loaded`, and
+#: writes back result and its cryodrum.* and scipy* modules.  The code's
+#: own standard output goes to /dev/null.
 _FORK_SERVER = """\
 import json, os, sys, traceback
+import numpy
 import cryodrum.cli
 
 def loaded(prefix):
@@ -87,8 +89,8 @@ def rng():
 @pytest.fixture(scope="session")
 def forked():
     """run(code) -> (result, modules): code run in a fork of one interpreter
-    that has loaded cryodrum.cli and nothing else of the package; modules
-    lists the cryodrum.* and scipy* modules loaded when it ends."""
+    that has loaded numpy, cryodrum.cli and nothing else of the package;
+    modules lists the cryodrum.* and scipy* modules loaded when it ends."""
     # one BLAS thread from the start: forking after BLAS threads have
     # started is unsafe
     src = str(Path(cryodrum.__file__).resolve().parents[1])

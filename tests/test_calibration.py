@@ -11,6 +11,7 @@ from cryodrum import calibration, core
 from cryodrum.errors import (
     BackActionDominated,
     InconsistentBudget,
+    InvalidArgument,
     NegativeOccupation,
     NonPositiveRate,
     SingularAsymmetry,
@@ -284,6 +285,17 @@ def test_combine_calibrations():
     assert err == pytest.approx(1.0 / math.sqrt(2.0))
     mean, _ = calibration.combine_calibrations([1.0, 3.0], [1e-3, 1.0])
     assert mean == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("values,errors", [
+    ([1.0, 3.0], [1.0, -1.0]), ([1.0, 3.0], [1.0, 0.0]),
+    ([1.0, 3.0], [1.0, math.inf]), ([1.0, 3.0], [1.0, math.nan]),
+    ([1.0, math.nan], [1.0, 1.0]), ([1.0, math.inf], [1.0, 1.0]),
+    ([1.0, 3.0], [1.0]), ([], [])])
+def test_combine_calibrations_rejects_bad_input(values, errors):
+    # a negative error used to enter the weights as its square
+    with pytest.raises(InvalidArgument):
+        calibration.combine_calibrations(values, errors)
 
 
 def test_scaled_peaks_from_fluxes(params):

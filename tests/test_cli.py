@@ -76,7 +76,7 @@ def _fresh_process(code):
 
 
 #: the package modules that `import cryodrum.cli` loads
-CLI_MODULES = {"cli", "config", "core", "datasets", "errors"}
+CLI_MODULES = {"cli", "config", "core", "errors"}
 
 
 def test_cli_import_loads_no_scipy():
@@ -100,27 +100,29 @@ def test_cli_import_loads_no_scipy():
 #: command line of each command and the package modules it loads beyond
 #: CLI_MODULES; {cfg} is the config path and {d} the output directory
 COMMAND_MODULES = {
-    "device": ("device --config {cfg} --out {d}/o.csv", {"device"}),
+    "device": ("device --config {cfg} --out {d}/o.csv",
+               {"datasets", "device"}),
     "psd": ("psd --config {cfg} --out {d}/o.csv --simplified --points 9",
-            {"dynamics"}),
-    "cool": ("cool --config {cfg} --out {d}/o.csv --points 5", {"dynamics"}),
+            {"datasets", "dynamics"}),
+    "cool": ("cool --config {cfg} --out {d}/o.csv --points 5",
+             {"datasets", "dynamics"}),
     "asymmetry": ("asymmetry --peaks {d}/peaks.csv --out {d}/o.json",
-                  {"calibration", "fitting"}),
+                  {"calibration", "datasets"}),
     "amplify": ("amplify --out {d}/o.csv --seed 7 --samples 10",
-                {"tomography", "fitting"}),
+                {"datasets", "tomography", "fitting"}),
     "thermalize": ("thermalize --config {cfg} --out {d}/o.csv --seed 11 "
                    "--samples 200 --points 5 --tmax 2e-3",
-                   {"tomography", "fitting", "squeezing"}),
+                   {"datasets", "tomography", "fitting", "squeezing"}),
     "squeeze": ("squeeze --config {cfg} --out {d}/o.json --gamma-r 75 "
                 "--gamma-b 23.7", {"squeezing", "tomography", "fitting"}),
     "dephase": ("dephase --out {d}/o.csv --gamma-th 17.1 --n-th 0.4 --r 0.6 "
-                "--points 5", {"squeezing", "tomography", "fitting"}),
+                "--points 5", {"datasets", "squeezing", "tomography",
+                               "fitting"}),
     "g0fit": ("g0fit --config {cfg} --sweep {d}/sweep.csv --out {d}/o.json",
-              {"calibration", "fitting"}),
+              {"calibration", "datasets", "fitting"}),
     "budget": ("budget --out {d}/o.json --snri-db 11.3 --n-add-h 8.7 "
-               "--eta-t-db 2.5 --eta-db 1.55", {"calibration", "fitting"}),
-    "limits": ("limits --config {cfg} --out {d}/o.json",
-               {"calibration", "fitting"}),
+               "--eta-t-db 2.5 --eta-db 1.55", {"calibration"}),
+    "limits": ("limits --config {cfg} --out {d}/o.json", {"calibration"}),
     "reproduce": ("reproduce --criteria 8",
                   {"reproduce", "calibration", "device", "dynamics",
                    "fitting", "squeezing", "tomography"}),
@@ -138,7 +140,10 @@ def test_every_command_has_a_modules_row():
 
 @pytest.mark.parametrize("case", list(COMMAND_MODULES))
 def test_command_loads_only_its_modules(case, tmp_path, params, forked):
-    # each command process imports the layers it calls and no others
+    # each command process imports the layers it calls and no others, and
+    # none loads scipy: device evaluates J0 by its series, thermalize fits
+    # by variable projection and takes its chi^2 quantiles from Temme's
+    # expansion
     argv, extra = COMMAND_MODULES[case]
     (tmp_path / "peaks.csv").write_text(
         "N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,1.0\n")
@@ -148,25 +153,37 @@ def test_command_loads_only_its_modules(case, tmp_path, params, forked):
     argv = argv.format(cfg=REFERENCE_CFG, d=tmp_path).split()
     status, modules = forked("from cryodrum.cli import main\n"
                              f"result = main({argv!r})\n")
-    assert [status, [m.split(".", 1)[1] for m in modules
-                     if m.startswith("cryodrum.")]] \
-        == [0, sorted(CLI_MODULES | extra)]
+    assert [status, modules] \
+        == [0, ["cryodrum." + m for m in sorted(CLI_MODULES | extra)]]
 
 
-def test_device_and_thermalize_load_no_scipy_they_do_not_use(tmp_path,
-                                                             forked):
-    # device evaluates J0 by its series and thermalize fits by variable
-    # projection; only the chi^2 quantiles bring in scipy.special
-    cfg = str(REFERENCE_CFG)
-    code = (
-        "from cryodrum.cli import main\n"
-        f"main(['device', '--config', {cfg!r}, '--out', "
-        f"{str(tmp_path / 'f.csv')!r}])\n"
-        "result = [loaded('scipy')]\n"
-        f"main(['thermalize', '--config', {cfg!r}, '--out', "
-        f"{str(tmp_path / 'h.csv')!r}, '--seed', '11', '--points', '9'])\n"
-        "result.append(loaded('scipy.optimize'))\n")
-    assert forked(code)[0] == [[], []]
+def test_scalar_runs_load_no_numpy(cfg, tmp_path):
+    # a usage error of each kind (an option out of its domain, an unknown
+    # drive role, a missing --seed), --help, budget and limits run on the
+    # standard library alone.  A fresh process: the fork server behind the
+    # other module-load tests imports numpy up front
+    purple = tmp_path / "purple.cfg"
+    purple.write_text(CONFIG + "\n[drives.purple]\ngamma_opt = 1\n"
+                               "delta = 0\n")
+    out = str(tmp_path / "o.json")
+    runs = [
+        ["limits", "--config", cfg, "--out", out, "--branches", "0"],
+        ["psd", "--config", str(purple), "--out", str(tmp_path / "p.csv")],
+        ["thermalize", "--config", cfg, "--out", str(tmp_path / "h.csv")],
+        ["--help"],
+        ["budget", "--out", out, "--snri-db", "11.3", "--n-add-h", "8.7",
+         "--eta-t-db", "2.5", "--eta-db", "1.55"],
+        ["limits", "--config", cfg, "--out", out],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from cryodrum.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    print(status, 'numpy' in sys.modules)\n")
+    assert _fresh_process(code).splitlines() == [
+        "2 False", "2 False", "2 False", "0 False", "0 False", "0 False"]
 
 
 def test_lindblad_solve_loads_no_scipy(forked):

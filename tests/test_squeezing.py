@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -590,6 +591,30 @@ def test_lindblad_rejects_non_finite_times(bad):
     with pytest.raises(ValueError, match="^times must be finite, >= 0 and "
                                          "sorted$"):
         squeezing.lindblad_evolve(model, np.array([0.0, 1e-3, bad]))
+
+
+@pytest.mark.parametrize("times", [[], 1e-3, [[0.0, 1e-3]]],
+                         ids=["empty", "scalar", "2-d"])
+def test_lindblad_rejects_times_that_are_not_a_sequence(times):
+    # numpy's own reduction and diff errors used to escape instead
+    model = squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6))
+    with pytest.raises(ValueError, match="^times must be finite, >= 0 and "
+                                         "sorted$"):
+        squeezing.lindblad_evolve(model, times)
+
+
+def test_lindblad_overflowing_trajectory_names_the_cap():
+    # a finite time that overflows the moments used to raise a bare
+    # OverflowError from the dimension estimate
+    model = squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TruncationNonConvergence, match="1024"):
+            squeezing.lindblad_evolve(model, [0.0, 1e308])
 
 
 def test_lindblad_dimension_estimate_above_cap(monkeypatch):

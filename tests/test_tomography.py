@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     DegenerateDesign,
+    InvalidArgument,
     NegativeVarianceEstimate,
     UnphysicalVariances,
 )
@@ -124,23 +126,69 @@ def test_sampling_reference_variance():
     assert var_i == pytest.approx(2.034, abs=4.0 * 2.034 * math.sqrt(2 / 12000))
 
 
+#: chi^2_N quantiles at q = alpha and 1 - alpha, alpha = (1 - 0.6827)/2 as
+#: doubles: the roots x of P(N/2, x/2) = q to 40 digits, from mpmath 1.3
+#: (gammainc and findroot at 60 digits, residual below 1e-45)
+CHI2_QUANTILES = {
+    1: ("0.04006681511396316195775147773274215801237",
+        "1.987046849577619458623876871917032296210"),
+    2: ("0.3454950687193629086417335429380612288726",
+        "3.682109521905865489403874795315937232812"),
+    3: ("0.8338691276110257627493079297400436031493",
+        "5.186339852148483970304174020497340059664"),
+    17: ("11.28537516640160432134051622366824905247",
+         "22.71824475185566230830315256199154391626"),
+    500: ("468.3977093520324668116528154009116328709",
+          "531.6024671575014199640987402567840651632"),
+    12000: ("11845.08163715428212733086675090058329491",
+            "12154.91842568652118891281204391970560777"),
+    400000: ("399105.5541624059439563482696824989915934",
+             "400894.4458956450139021764401435388733003"),
+}
+
+
+def _ulps(x: float, reference: str) -> Decimal:
+    return abs(Decimal(x) - Decimal(reference)) / Decimal(math.ulp(x))
+
+
 def test_variance_interval_matches_chi2_quantiles():
     # the chi^2_N quantile is 2 P^-1(N/2, q), P the regularized lower
-    # incomplete gamma function: the expression scipy.stats.chi2.ppf
-    # evaluates (scipy 1.17), kept bit for bit; and P itself takes each
-    # quantile back to its probability
+    # incomplete gamma function: each lies within 1 ulp of the 40-digit
+    # reference, or no further from it than scipy's gammaincinv; and P
+    # itself takes each quantile back to its probability
     from scipy.special import gammainc, gammaincinv
     alpha = 0.5 * (1.0 - 0.6827)
-    for n in (1, 2, 3, 17, 500, 12000, 400000):
+    for n, (lower_ref, upper_ref) in CHI2_QUANTILES.items():
         lo, hi = tomography.variance_interval(1.3, n)
-        upper = 2.0 * gammaincinv(0.5 * n, 1.0 - alpha)
-        lower = 2.0 * gammaincinv(0.5 * n, alpha)
-        assert lo == 1.3 * n / upper
-        assert hi == 1.3 * n / lower
-        assert gammainc(0.5 * n, 0.5 * upper) == pytest.approx(1.0 - alpha,
-                                                               rel=1e-12)
-        assert gammainc(0.5 * n, 0.5 * lower) == pytest.approx(alpha,
-                                                               rel=1e-12)
+        for q, reference, bound in ((1.0 - alpha, upper_ref, lo),
+                                    (alpha, lower_ref, hi)):
+            quantile = tomography._chi2_ppf(q, n)
+            assert bound == 1.3 * n / quantile
+            scipy_ulps = _ulps(2.0 * float(gammaincinv(0.5 * n, q)),
+                               reference)
+            assert _ulps(quantile, reference) <= max(1, scipy_ulps), (n, q)
+            assert gammainc(0.5 * n, 0.5 * quantile) == pytest.approx(
+                q, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300, 12000])
+def test_chi2_quantile_inverts_gammainc_off_one_sigma(n):
+    # tails and the median reach both evaluations of P: Temme's expansion
+    # near the centre at dof >= 40 and the 40-digit series elsewhere
+    from scipy.special import gammainc
+    for q in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6):
+        quantile = tomography._chi2_ppf(q, n)
+        assert gammainc(0.5 * n, 0.5 * quantile) == pytest.approx(
+            q, rel=1e-12)
+
+
+@pytest.mark.parametrize("moment,n_samples", [
+    (-1.0, 100), (math.nan, 100), (math.inf, 100), ([1.0, -1e-300], 100),
+    (1.0, 0), (1.0, 2.5), (1.0, math.nan)])
+def test_variance_interval_rejects_bad_input(moment, n_samples):
+    # a negative moment gave an inverted, negative interval, and n < 1 NaN
+    with pytest.raises(InvalidArgument):
+        tomography.variance_interval(moment, n_samples)
 
 
 def test_estimate_exact_inversion():
