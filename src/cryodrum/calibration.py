@@ -167,9 +167,11 @@ def combine_calibrations(values, errors):
             and np.all((errors > 0.0) & (errors < math.inf))):
         raise InvalidArgument("combine_calibrations needs one finite value "
                               "per error, each error finite and > 0")
-    w = 1.0 / errors**2
+    # weights relative to the smallest error, so that none overflows
+    e_min = errors.min()
+    w = (e_min / errors) ** 2
     mean = float((w * values).sum() / w.sum())
-    return mean, float(1.0 / math.sqrt(w.sum()))
+    return mean, float(e_min / math.sqrt(w.sum()))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ function, numpy and `datasets` included, so a process loads only the
 modules of the command it runs: `import cryodrum.cli` loads `config`,
 `core` and `errors` and no numpy, and neither do `--help`, an option out
 of its domain, a missing --seed, an unreadable config, `budget` or
-`limits`.  No command loads scipy.
+`limits`.  No command loads scipy: the package depends on numpy alone.
 
 OPTION_DOMAINS is the only place where option domains are defined: `main`
 checks every numeric option against it once, before the config is read.

@@ -15,7 +15,8 @@ write/read cycle is lossless.  write_columns computes that text in numpy
 lines and double-quoted cells; a numeric cell reads as the double that
 `float()` gives for it.  Every reader raises SchemaMismatch for a wrong
 header, a non-numeric cell, a short or long row, no rows, or metadata
-that does not parse.  A reader imports the module of the type it builds
+that does not parse or is out of its domain (an rbw_hz that is not finite
+and >= 0).  A reader imports the module of the type it builds
 when it is called, so writing a table loads no physics module.
 """
 
@@ -356,6 +357,9 @@ def read_spectrum(path):
         raise SchemaMismatch(
             f"{path}: rbw_hz={meta['rbw_hz']!r} and floor="
             f"{meta.get('floor', '0.0')!r} must be numbers") from None
+    if not 0.0 <= rbw < np.inf:
+        raise SchemaMismatch(
+            f"{path}: rbw_hz={meta['rbw_hz']!r} must be finite and >= 0")
     return Spectrum(freq=data[:, 0], values=data[:, 1], rbw=rbw,
                     floor=floor, label=meta.get("label", ""))
 

@@ -34,8 +34,8 @@ class Spectrum:
     freq is a uniform, strictly increasing cyclic grid [Hz] centered on a
     stated reference; values are PSD samples in quanta/(s Hz) when device
     referred (or detector units after chain scaling); rbw is the analyzer
-    resolution bandwidth [Hz] (0 = ideal, unconvolved); floor is the flat
-    background beneath the peaks.
+    resolution bandwidth [Hz] (0 = ideal, unconvolved; finite and >= 0, else
+    InvalidArgument); floor is the flat background beneath the peaks.
     """
 
     freq: np.ndarray
@@ -61,8 +61,9 @@ class Spectrum:
                 "freq grid must be finite and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("PSD values must be finite")
-        if self.rbw < 0.0:
-            raise ValueError("rbw must be >= 0")
+        if not 0.0 <= self.rbw < np.inf:
+            raise InvalidArgument(
+                f"rbw must be finite and >= 0, got {self.rbw!r}")
 
 
 def cooling_occupation(n_m_th: float, n_c: float, cooperativity: float) -> float:

@@ -710,8 +710,9 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     """
     from .squeezing import DephasingModel, moments_evolve
     times = np.asarray(times, dtype=float)
+    window = times[times <= linear_window]
     if not (np.all(np.isfinite(times) & (times >= 0.0))
-            and np.unique(times[times <= linear_window]).size >= 2):
+            and window.size and window.min() < window.max()):
         raise InvalidArgument("evolution times must be finite and >= 0, "
                               "two distinct ones in the linear window")
     traj = moments_evolve(DephasingModel(

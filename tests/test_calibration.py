@@ -287,6 +287,15 @@ def test_combine_calibrations():
     assert mean == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("errors,expected", [
+    ([1e-200, 1.0], (1.0, 1e-200)),
+    ([1e-170, 1e-170], (1.5, 1e-170 / math.sqrt(2.0)))])
+def test_combine_calibrations_tiny_errors(errors, expected):
+    # 1 / errors**2 overflowed here and gave (nan, 0.0)
+    mean, err = calibration.combine_calibrations([1.0, 2.0], errors)
+    assert (mean, err) == pytest.approx(expected, rel=1e-15)
+
+
 @pytest.mark.parametrize("values,errors", [
     ([1.0, 3.0], [1.0, -1.0]), ([1.0, 3.0], [1.0, 0.0]),
     ([1.0, 3.0], [1.0, math.inf]), ([1.0, 3.0], [1.0, math.nan]),

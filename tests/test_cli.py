@@ -143,7 +143,8 @@ def test_command_loads_only_its_modules(case, tmp_path, params, forked):
     # each command process imports the layers it calls and no others, and
     # none loads scipy: device evaluates J0 by its series, thermalize fits
     # by variable projection and takes its chi^2 quantiles from Temme's
-    # expansion
+    # expansion.  None loads numpy.ma either, which np.unique imports on its
+    # first call
     argv, extra = COMMAND_MODULES[case]
     (tmp_path / "peaks.csv").write_text(
         "N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,1.0\n")
@@ -151,10 +152,12 @@ def test_command_loads_only_its_modules(case, tmp_path, params, forked):
                          calibration.synthesize_g0_sweep(
                              params, 13.4, np.linspace(0.05, 0.4, 6)))
     argv = argv.format(cfg=REFERENCE_CFG, d=tmp_path).split()
-    status, modules = forked("from cryodrum.cli import main\n"
-                             f"result = main({argv!r})\n")
-    assert [status, modules] \
-        == [0, ["cryodrum." + m for m in sorted(CLI_MODULES | extra)]]
+    result, modules = forked("import sys\n"
+                             "from cryodrum.cli import main\n"
+                             f"result = [main({argv!r}), "
+                             "'numpy.ma' in sys.modules]\n")
+    assert [result, modules] \
+        == [[0, False], ["cryodrum." + m for m in sorted(CLI_MODULES | extra)]]
 
 
 def test_scalar_runs_load_no_numpy(cfg, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,15 +7,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import least_squares
+from scipy.special import wofz
 
-from cryodrum import fitting
+import cryodrum
+from cryodrum import datasets, fitting
 from cryodrum.dynamics import Spectrum
-from cryodrum.errors import DegenerateDesign, FitNonConvergence, PeakUnresolved
+from cryodrum.errors import (DegenerateDesign, FitNonConvergence,
+                             InvalidArgument, PeakUnresolved, SchemaMismatch)
 
 
 def lorentzian(nu, center, fwhm, area, floor=0.0):
     hwhm = fwhm / 2.0
     return floor + area * hwhm / (math.pi * ((nu - center) ** 2 + hwhm**2))
+
+
+def test_faddeeva_matches_wofz():
+    # Weideman's approximation over |Re z| <= 200 and 0 <= Im z <= 100,
+    # small Im z log-spaced down to 1e-8; on the real axis its real part is
+    # exp(-x^2), down to the underflow of the tails
+    x = np.linspace(-200.0, 200.0, 2001)
+    y = np.concatenate(([0.0], np.logspace(-8.0, 0.0, 33),
+                        np.linspace(0.0, 100.0, 101)[1:]))
+    z = x[:, None] + 1j * y
+    reference = wofz(z)
+    assert np.max(np.abs(fitting._faddeeva(z) - reference)
+                  / np.abs(reference)) <= 1e-13
+    x = np.linspace(-200.0, 200.0, 40001)
+    assert np.max(np.abs(fitting._faddeeva(x + 0j).real - np.exp(-x * x))) \
+        <= 1e-15
+
+
+@pytest.mark.parametrize("value,inside", [
+    (0.0, True), (-0.0, True), (2.5, True), (-1.0, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False)])
+def test_voigt_boundary_inputs(value, inside, tmp_path):
+    # an RBW, a Gaussian width or a Lorentzian width is finite and >= 0;
+    # NaN used to flow through every comparison, and a negative RBW
+    # through sigma_from_rbw
+    nu = np.linspace(-5.0, 5.0, 11)
+    calls = [lambda: fitting.sigma_from_rbw(value),
+             lambda: fitting.voigt_eval(nu, value, 1.0),
+             lambda: fitting.voigt_eval(nu, 1.0, value),
+             lambda: Spectrum(freq=nu, values=np.ones(11), rbw=value).rbw]
+    path = tmp_path / "spec.csv"
+    path.write_text(f"# rbw_hz={value!r}\nfreq_hz,value\n0.0,1.0\n1.0,2.0\n")
+    for call in calls:
+        if inside:
+            assert np.all(np.isfinite(call()))
+        else:
+            with pytest.raises(InvalidArgument):
+                call()
+    if inside:
+        assert datasets.read_spectrum(path).rbw == value
+    else:
+        with pytest.raises(SchemaMismatch, match="rbw_hz"):
+            datasets.read_spectrum(path)
 
 
 def test_voigt_zero_rbw_is_lorentzian():
@@ -275,8 +322,28 @@ def test_fit_peak_loads_no_scipy_optimize(forked):
             "                                rbw=20.0), 'voigt')\n"
             "result = round(fit.area, 6)\n")
     area, modules = forked(code)
-    assert [area, "scipy.special" in modules, "scipy.optimize" in modules] \
-        == [500.0, True, False]
+    assert [area, [m for m in modules if m.startswith("scipy")]] \
+        == [500.0, []]
+
+
+def test_package_loads_no_scipy(forked):
+    # every module of the package, and a Voigt fit, on numpy alone
+    code = ("import importlib, pkgutil\n"
+            "import numpy as np\n"
+            "import cryodrum\n"
+            "for info in pkgutil.iter_modules(cryodrum.__path__):\n"
+            "    importlib.import_module('cryodrum.' + info.name)\n"
+            "from cryodrum import fitting\n"
+            "from cryodrum.dynamics import Spectrum\n"
+            "nu = np.linspace(-100.0, 100.0, 801)\n"
+            "values = 1.0 + 500.0 * fitting.voigt_eval(\n"
+            "    nu - 3.0, 5.0, fitting.sigma_from_rbw(20.0))[0]\n"
+            "fitting.fit_peak(Spectrum(freq=nu, values=values, rbw=20.0),\n"
+            "                 'voigt')\n")
+    # the fork reports the cryodrum.* and scipy* modules it has loaded
+    assert forked(code)[1] == sorted(
+        "cryodrum." + info.name
+        for info in pkgutil.iter_modules(cryodrum.__path__))
 
 
 def test_integrate_peak_analytic_area():
