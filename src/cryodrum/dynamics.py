@@ -129,21 +129,24 @@ def _sideband_full(nu, nu_over_w, inv_w, delta, sign, gamma_x, params,
 
     with G_sum = G_p + G_r - G_b.  B/w is evaluated term by term from the
     nu/w and 1/w that output_psd shares between the tones, so it stays
-    finite wherever nu is; where |D|^2 ~ nu^4 overflows, S_x is 0.
+    finite wherever nu is; where |D|^2 ~ nu^4 overflows, S_x is 0.  The
+    scalars are taken in the type of nu, so a long double grid is evaluated
+    in long double throughout.
     """
-    g_p = drives.gamma_opt("cooling_pump")
-    g_r = drives.gamma_opt("red_probe")
-    g_b = drives.gamma_opt("blue_probe")
-    gm = drives.gamma_m
-    gt = drives.gamma_tot
-    kappa = params.kappa
-    n_c = baths.n_c
+    t = nu.dtype.type
+    g_p = t(drives.gamma_opt("cooling_pump"))
+    g_r = t(drives.gamma_opt("red_probe"))
+    g_b = t(drives.gamma_opt("blue_probe"))
+    gm = t(drives.gamma_m)
+    gt = t(drives.gamma_tot)
+    kappa = t(params.kappa)
+    n_c = t(baths.n_c)
     g_sum = g_p + g_r - g_b
     # the nu-independent terms of B
     flat = ((g_p * n_c + g_r * n_c + g_b * (n_c + 1.0)) / gt
             + sign * (2.0 * n_c + 0.5) + g_sum / (2.0 * gt))
     # in place: numpy elides temporaries only in arrays above 256 KiB
-    offset = nu - sign * delta
+    offset = nu - sign * t(delta)
     im_d = (gm / kappa) * nu
     im_d += offset
     re_d = nu * offset
@@ -152,19 +155,34 @@ def _sideband_full(nu, nu_over_w, inv_w, delta, sign, gamma_x, params,
     b_over_w = nu_over_w * offset
     b_over_w *= -sign * 8.0 * n_c / (kappa * gt)
     b_over_w += flat * inv_w
-    b_over_w += gm * (baths.n_m_th + 0.5) / gt
+    b_over_w += gm * (t(baths.n_m_th) + 0.5) / gt
     # |D|^2 ~ nu^4 overflows on very wide grids, where S_x goes to its
     # limit 0 instead
     with np.errstate(over="ignore"):
         re_d *= re_d
         im_d *= im_d
         re_d += im_d
-    b_over_w *= params.eta_kappa * gt
+    b_over_w *= t(params.eta_kappa) * gt
     b_over_w /= re_d
     # Gamma_x last: a tiny Gamma_x is rounded once, at each value, not
     # first in a scalar prefactor that may fall below the normal range
-    b_over_w *= gamma_x
+    b_over_w *= t(gamma_x)
     return b_over_w
+
+
+def _sideband_full_wide(nu, delta, sign, gamma_x, params, baths, drives):
+    """_sideband_full in long double, each value rounded once to double.
+
+    For a sideband wholly below the normal double range.  Just below it a
+    subnormal still holds about 16 digits, fewer than the double kernel
+    keeps after its few ulps of rounding, so there the kernel runs in the
+    wider type and only the final rounding to double is left.  Where long
+    double is no wider than double this is the double kernel again.
+    """
+    wide = nu.astype(np.longdouble)
+    inv_w = 1 / (1 + 4 * wide**2 / np.longdouble(params.kappa)**2)
+    return _sideband_full(wide, wide * inv_w, inv_w, delta, sign, gamma_x,
+                          params, baths, drives).astype(float)
 
 
 def _sideband_simplified(nu, delta, sign, gamma_x, occupation, params, drives):
@@ -237,6 +255,10 @@ def output_psd(params: SystemParams, baths: BathOccupations,
         else:
             values = _sideband_full(nu, nu_over_w, inv_w, tone.delta, sign,
                                     tone.gamma_opt, params, baths, drives)
+            if np.max(np.abs(values)) < np.finfo(float).tiny:
+                values = _sideband_full_wide(nu, tone.delta, sign,
+                                             tone.gamma_opt, params, baths,
+                                             drives)
         components[label] = Spectrum(freq=nu, values=values, label=label)
 
     components["floor"] = 0.5

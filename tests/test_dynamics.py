@@ -287,3 +287,32 @@ def test_full_sideband_matches_long_double(kappa, gamma_m, pump_c, red,
             assert error <= np.finfo(float).smallest_subnormal, label
             continue
         assert error <= 1e-11 * scale, label
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+def test_sideband_just_below_normal_range_is_correctly_rounded():
+    # a normal Gamma_b = 2.3e-305 whose sideband peaks at 1.7e-308: its
+    # subnormal values still hold about 16 digits, which the few ulps of the
+    # double kernel's rounding exceeded (1.5 spacings off, drawn by the
+    # long double property test above)
+    params = core.validate_params(dict(
+        omega_c=5.5e9, kappa=1e4, kappa_ex=0.8e4, kappa_0=0.2e4,
+        omega_m=1.8e6, gamma_m=5.0, g0=13.4))
+    drives = drives_for(params, pump_c=2107.0, red=0.0,
+                        blue=2.225073858507203e-309 * (5.0 + 2107.0 * 5.0),
+                        deltas=(0.0, 0.0, 0.0))
+    baths = core.BathOccupations(n_c_th=0.0, n_m_th=0.0, n_c=0.5)
+    gt = drives.gamma_tot
+    grid = np.unique(np.concatenate(
+        [np.linspace(-50.0 * gt, 50.0 * gt, 201),
+         np.linspace(-3e4, 3e4, 201)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", (WeakCouplingWarning, OverlapWarning))
+        blue = dynamics.output_psd(params, baths, drives, grid)["blue"].values
+    exact = sideband_longdouble(grid, +1, drives.tone("blue_probe"), params,
+                                baths, drives)
+    assert 0.0 < np.max(np.abs(exact)) < np.finfo(float).tiny
+    # within half a subnormal spacing: the correctly rounded doubles
+    half = np.longdouble(np.finfo(float).smallest_subnormal) / 2
+    assert np.max(np.abs(blue - exact)) <= half * (1 + 1e-6)
