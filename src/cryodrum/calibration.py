@@ -318,9 +318,11 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     n_th = k_B T / h Omega_m, so a straight-line fit in T yields g0 from
     the slope, independent of chain gain and attenuation.
 
-    When the source-to-device attenuation is supplied (eta_att_db, positive
-    loss), the pump back-action occupation is evaluated per point and
-    BackActionDominated is raised if it exceeds 10% of the bath occupancy.
+    InvalidArgument for fewer than 3 points or a temperature that is not
+    finite and >= 0.  When the source-to-device attenuation is supplied
+    (eta_att_db, positive loss), the pump back-action occupation is
+    evaluated per point and BackActionDominated is raised if it exceeds
+    10% of the bath occupancy.
     """
     import numpy as np
 
@@ -331,6 +333,9 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     if len(points) < 3:
         raise InvalidArgument("need at least 3 temperatures")
     temps = np.array([p.temperature for p in points])
+    if not np.all((0.0 <= temps) & (temps < math.inf)):
+        raise InvalidArgument(f"sweep temperatures must be finite and >= 0, "
+                              f"got {temps.tolist()}")
     ratios = np.array([p.calibrated_ratio for p in points])
 
     prefactor = _sweep_prefactor(params)

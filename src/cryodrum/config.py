@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 
 from .core import (
@@ -38,7 +39,8 @@ _SUFFIXES = {"k": 1e3, "M": 1e6, "G": 1e9}
 
 
 def parse_number(text: str) -> float:
-    """Parse a number with an optional k/M/G suffix."""
+    """Parse a number with an optional k/M/G suffix; ConfigError unless it
+    parses to a finite value (nan, inf and 1e308G do not)."""
     s = text.strip()
     if not s:
         raise ConfigError("empty numeric value")
@@ -48,9 +50,12 @@ def parse_number(text: str) -> float:
     else:
         scale = 1.0
     try:
-        return float(s) * scale
+        value = float(s) * scale
     except ValueError as exc:
         raise ConfigError(f"cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text!r} is not finite")
+    return value
 
 
 def _section_numbers(cp: configparser.ConfigParser, name: str) -> dict:

@@ -138,9 +138,13 @@ class PeakFit:
 
 def _initial_guess(freq, values, sigma_rbw):
     """Moment-based initialization: edge floor, extremum sign/center, and a
-    half-max width with the RBW share removed."""
+    half-max width with the RBW share removed.  The floor is the median of
+    the 2k edge samples, the mean of the two middle ones, taken with
+    np.partition: np.median imports numpy.ma on its first call."""
     k = max(3, freq.size // 20)
-    floor0 = float(np.median(np.concatenate([values[:k], values[-k:]])))
+    middle = np.partition(np.concatenate([values[:k], values[-k:]]),
+                          [k - 1, k])[k - 1:k + 1]
+    floor0 = float(np.mean(middle))
     resid = values - floor0
     ipk = int(np.argmax(np.abs(resid)))
     height0 = resid[ipk]

@@ -233,28 +233,24 @@ def _gram_factor(a: float, c: float, parity: int, size: int) -> np.ndarray:
     return np.tril(np.cumprod(ratio, axis=0)) * half
 
 
-def _squeezed_thermal_rho(n_th: float, r: float, theta: float,
-                          dim: int) -> np.ndarray:
-    """P rho P, rho a squeezed thermal state and P the projector on the
-    Fock levels below dim.
+def _squeezed_thermal_rho(n_th: float, r: float, dim: int) -> np.ndarray:
+    """P rho P, rho a squeezed thermal state with its squeezed axis on X1
+    and P the projector on the Fock levels below dim.
 
     rho is rho_00 E c^{b^dag b} E^T (see _bargmann and _gram_factor), and
     E keeps the level parity, so each parity sector is rho_00 F F^T with F
-    its Gram factor: a sum of positive-weighted outer products, Hermitian
-    and positive semidefinite by construction, with trace 1 minus the
-    population above dim.  The factor of a smaller dim is the top-left
-    block of a larger one, and so is P rho P.  The rotation phase
-    e^{i theta (j - l)} is applied afterwards; the matrix is real when
-    theta is 0 and complex otherwise.
+    its Gram factor: a sum of positive-weighted outer products, real
+    symmetric and positive semidefinite by construction, with trace 1
+    minus the population above dim.  The factor of a smaller dim is the
+    top-left block of a larger one, and so is P rho P.  The state turned
+    by theta is e^{i theta (j - l)} rho_{jl}; _trajectory applies that turn
+    to <b^2> alone.
     """
     rho_00, a, c = _bargmann(n_th, r)
     rho = np.zeros((dim, dim))
     for parity in range(min(dim, 2)):
         factor = _gram_factor(a, c, parity, (dim - parity + 1) // 2)
         rho[parity::2, parity::2] = rho_00 * (factor @ factor.T)
-    if theta != 0.0:
-        phase = np.exp(1j * theta * np.arange(dim))
-        rho = (phase[:, None] * rho) * phase.conjugate()[None, :]
     return rho
 
 
@@ -270,9 +266,7 @@ def _top_populations(n_th: float, r: float, dim: int) -> np.ndarray:
 
 
 def _initial_rho(model: DephasingModel, dim: int) -> np.ndarray:
-    n_th, r = model.initial.squeezed_thermal_params
-    return _squeezed_thermal_rho(n_th, r, model.initial.squeezed_axis_angle,
-                                 dim)
+    return _squeezed_thermal_rho(*model.initial.squeezed_thermal_params, dim)
 
 
 def _offset_blocks(dim: int):
@@ -369,18 +363,19 @@ def _series_weights(chebyshev: bool, scale: float,
 
 
 def _tridiagonal(coefficients, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = T x on each row of x, with T given by its three diagonals."""
+    """out = T x, with T given by its three diagonals."""
     below, diagonal, above = coefficients
     np.multiply(diagonal, x, out=out)
-    out[:, 1:] += below * x[:, :-1]
-    out[:, :-1] += above * x[:, 1:]
+    out[1:] += below * x[:-1]
+    out[:-1] += above * x[1:]
     return out
 
 
-def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
+def _thermal_series(generator, state: np.ndarray, times: np.ndarray,
                     symmetric: bool):
-    """exp(tA) on `rows` at every time, from one pass of a three-term
-    series in the thermal generator A: (stack of times x rows, terms).
+    """exp(tA) on the real vector `state` at every time, from one pass of
+    a three-term series in the thermal generator A: (stack of times x
+    entries, terms).
 
     A is contractive and trace preserving, so its real spectrum lies in
     [a, 0], with a the Gershgorin lower end.  For symmetric blocks the
@@ -407,13 +402,13 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
     step = (factor * below, shift + factor * diagonal, factor * above)
     weights = _series_weights(symmetric, scale, times)
     terms = weights.shape[0]
-    basis = np.empty((min(_CHUNK, terms),) + rows.shape)
-    basis[0] = rows
-    stack = np.zeros((times.size, rows.size))
+    basis = np.empty((min(_CHUNK, terms), state.size))
+    basis[0] = state
+    stack = np.zeros((times.size, state.size))
     for n in range(1, terms):
         slot = n % _CHUNK
         if slot == 0:
-            stack += weights[n - _CHUNK:n].T @ basis.reshape(_CHUNK, -1)
+            stack += weights[n - _CHUNK:n].T @ basis
         term = _tridiagonal(step, basis[(n - 1) % _CHUNK], basis[slot])
         if symmetric:   # T_1 = X v, T_n = 2X T_{n-1} - T_{n-2}
             if n == 1:
@@ -421,8 +416,8 @@ def _thermal_series(generator, rows: np.ndarray, times: np.ndarray,
             else:
                 term -= basis[(n - 2) % _CHUNK]
     done = (terms - 1) // _CHUNK * _CHUNK
-    stack += weights[done:].T @ basis[:terms - done].reshape(terms - done, -1)
-    return stack.reshape((times.size,) + rows.shape), terms
+    stack += weights[done:].T @ basis[:terms - done]
+    return stack, terms
 
 
 def _min_eigenvalues(stack: np.ndarray, dim: int) -> np.ndarray:
@@ -431,7 +426,9 @@ def _min_eigenvalues(stack: np.ndarray, dim: int) -> np.ndarray:
 
     Even offsets never mix the parities, so rho is the direct sum of the
     two sectors; each is filled in its lower triangle (the k >= 0 blocks),
-    which is the triangle eigvalsh reads.
+    which is the triangle eigvalsh reads.  The stack is the unturned state
+    (see _propagate); the turn is a diagonal unitary similarity, which
+    leaves the spectrum as it is.
     """
     j, l = _offset_blocks(dim)
     least = np.full(stack.shape[0], np.inf)
@@ -439,7 +436,7 @@ def _min_eigenvalues(stack: np.ndarray, dim: int) -> np.ndarray:
         select = l % 2 == parity
         size = (dim + 1 - parity) // 2
         if size:
-            sector = np.zeros((stack.shape[0], size, size), dtype=stack.dtype)
+            sector = np.zeros((stack.shape[0], size, size))
             sector[:, j[select] // 2, l[select] // 2] = stack[:, select]
             least = np.minimum(least, np.linalg.eigvalsh(sector)[:, 0])
     return least
@@ -463,16 +460,19 @@ class LindbladTrajectory:
 
 
 def _trajectory(stack: np.ndarray, dim: int, times: np.ndarray,
-                terms: int) -> LindbladTrajectory:
+                terms: int, theta: float) -> LindbladTrajectory:
     """One rung's trajectory from its blocks 0 and 2, the first 2 dim - 2
     entries of `stack`, each reduced row by row, so that equal rows give
-    equal moments.  lindblad_evolve computes min_eigenvalue (left None)
-    for the rung it returns only."""
+    equal moments.  The stack holds the state with its squeezed axis on
+    X1; the turn by theta multiplies block 2 by e^{2i theta}, so it turns
+    <b^2> alone.  lindblad_evolve computes min_eigenvalue (left None) for
+    the rung it returns only."""
     levels = np.arange(dim)
-    populations = stack[:, :dim].real
+    populations = stack[:, :dim]
     out_n = (populations * levels).sum(axis=1)
     pair = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
-    out_b2 = (stack[:, dim:2 * dim - 2] * pair).sum(axis=1).astype(complex)
+    out_b2 = (stack[:, dim:2 * dim - 2] * pair).sum(axis=1) \
+        * np.exp(2j * theta)
     mag = np.abs(out_b2)
     return LindbladTrajectory(
         times=times, n=out_n, b2=out_b2, v_sq=0.5 + out_n - mag,
@@ -483,45 +483,44 @@ def _trajectory(stack: np.ndarray, dim: int, times: np.ndarray,
 
 
 def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
-               reference: int | None = None):
-    """Evolve the even-offset blocks of rho at its truncation dimension:
-    (trajectory, stack), the stack holding the blocks at every time.
+               reference: int):
+    """Evolve the even-offset blocks of rho at its truncation dimension,
+    with blocks 0 and 2 of the smaller dimension `reference` riding in the
+    same pass: (trajectory, stack, reference trajectory), the stack holding
+    the blocks of rho at every time.
 
-    The initial squeezed thermal state has only even offsets k = j - l, and
-    the master equation keeps each offset, so the k >= 0 even blocks carry
-    the whole state (k < 0 are their complex conjugates): about dim^2 / 4
-    entries.  The thermal part acts on them through the tridiagonal
-    generator of _block_generator, and every output time comes from one
-    pass of _thermal_series: Chebyshev in the high-temperature form, where
+    rho is the real state with its squeezed axis on X1 (_initial_rho).  A
+    turn by theta multiplies block k by e^{i theta k}, and the generator
+    keeps that: its thermal rates depend on (j, l) only and its dephasing
+    on k only.  So the real state is propagated and _trajectory turns
+    <b^2>.  The state has only even offsets k = j - l, and the master
+    equation keeps each offset, so the k >= 0 even blocks carry the whole
+    state (k < 0 are their transposes): about dim^2 / 4 entries.  The
+    thermal part acts on them through the tridiagonal generator of
+    _block_generator, and every output time comes from one pass of
+    _thermal_series: Chebyshev in the high-temperature form, where
     down == up makes every block symmetric, and uniformization in the
     finite-temperature form, where the blocks are symmetric only up to a
     diagonal similarity of condition number (down/up)^{dim/2}, which can
-    cost a Chebyshev series all its digits.  Pure dephasing acts as the scalar
-    -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
+    cost a Chebyshev series all its digits.  Pure dephasing acts as the
+    scalar -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
     applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
-    of the series.  With `reference`, a smaller dimension, blocks 0 and 2
-    of the top-left reference x reference state ride in the same pass,
-    after the whole stack and under their own dimension's generator, and
-    (trajectory, stack, reference trajectory) is returned: the trajectory
-    and the stack are those of a pass without them, bit for bit.
+    of the series.  The reference blocks, those of the top-left
+    reference x reference state, follow the whole stack under their own
+    dimension's generator; the larger dimension sets the scale, which
+    bounds both spectra, so the trajectory and the stack are the same bit
+    for bit whichever smaller reference rides along.
     """
     dim = rho.shape[0]
     j, l = _offset_blocks(dim)
-    size, dims = j.size, dim
-    if reference is not None:
-        ref_j, ref_l = (x[:2 * reference - 2]
-                        for x in _offset_blocks(reference))
-        j, l = np.concatenate([j, ref_j]), np.concatenate([l, ref_l])
-        dims = np.repeat([dim, reference], [size, ref_j.size])
-    state = rho[j, l]
-    rows = np.stack([state.real, state.imag]) if np.iscomplexobj(state) \
-        else state[None, :]
+    size = j.size
+    ref_j, ref_l = (x[:2 * reference - 2] for x in _offset_blocks(reference))
+    j, l = np.concatenate([j, ref_j]), np.concatenate([l, ref_l])
+    dims = np.repeat([dim, reference], [size, ref_j.size])
     series, terms = _thermal_series(_block_generator(model, j, l, dims),
-                                    rows, times, model.gamma_m is None)
-    stack = series[:, 0] + 1j * series[:, 1] if rows.shape[0] == 2 \
-        else series[:, 0]
+                                    rho[j, l], times, model.gamma_m is None)
     dephasing = -TWO_PI * model.gamma_phi * ((j - l) ** 2).astype(float)
-    stack = stack * np.exp(np.outer(times, dephasing))
+    stack = series * np.exp(np.outer(times, dephasing))
 
     finite = np.all(np.isfinite(stack), axis=1)
     if not np.all(finite):
@@ -529,11 +528,9 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
             f"non-finite density matrix at t = {times[np.argmin(finite)]:g}"
             f" s (dim {dim})")
 
-    traj = _trajectory(stack, dim, times, terms)
-    if reference is None:
-        return traj, stack
-    return (traj, stack[:, :size],
-            _trajectory(stack[:, size:], reference, times, terms))
+    theta = model.initial.squeezed_axis_angle
+    return (_trajectory(stack, dim, times, terms, theta), stack[:, :size],
+            _trajectory(stack[:, size:], reference, times, terms, theta))
 
 
 def _tail_dimension(model: DephasingModel, times: np.ndarray):
@@ -581,18 +578,20 @@ def _moment_drift(a: LindbladTrajectory, b: LindbladTrajectory) -> float:
 def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     """Density-matrix evolution in a truncated Fock basis.
 
-    The state is propagated as its even coherence-offset blocks by one
-    Chebyshev or uniformization series pass per truncation dimension (see
-    _propagate), an independent oracle for the moment equations.  The
+    The state is propagated real, with its squeezed axis on X1, as its
+    even coherence-offset blocks, by one Chebyshev or uniformization
+    series pass per truncation dimension (see _propagate), an independent
+    oracle for the moment equations; the rotation turns <b^2> alone.  The
     truncation dimension climbs a ladder in steps of LADDER_STEP from the
     start set by _tail_dimension; each rung is the stability reference for
     the next, and rung i >= 1 is accepted once its top-level population
     stays below 1e-8 along the whole trajectory and its moments agree with
-    rung i - 1 to 1e-4 relative.  Every rung takes its initial state as the
-    top-left block of one build (_squeezed_thermal_rho), made by
-    _tail_dimension one rung above the start and made again only when the
-    ladder climbs past it.  Rung 0 is never returned: the first two rungs
-    share one series pass, rung 0's moment blocks under rung 1's scale.
+    rung i - 1 to 1e-4 relative.  Every pass has one shape: rung i's whole
+    stack, with the moment blocks of rung i - 1 riding along under rung
+    i's scale, so rung 0 is never propagated alone or returned.  Every
+    rung takes its initial state as the top-left block of one build
+    (_squeezed_thermal_rho), made by _tail_dimension one rung above the
+    start and made again only when the ladder climbs past it.
     The trajectory records the dimensions tried (rungs) and the series
     length of the accepted one (terms); its minimum eigenvalues are
     computed for the returned rung only.  ValueError unless times is a
@@ -604,20 +603,15 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
         raise ValueError("times must be finite, >= 0 and sorted")
 
     start, rho = _tail_dimension(model, times)
-    traj = None
     for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
         if dim > rho.shape[0]:
             rho = _initial_rho(model, dim)
-        if traj is None:
-            traj, stack, reference = _propagate(model, times,
-                                                rho[:dim, :dim], start)
-        else:
-            reference = traj
-            traj, stack = _propagate(model, times, rho[:dim, :dim])
-        traj = replace(traj, rungs=reference.rungs + traj.rungs)
+        traj, stack, reference = _propagate(model, times, rho[:dim, :dim],
+                                            dim - LADDER_STEP)
         if (traj.top_population.max() < 1e-8
                 and _moment_drift(traj, reference) < 1e-4):
-            return replace(traj,
+            return replace(traj, rungs=tuple(range(start, dim + 1,
+                                                   LADDER_STEP)),
                            min_eigenvalue=_min_eigenvalues(stack, dim))
     raise TruncationNonConvergence(
         f"moments not stable below the dimension cap {MAX_DIM}")

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -276,6 +276,14 @@ def test_g0_sweep_back_action_guard(params):
 def test_g0_sweep_needs_three_points(params):
     rows = calibration.synthesize_g0_sweep(params, 13.4, [0.1, 0.2])
     with pytest.raises(ValueError):
+        calibration.g0_from_sweep(rows, params)
+
+
+@pytest.mark.parametrize("temperature", [-0.1, math.nan, math.inf])
+def test_g0_sweep_rejects_temperatures_outside_domain(params, temperature):
+    rows = calibration.synthesize_g0_sweep(params, 13.4, [0.1, 0.2, 0.3])
+    rows[0] = calibration.G0SweepPoint(temperature, *astuple(rows[0])[1:])
+    with pytest.raises(InvalidArgument, match="finite and >= 0"):
         calibration.g0_from_sweep(rows, params)
 
 

@@ -481,6 +481,23 @@ def assert_usage_error(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,line,value", [
+    ("cool", "n_m_th = 255", "nan"),
+    ("limits", "n_m_th = 255", "nan"),
+    ("squeeze --gamma-r 75 --gamma-b 23.7", "gamma_m = 0.045", "inf"),
+    ("psd --simplified", "g0 = 13.4", "1e308G"),
+], ids=["cool-nan", "limits-nan", "squeeze-inf", "psd-suffix-overflow"])
+def test_non_finite_config_number_exit(argv, line, value, tmp_path, capsys):
+    # a config value that is not finite is a config error, and nothing is
+    # written
+    path = tmp_path / "device.cfg"
+    assert line in CONFIG
+    path.write_text(CONFIG.replace(line, line.split("=")[0] + "= " + value))
+    assert_usage_error(capsys, argv.split() + ["--config", str(path),
+                                               "--out", str(tmp_path / "o")])
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_unknown_drive_role_exit(tmp_path, capsys):
     path = tmp_path / "purple.cfg"
     path.write_text(CONFIG + "\n[drives.purple]\ngamma_opt = 1\ndelta = 0\n")
@@ -500,6 +517,8 @@ def test_zero_samples_exit(tmp_path, capsys):
 
 
 SWEEP_TEXT = "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src\n"
+SWEEP_ROWS = ("0.05,1e-9,1e-6,1e-3,1e-3\n0.1,2e-9,1e-6,1e-3,1e-3\n"
+              "0.2,4e-9,1e-6,1e-3,1e-3\n")
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -511,11 +530,27 @@ SWEEP_TEXT = "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src\n"
      "N_p,N_b,N_c,r_gamma\n0.021,0.273,abc,1.0\n"),
     ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
      SWEEP_TEXT + "0.05,1e-9,1e-6,1e-3,1e-3\n0.1,2e-9,1e-6,1e-3,1e-3\n"),
+    # measurements hold finite values, and temperatures are >= 0
+    ("amplify --out {d}/o.json --calibrate {d}/in.csv",
+     "n_m,var_uV2\n0.1,2.147\n0.5,nan\n2.0,4.294\n"),
+    ("asymmetry --peaks {d}/in.csv --out {d}/o.json",
+     "N_p,N_b,N_c,r_gamma\n0.021,0.273,0.0105,inf\n"),
+    ("asymmetry --peaks {d}/in.csv --out {d}/o.json",
+     "N_p,N_b,N_c,r_gamma,N_floor\n0.021,0.273,0.0105,1.0,nan\n"),
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + SWEEP_ROWS.replace("2e-9", "-inf")),
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + SWEEP_ROWS.replace("0.05,", "nan,")),
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + SWEEP_ROWS.replace("0.05,", "-0.1,")),
 ], ids=["calibrate-short-row", "calibrate-text-cell", "peaks-text-cell",
-        "sweep-two-rows"])
+        "sweep-two-rows", "calibrate-nan", "peaks-inf", "peaks-floor-nan",
+        "sweep-inf-power", "sweep-nan-temperature",
+        "sweep-negative-temperature"])
 def test_malformed_input_file_exit(argv, text, cfg, tmp_path, capsys):
     (tmp_path / "in.csv").write_text(text)
     assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_reproduce_subset(capsys, tmp_path):

@@ -58,6 +58,9 @@ def test_parse_number_suffixes():
         config.parse_number("fast")
     with pytest.raises(ConfigError):
         config.parse_number("")
+    for text in ("nan", "inf", "-inf", "1e308G"):
+        with pytest.raises(ConfigError, match="not finite"):
+            config.parse_number(text)
 
 
 def test_load_full_stack(cfg_path):

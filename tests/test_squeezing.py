@@ -200,9 +200,10 @@ def test_lindblad_initial_state_axes():
 
 
 def _propagate_at(model, times, dim):
-    """The solver at a fixed dimension: (trajectory, minimum eigenvalues)."""
-    traj, stack = squeezing._propagate(model, times,
-                                       squeezing._initial_rho(model, dim))
+    """The solver at a fixed dimension, with the rung of half that
+    dimension riding along: (trajectory, minimum eigenvalues)."""
+    traj, stack, _ = squeezing._propagate(
+        model, times, squeezing._initial_rho(model, dim), dim // 2)
     return traj, squeezing._min_eigenvalues(stack, dim)
 
 
@@ -227,6 +228,12 @@ def test_lindblad_finite_temperature_equilibrium():
     assert traj.n[-1] == pytest.approx(2.0, rel=1e-3)
 
 
+def _rotated(rho, theta):
+    """rho turned by theta: e^{i theta (j - l)} rho_{jl}."""
+    phase = np.exp(1j * theta * np.arange(rho.shape[0]))
+    return (phase[:, None] * rho) * phase.conjugate()[None, :]
+
+
 def _expm_rho(n_th, r, theta, dim):
     """Squeezed thermal state from the exponential of the squeeze generator
     truncated to dim levels, one real expm per level parity: (S p) S^T
@@ -243,8 +250,7 @@ def _expm_rho(n_th, r, theta, dim):
         squeeze = expm(0.5 * r * (pair - pair.T))
         rho[np.ix_(sector, sector)] = (squeeze * populations[sector]) \
             @ squeeze.T
-    phase = np.exp(1j * theta * levels)
-    return (phase[:, None] * rho) * phase.conjugate()[None, :]
+    return _rotated(rho, theta)
 
 
 #: rounding allowance of the _expm_rho reference (the Gram build rounds at
@@ -262,7 +268,7 @@ def _assert_matches_converged_expm(n_th, r, theta, dim):
     convergence = np.max(np.abs(
         reference - _expm_rho(n_th, r, theta, size + 64)[:dim, :dim]))
     assert convergence <= 1e-13
-    rho = squeezing._squeezed_thermal_rho(n_th, r, theta, dim)
+    rho = _rotated(squeezing._squeezed_thermal_rho(n_th, r, dim), theta)
     assert np.max(np.abs(rho - reference)) <= 2.0 * convergence \
         + EXPM_ROUNDING
 
@@ -294,38 +300,36 @@ def test_drawn_rho_matches_converged_expm(case):
 def test_rho_is_a_cut_state(case):
     n_th, r, theta, dim = case
     eps = np.finfo(float).eps
-    rho = squeezing._squeezed_thermal_rho(n_th, r, theta, dim)
+    rho = squeezing._squeezed_thermal_rho(n_th, r, dim)
     # a larger build holds this one as its top-left block; each entry is a
     # sum of terms of one sign, so orders of summation differ by at most
     # its term count of roundings (plus an absolute floor for subnormals)
     floor = 1e-300
     for size in (256, 512, 1024):
-        big = squeezing._squeezed_thermal_rho(n_th, r, theta, size)
-        if 1.0 - np.trace(big).real <= 1e-14:
+        big = squeezing._squeezed_thermal_rho(n_th, r, size)
+        if 1.0 - np.trace(big) <= 1e-14:
             break
-    assert 1.0 - np.trace(big).real <= 1e-14
+    assert 1.0 - np.trace(big) <= 1e-14
     assert np.all(np.abs(big[:dim, :dim] - rho)
                   <= dim * eps * np.abs(rho) + floor)
-    # Hermitian (real symmetric when unrotated) and positive semidefinite
-    if theta == 0.0:
-        assert np.array_equal(rho, rho.T)
-    assert np.all(np.abs(rho - rho.conjugate().T)
-                  <= 8.0 * eps * np.abs(rho) + floor)
+    # real symmetric and positive semidefinite
+    assert rho.dtype == float and np.array_equal(rho, rho.T)
     assert np.linalg.eigvalsh(rho)[0] >= -dim * eps
     # trace 1 minus the population above dim, read from the larger build
-    tail = big.diagonal()[dim:].real.sum()
-    assert np.trace(rho).real + tail == pytest.approx(1.0, abs=1e-13)
-    # the whole state has the closed-form moments
+    tail = big.diagonal()[dim:].sum()
+    assert np.trace(rho) + tail == pytest.approx(1.0, abs=1e-13)
+    # the whole state, turned by theta, has the closed-form moments
     initial = GaussianMechState.squeezed_thermal(n_th, r, theta)
     levels = np.arange(size)
-    assert big.diagonal().real @ levels == pytest.approx(initial.n,
-                                                         rel=1e-12, abs=1e-14)
-    b2 = big.diagonal(-2) @ np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
+    assert big.diagonal() @ levels == pytest.approx(initial.n,
+                                                    rel=1e-12, abs=1e-14)
+    b2 = _rotated(big, theta).diagonal(-2) \
+        @ np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
     assert abs(b2 - initial.b2) <= 1e-12 * max(abs(initial.b2), 1.0)
     # the stop test of the dimension ladder reads the top populations
     # without a build
     top = squeezing._top_populations(n_th, r, dim)
-    assert np.all(np.abs(top - rho.diagonal()[-2:].real)
+    assert np.all(np.abs(top - rho.diagonal()[-2:])
                   <= dim * eps * top + floor)
 
 
@@ -349,9 +353,8 @@ def _kron_reference(model, times, dim):
     liouvillian = (down * dissipator(lower)
                    + up * dissipator(lower.T.tocsr())
                    + 2.0 * TWO_PI * model.gamma_phi * dissipator(number))
-    n_th, r = model.initial.squeezed_thermal_params
-    rho0 = squeezing._squeezed_thermal_rho(
-        n_th, r, model.initial.squeezed_axis_angle, dim)
+    rho0 = _rotated(squeezing._initial_rho(model, dim),
+                    model.initial.squeezed_axis_angle)
     liouvillian = liouvillian.tocsc()
     state, elapsed, stack = rho0.reshape(-1), 0.0, []
     for t in times:
@@ -433,7 +436,8 @@ def test_lindblad_records_rungs_and_terms():
     assert len(traj.rungs) >= 2 and traj.rungs[-1] == traj.dim
     assert np.all(np.diff(traj.rungs) == squeezing.LADDER_STEP)
     assert traj.terms == squeezing._propagate(
-        model, times, squeezing._initial_rho(model, traj.dim))[0].terms > 1
+        model, times, squeezing._initial_rho(model, traj.dim),
+        traj.dim - squeezing.LADDER_STEP)[0].terms > 1
     # a zero-rate generator needs the initial state only
     frozen = squeezing.lindblad_evolve(squeezing.DephasingModel(
         gamma_th=0.0, gamma_phi=0.0, initial=initial), times)
@@ -442,7 +446,7 @@ def test_lindblad_records_rungs_and_terms():
 
 
 #: rung 0 of each perfbench oracle class box (the box centres), a
-#: finite-temperature model and a rotated, complex state:
+#: finite-temperature model and a rotated state:
 #: (dim, model keywords, (n_th, r, theta))
 REFERENCE_CASES = [
     (32, dict(gamma_th=33.0, gamma_phi=0.5), (0.5, 0.015, 0.0)),
@@ -457,20 +461,21 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("dim, kwargs, state", REFERENCE_CASES)
 def test_reference_rung_rides_in_one_series_pass(dim, kwargs, state):
-    # rung 0 (dim) in rung 1's pass leaves rung 1 bit for bit as a pass of
-    # its own, and rung 0's moments differ from its own pass by rounding
+    # rung 1's pass is the same bit for bit whichever smaller rung rides
+    # in it, and rung 0's (dim) moments differ from its own pass by rounding
     model = squeezing.DephasingModel(
         initial=GaussianMechState.squeezed_thermal(*state), **kwargs)
     rho = squeezing._initial_rho(model, dim + squeezing.LADDER_STEP)
     times = np.linspace(0.0, 5e-3, 6)
     fused, fused_stack, reference = squeezing._propagate(model, times, rho,
                                                          dim)
-    alone, alone_stack = squeezing._propagate(model, times, rho)
-    for field in alone.__dataclass_fields__:
-        assert np.array_equal(getattr(fused, field), getattr(alone, field))
-    assert np.array_equal(fused_stack, alone_stack)
+    other, other_stack, _ = squeezing._propagate(model, times, rho,
+                                                 dim // 2)
+    for field in other.__dataclass_fields__:
+        assert np.array_equal(getattr(fused, field), getattr(other, field))
+    assert np.array_equal(fused_stack, other_stack)
 
-    own = squeezing._propagate(model, times, rho[:dim, :dim])[0]
+    own = squeezing._propagate(model, times, rho[:dim, :dim], dim // 2)[0]
     assert reference.dim == dim and reference.rungs == (dim,)
     for field in ("n", "b2", "v_sq", "v_asq"):
         ours, theirs = getattr(reference, field), getattr(own, field)
@@ -496,6 +501,31 @@ def test_first_two_rungs_share_one_series_pass(monkeypatch):
     traj = squeezing.lindblad_evolve(model, np.linspace(0.0, 5e-3, 6))
     assert len(traj.rungs) == 2
     assert len(calls) == 1
+
+
+def test_ladder_climb_carries_the_rung_below():
+    # a solve whose first pass is not accepted: each later pass carries
+    # the rung below, and the accepted one is returned as it came out
+    initial = GaussianMechState.squeezed_thermal(0.551, 0.138)
+    model = squeezing.DephasingModel(gamma_th=40.39, gamma_phi=1.576,
+                                     initial=initial)
+    times = np.linspace(0.0, 0.02, 6)
+    traj = squeezing.lindblad_evolve(model, times)
+    assert traj.rungs == (64, 96, 128)
+    mom = squeezing.moments_evolve(model, times)
+    for a, b in ((traj.n, mom.n), (traj.v_sq, mom.v_sq),
+                 (traj.v_asq, mom.v_asq)):
+        assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)) < 1e-3
+    assert traj.trace_dev.max() < 1e-10
+    assert traj.min_eigenvalue.min() >= -1e-8
+
+    last, stack, _ = squeezing._propagate(
+        model, times, squeezing._initial_rho(model, 128), 96)
+    assert np.array_equal(traj.min_eigenvalue,
+                          squeezing._min_eigenvalues(stack, 128))
+    for field in last.__dataclass_fields__:
+        if field not in ("rungs", "min_eigenvalue"):
+            assert np.array_equal(getattr(traj, field), getattr(last, field))
 
 
 def _decimal_poisson(mean, terms):
