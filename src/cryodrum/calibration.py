@@ -24,14 +24,10 @@ from typing import TYPE_CHECKING
 
 from .core import (BOLTZMANN_K, PLANCK_H, TWO_PI, SystemParams,
                    bose_occupation_linear)
-from .errors import (
-    BackActionDominated,
-    InconsistentBudget,
-    InvalidArgument,
-    NegativeOccupation,
-    NonPositiveRate,
-    SingularAsymmetry,
-)
+from .errors import (COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE,
+                     BackActionDominated, DegenerateDesign, InconsistentBudget,
+                     InvalidArgument, NegativeOccupation, SingularAsymmetry,
+                     require)
 
 if TYPE_CHECKING:
     from .fitting import LinearFitResult
@@ -48,7 +44,7 @@ class ScaledPeaks:
     units per Hz of the normalising rate.  N_p and N_r estimate the same
     quantity; N_p usually carries the better signal-to-noise.  r_gamma is
     Gamma_opt^b / Gamma_opt^r.  N_p and N_r may be negative in the dip
-    regime (n_m < 2 n_c).
+    regime (n_m < 2 n_c), but every given value is finite.
     """
 
     N_b: float
@@ -59,12 +55,12 @@ class ScaledPeaks:
     N_floor: float | None = None
 
     def __post_init__(self):
-        if self.N_b < 0.0 or self.N_c < 0.0:
-            raise NonPositiveRate("N_b and N_c must be >= 0")
-        if self.r_gamma <= 0.0:
-            raise NonPositiveRate("r_gamma must be > 0")
+        require(NON_NEGATIVE, N_b=self.N_b, N_c=self.N_c)
+        require(POSITIVE, r_gamma=self.r_gamma)
         if self.N_p is None and self.N_r is None:
-            raise ValueError("need N_p or N_r")
+            raise InvalidArgument("need N_p or N_r")
+        require(FINITE, **{name: value for name, value in vars(self).items()
+                           if value is not None})
 
     @property
     def n_ref(self) -> float:
@@ -111,6 +107,8 @@ def asymmetry_solve(peaks: ScaledPeaks,
     supplied; otherwise the floor is reported as a ratio to G eta.  Negative
     extracted occupations are flagged with a warning and returned unclamped.
     """
+    if eta_kappa is not None:
+        require(FRACTION, eta_kappa=eta_kappa)
     n_ref = peaks.n_ref
     n_b = peaks.N_b
     n_c_peak = peaks.N_c
@@ -162,11 +160,11 @@ def combine_calibrations(values, errors):
 
     values = np.asarray(values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if not (values.size and values.shape == errors.shape
-            and np.all(np.isfinite(values))
-            and np.all((errors > 0.0) & (errors < math.inf))):
-        raise InvalidArgument("combine_calibrations needs one finite value "
-                              "per error, each error finite and > 0")
+    if not (values.size and values.shape == errors.shape):
+        raise InvalidArgument("combine_calibrations needs one error per "
+                              "value, and at least one value")
+    require(FINITE, values=values)
+    require(POSITIVE, errors=errors)
     # weights relative to the smallest error, so that none overflows
     e_min = errors.min()
     w = (e_min / errors) ** 2
@@ -188,6 +186,11 @@ class ChainBudget:
     n_add_h: float
     eta_t_db: float
     eta_db: float
+
+    def __post_init__(self):
+        require(FINITE, snri_db=self.snri_db)
+        require(NON_NEGATIVE, n_add_h=self.n_add_h, eta_t_db=self.eta_t_db,
+                eta_db=self.eta_db)
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,8 @@ def tone_cancellation_floor(delta_phi: float, delta_att_db: float,
     absolute attenuation/phase settings; several branches multiply (add in
     dB).  Returns -inf for perfect trimming.
     """
-    if branches < 1:
-        raise InvalidArgument("branches must be >= 1")
+    require(FINITE, delta_phi=delta_phi, delta_att_db=delta_att_db)
+    require(COUNT, branches=branches)
     residual = delta_phi**2 + (LN10_OVER_20 * delta_att_db) ** 2
     if residual == 0.0:
         return -math.inf
@@ -246,16 +249,16 @@ def phase_noise_requirement(params: SystemParams, n_m_th: float,
 
     S_phiphi(Omega_m) < g0^2 n_min^2 / (Omega_m^2 n_m_th Gamma_m); the
     cyclic-unit evaluation directly gives the per-Hz density quoted as
-    dBc/Hz at the mechanical-frequency offset.
+    dBc/Hz at the mechanical-frequency offset.  FloatingPointError when the
+    ceiling leaves the double range.
     """
-    if n_min <= 0.0:
-        raise NonPositiveRate("n_min must be > 0")
+    require(POSITIVE, n_m_th=n_m_th, n_min=n_min)
     s_max = (params.g0**2 * n_min**2
              / (params.omega_m**2 * n_m_th * params.gamma_m))
     if not 0.0 < s_max / 2.0 < math.inf:
-        raise NonPositiveRate(f"n_min = {n_min!r} puts the phase-noise "
-                              f"ceiling S_phiphi = {s_max!r} outside the "
-                              "double range")
+        raise FloatingPointError(
+            f"n_min = {n_min!r} puts the phase-noise ceiling S_phiphi = "
+            f"{s_max!r} outside the double range")
     return PhaseNoiseLimit(s_phiphi=s_max,
                            dbc_per_hz=10.0 * math.log10(s_max / 2.0))
 
@@ -318,11 +321,12 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     n_th = k_B T / h Omega_m, so a straight-line fit in T yields g0 from
     the slope, independent of chain gain and attenuation.
 
-    InvalidArgument for fewer than 3 points or a temperature that is not
-    finite and >= 0.  When the source-to-device attenuation is supplied
-    (eta_att_db, positive loss), the pump back-action occupation is
-    evaluated per point and BackActionDominated is raised if it exceeds
-    10% of the bath occupancy.
+    InvalidArgument for fewer than 3 points, a temperature that is not
+    finite and >= 0 or a power that is not finite and > 0; DegenerateDesign
+    for a fitted slope that is not positive.  When the source-to-device
+    attenuation is supplied (eta_att_db, positive loss), the pump back-action
+    occupation is evaluated per point and BackActionDominated is raised if
+    it exceeds 10% of the bath occupancy.
     """
     import numpy as np
 
@@ -333,9 +337,12 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     if len(points) < 3:
         raise InvalidArgument("need at least 3 temperatures")
     temps = np.array([p.temperature for p in points])
-    if not np.all((0.0 <= temps) & (temps < math.inf)):
-        raise InvalidArgument(f"sweep temperatures must be finite and >= 0, "
-                              f"got {temps.tolist()}")
+    require(NON_NEGATIVE, temperature=temps)
+    for name in ("p_sb_meas", "p_cal_meas", "p_mw_src", "p_cal_src"):
+        require(POSITIVE,
+                **{name: np.array([getattr(p, name) for p in points])})
+    if eta_att_db is not None:
+        require(NON_NEGATIVE, eta_att_db=eta_att_db)
     ratios = np.array([p.calibrated_ratio for p in points])
 
     prefactor = _sweep_prefactor(params)
@@ -344,7 +351,7 @@ def g0_from_sweep(sweep, params: SystemParams, *,
 
     fit = linear_fit(temps, ratios)
     if fit.slope <= 0.0:
-        raise NonPositiveRate("fitted sweep slope is not positive")
+        raise DegenerateDesign("fitted sweep slope is not positive")
     g0 = math.sqrt(fit.slope / slope_unit)
     g0_err = g0 * fit.slope_err / (2.0 * fit.slope)
 

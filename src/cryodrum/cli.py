@@ -14,12 +14,12 @@ modules of the command it runs: `import cryodrum.cli` loads `config`,
 of its domain, a missing --seed, an unreadable config, `budget` or
 `limits`.  No command loads scipy: the package depends on numpy alone.
 
-OPTION_DOMAINS is the only place where option domains are defined: `main`
-checks every numeric option against it once, before the config is read.
+OPTION_DOMAINS gives every numeric option a domain from `errors`, and `main`
+checks each against it once, before the config is read.
 
-Exit codes: 0 success, 1 reproduction-suite failure, 2 configuration or
-usage error (an option out of its domain, a malformed input file), 3
-numerical failure (an overflow included).
+Exit codes: 0 success, 1 reproduction-suite failure, 2 usage error (an input
+outside its domain raises InvalidArgument, or a file is missing), 3 numerical
+failure (a derived value leaves the double range, or a solve or fit fails).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from pathlib import Path
 
 from . import __version__
 from . import config as config_mod
-from .errors import (ConfigError, CryodrumError, InvalidArgument,
-                     SchemaMismatch)
+from .errors import (COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE,
+                     CryodrumError, InvalidArgument, require)
 
 DEVICE_COLUMNS = ["axis", "factor", "omega_m_hz", "m_eff_kg", "m_phys_kg",
                   "xi_mass", "x_zpf_m", "xi_cap", "g0_hz", "lambda", "d_q",
@@ -89,38 +89,32 @@ def _numbers(text, kind, option):
                               f"got {text!r}") from None
 
 
-_FINITE = ("finite", lambda v: -math.inf < v < math.inf)
-_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
-
-#: option -> (domain, test); a list option (--factors) tests each number
+#: option -> domain; a list option (--factors) tests each number
 OPTION_DOMAINS = {
     "points": (">= 2", lambda v: v >= 2),
-    "samples": (">= 1", lambda v: v >= 1),
-    "branches": (">= 1", lambda v: v >= 1),
-    "seed": (">= 0", lambda v: v >= 0),
-    "eta_kappa": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "eta_kappa": FRACTION,
+    **dict.fromkeys(("samples", "branches"), COUNT),
     **dict.fromkeys(("factors", "span_widths", "cmin", "cmax", "g_opt", "tau",
-                     "tmax", "gamma_r", "n_min"), _POSITIVE),
-    **dict.fromkeys(("n_th", "n_add", "gamma_amp", "gamma_b", "gamma_th",
-                     "gamma_phi", "delta", "delta_err", "eta_att_db",
-                     "n_add_h", "eta_t_db", "eta_db"), _NON_NEGATIVE),
-    **dict.fromkeys(("r", "snri_db", "delta_phi", "delta_att_db"), _FINITE),
+                     "tmax", "gamma_r", "n_min"), POSITIVE),
+    **dict.fromkeys(("seed", "n_th", "n_add", "gamma_amp", "gamma_b",
+                     "gamma_th", "gamma_phi", "delta", "delta_err",
+                     "eta_att_db", "n_add_h", "eta_t_db", "eta_db"),
+                    NON_NEGATIVE),
+    **dict.fromkeys(("r", "snri_db", "delta_phi", "delta_att_db"), FINITE),
 }
 
 
 def _check_options(args):
     """InvalidArgument, a usage error, unless every numeric option that is
     set lies in its domain."""
-    for option, (domain, test) in OPTION_DOMAINS.items():
+    for option, domain in OPTION_DOMAINS.items():
         value = getattr(args, option, None)
         if value is None:
             continue
         flag = "--" + option.replace("_", "-")
-        values = _numbers(value, float, flag) if isinstance(value, str) \
-            else [value]
-        if not all(test(v) for v in values):
-            raise InvalidArgument(f"{flag} must be {domain}, got {value!r}")
+        for number in _numbers(value, float, flag) \
+                if isinstance(value, str) else [value]:
+            require(domain, **{flag: number})
 
 
 def _json_out(path, payload):
@@ -534,8 +528,7 @@ def main(argv=None) -> int:
             if getattr(args, "config", None) else None
         _write_manifest(args, args.func(args, cp), cp)
         return 0
-    except (ConfigError, SchemaMismatch, InvalidArgument,
-            FileNotFoundError) as exc:
+    except (InvalidArgument, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CryodrumError, ArithmeticError) as exc:

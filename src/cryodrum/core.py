@@ -15,13 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    InvalidArgument,
-    LinewidthMismatch,
-    NonPositiveFrequency,
-    NonPositiveRate,
-    UnstableDriveSet,
-)
+from .errors import (FINITE, NON_NEGATIVE, POSITIVE, InvalidArgument,
+                     LinewidthMismatch, UnstableDriveSet, require)
 
 TWO_PI = 2.0 * math.pi
 #: exact SI values (2019 redefinition), equal to scipy.constants.h and .k
@@ -67,8 +62,17 @@ class SystemParams:
 
     @property
     def resolved_sideband_param(self) -> float:
-        """(kappa / 4 Omega_m)^2; back-action is negligible when << 1."""
-        return (self.kappa / (4.0 * self.omega_m)) ** 2
+        """(kappa / 4 Omega_m)^2; back-action is negligible when << 1.
+        FloatingPointError when it overflows the double range."""
+        return _finite("resolved_sideband_param",
+                       (self.kappa / (4.0 * self.omega_m)) ** 2)
+
+
+def _finite(name, value):
+    """value, a derived one; FloatingPointError when it overflowed."""
+    if value == math.inf:
+        raise FloatingPointError(f"{name} = inf overflows the double range")
+    return value
 
 
 def validate_params(raw) -> SystemParams:
@@ -80,20 +84,18 @@ def validate_params(raw) -> SystemParams:
 
     Raises
     ------
-    NonPositiveRate
-        Any of the rates/frequencies is <= 0 (kappa_0 = 0 is allowed:
-        lossless cavity).
+    InvalidArgument
+        Any of the rates/frequencies is not finite and > 0 (kappa_0 = 0 is
+        allowed: lossless cavity).
     LinewidthMismatch
         kappa deviates from kappa_ex + kappa_0 beyond 1e-9 relative.
     """
     values = {k: float(raw[k]) for k in (
         "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
 
-    for name in ("omega_c", "kappa", "kappa_ex", "omega_m", "gamma_m", "g0"):
-        if not values[name] > 0.0:
-            raise NonPositiveRate(f"{name} must be > 0, got {values[name]!r}")
-    if values["kappa_0"] < 0.0:
-        raise NonPositiveRate(f"kappa_0 must be >= 0, got {values['kappa_0']!r}")
+    require(NON_NEGATIVE, kappa_0=values["kappa_0"])
+    require(POSITIVE, **{name: value for name, value in values.items()
+                         if name != "kappa_0"})
 
     kappa_sum = values["kappa_ex"] + values["kappa_0"]
     if abs(kappa_sum - values["kappa"]) > 1e-9 * values["kappa"]:
@@ -120,9 +122,7 @@ class BathOccupations:
     n_m: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_c_th", "n_m_th", "n_c", "n_m"):
-            if getattr(self, name) < 0.0:
-                raise NonPositiveRate(f"{name} must be >= 0")
+        require(NON_NEGATIVE, **vars(self))
 
 
 def bath_occupations(params: SystemParams, n_c_th: float,
@@ -131,8 +131,10 @@ def bath_occupations(params: SystemParams, n_c_th: float,
 
     The steady-state cavity occupation is the intrinsic bath occupation
     diluted by the (zero-temperature) external port: n_c = kappa_0 n_c_th / kappa.
+    FloatingPointError when n_c overflows.
     """
-    n_c = params.kappa_0 * n_c_th / params.kappa
+    require(NON_NEGATIVE, n_c_th=n_c_th)
+    n_c = _finite("n_c", params.kappa_0 * n_c_th / params.kappa)
     return BathOccupations(n_c_th=n_c_th, n_m_th=n_m_th, n_c=n_c, n_m=n_m_th)
 
 
@@ -153,8 +155,8 @@ class DriveTone:
         if self.role not in DRIVE_ROLES:
             raise InvalidArgument(f"unknown drive role {self.role!r}; "
                                   f"expected one of {DRIVE_ROLES}")
-        if self.gamma_opt < 0.0:
-            raise NonPositiveRate("gamma_opt must be >= 0")
+        require(FINITE, delta=self.delta)
+        require(NON_NEGATIVE, gamma_opt=self.gamma_opt)
 
 
 def drive_tone(role: str, *, gamma_m: float, delta: float = 0.0,
@@ -165,16 +167,17 @@ def drive_tone(role: str, *, gamma_m: float, delta: float = 0.0,
     The two are tied by cooperativity = gamma_opt / Gamma_m; supplying both
     is accepted only if consistent to 1e-12 relative.
     """
-    if gamma_m <= 0.0:
-        raise NonPositiveRate("gamma_m must be > 0")
+    require(POSITIVE, gamma_m=gamma_m)
     if gamma_opt is None and cooperativity is None:
-        raise ValueError("need gamma_opt or cooperativity")
+        raise InvalidArgument("need gamma_opt or cooperativity")
+    if cooperativity is not None:
+        require(NON_NEGATIVE, cooperativity=cooperativity)
     if gamma_opt is None:
         gamma_opt = cooperativity * gamma_m
     elif cooperativity is not None:
         expect = gamma_opt / gamma_m
         if abs(cooperativity - expect) > 1e-12 * max(abs(expect), 1.0):
-            raise ValueError(
+            raise InvalidArgument(
                 f"cooperativity {cooperativity!r} inconsistent with "
                 f"gamma_opt/gamma_m = {expect!r}")
     return DriveTone(role=role, delta=delta, gamma_opt=gamma_opt)
@@ -193,11 +196,10 @@ class DriveSet:
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
-        if self.gamma_m <= 0.0:
-            raise NonPositiveRate("gamma_m must be > 0")
+        require(POSITIVE, gamma_m=self.gamma_m)
         roles = [t.role for t in self.tones]
         if len(roles) != len(set(roles)):
-            raise ValueError("at most one tone per role")
+            raise InvalidArgument("at most one tone per role")
         if self.gamma_tot <= 0.0:
             raise UnstableDriveSet(
                 f"Gamma_tot = {self.gamma_tot:.6g} Hz <= 0: blue-probe "
@@ -225,32 +227,35 @@ class DriveSet:
 def bose_occupation(freq: float, temperature: float) -> float:
     """Exact Bose-Einstein occupation 1/(exp(h f / k_B T) - 1) [quanta].
 
-    freq is cyclic [Hz], temperature in kelvin.  Returns 0 at T = 0.  The
-    linear high-temperature form k_B T / h f is approached within 1% for
-    h f / k_B T < 0.14; the exact form is used everywhere because mK-range
-    occupations are only O(100) quanta.
+    freq is cyclic [Hz], temperature in kelvin.  Returns 0 at T = 0 and
+    where exp(h f / k_B T) overflows; FloatingPointError where the
+    occupation does.  The linear high-temperature form k_B T / h f is
+    approached within 1% for h f / k_B T < 0.14; the exact form is used
+    everywhere because mK-range occupations are only O(100) quanta.
     """
-    if freq <= 0.0:
-        raise NonPositiveFrequency(f"frequency must be > 0, got {freq!r}")
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature!r}")
-    if temperature == 0.0:
+    require(POSITIVE, freq=freq)
+    require(NON_NEGATIVE, temperature=temperature)
+    k_t = BOLTZMANN_K * temperature
+    if k_t == 0.0:
         return 0.0
-    x = PLANCK_H * freq / (BOLTZMANN_K * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        return _finite("bose_occupation",
+                       1.0 / math.expm1(PLANCK_H * freq / k_t))
+    except OverflowError:
+        return 0.0
 
 
 def bose_occupation_linear(freq: float, temperature: float) -> float:
     """High-temperature limit k_B T / h f, used only where a strictly linear
     temperature dependence is required (temperature-sweep fits, scaling
-    exponents)."""
-    if freq <= 0.0:
-        raise NonPositiveFrequency(f"frequency must be > 0, got {freq!r}")
-    return BOLTZMANN_K * temperature / (PLANCK_H * freq)
+    exponents).  FloatingPointError when it overflows."""
+    require(POSITIVE, freq=freq)
+    require(NON_NEGATIVE, temperature=temperature)
+    return _finite("bose_occupation_linear",
+                   BOLTZMANN_K * temperature / (PLANCK_H * freq))
 
 
 def thermal_decoherence_rate(n_m_th: float, gamma_m: float) -> float:
     """Phonon exchange rate with the bath: Gamma_th = (n_m_th + 1) Gamma_m [Hz]."""
-    if n_m_th < 0.0 or gamma_m < 0.0:
-        raise NonPositiveRate("n_m_th and gamma_m must be >= 0")
+    require(NON_NEGATIVE, n_m_th=n_m_th, gamma_m=gamma_m)
     return (n_m_th + 1.0) * gamma_m

@@ -16,10 +16,9 @@ lines and double-quoted cells; a numeric cell reads as the double that
 `float()` gives for it.  Every reader raises SchemaMismatch for a wrong
 header, a non-numeric cell, a short or long row, no rows, or metadata
 that does not parse or is out of its domain (an rbw_hz that is not finite
-and >= 0).  The measurement tables (sweep, peaks, line) hold finite values
-only, and their readers raise it for a nan or inf cell too; spectra and
-quadrature batches read such cells back as written, so their write/read
-cycles stay lossless.  A reader imports the module of the type it builds
+and >= 0).  Cells read back as written, nan and inf included; the code
+that takes a measurement table's rows (sweep, peaks, line) checks them
+against their domains.  A reader imports the module of the type it builds
 when it is called, so writing a table loads no physics module.
 """
 
@@ -316,17 +315,6 @@ def _read_table(path, header, optional_tail=()) -> np.ndarray:
         return _read_rows(fh, path, len(header) + len(extras))
 
 
-def _finite(path, data: np.ndarray) -> np.ndarray:
-    """The rows of a measurement table, as read; SchemaMismatch for a cell
-    that is nan or inf."""
-    finite = np.isfinite(data)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise SchemaMismatch(f"{path}: data row {row + 1} holds a value "
-                             f"that is not finite: {data[row].tolist()}")
-    return data
-
-
 def write_spectrum(path, spec):
     """A dynamics.Spectrum as a spectrum CSV.  InvalidArgument, before any
     byte is written, for a label that read_spectrum would not give back:
@@ -447,8 +435,8 @@ def read_sweep(path) -> list:
     """calibration.G0SweepPoint rows of a coupling-rate sweep CSV."""
     from .calibration import G0SweepPoint
 
-    rows = _finite(path, _read_table(path, SWEEP_HEADER))
-    return [G0SweepPoint(*row) for row in rows.tolist()]
+    return [G0SweepPoint(*row)
+            for row in _read_table(path, SWEEP_HEADER).tolist()]
 
 
 def read_peaks(path) -> list:
@@ -456,8 +444,7 @@ def read_peaks(path) -> list:
     N_floor column)."""
     from .calibration import ScaledPeaks
 
-    rows = _finite(path, _read_table(path, PEAKS_HEADER,
-                                     optional_tail=("N_floor",)))
+    rows = _read_table(path, PEAKS_HEADER, optional_tail=("N_floor",))
     return [ScaledPeaks(N_p=row[0], N_b=row[1], N_c=row[2], r_gamma=row[3],
                         N_floor=row[4] if len(row) > 4 else None)
             for row in rows.tolist()]
@@ -465,7 +452,7 @@ def read_peaks(path) -> list:
 
 def read_line(path) -> np.ndarray:
     """Amplifier calibration points as (n_m, var_uV2) rows of an array."""
-    return _finite(path, _read_table(path, LINE_HEADER))
+    return _read_table(path, LINE_HEADER)
 
 
 def write_trajectory(path, times, v_sq, v_asq, n):

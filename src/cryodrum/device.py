@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PLANCK_H, TWO_PI, bose_occupation_linear
-from .errors import MissingParticipation, NonPositiveRate
+from .errors import (ABOVE_ZERO, FRACTION, NON_NEGATIVE, POSITIVE,
+                     InvalidArgument, MissingParticipation, require)
 
 HBAR = PLANCK_H / TWO_PI      # reduced Planck constant [J s]
 
@@ -37,7 +38,8 @@ class DrumGeometry:
     Lengths in metres, stress/modulus in pascal, density in kg/m^3.
     xi_par (capacitor participation ratio) and the dilution factors
     dilution_a/dilution_b come from external electromagnetic/elastic
-    simulation and are plain inputs here.
+    simulation and are plain inputs here.  R > R_b, and a scaling sweep
+    may overflow a length or the stress to +inf (see errors.ABOVE_ZERO).
     """
 
     radius: float                 # R, drumhead radius
@@ -53,14 +55,17 @@ class DrumGeometry:
     dilution_b: float = 0.0       # B, negligible at lam ~ 5e-3
 
     def __post_init__(self):
-        if not (self.radius > self.bottom_radius > 0.0):
-            raise NonPositiveRate("need R > R_b > 0")
-        if self.thickness <= 0.0 or self.gap <= 0.0:
-            raise NonPositiveRate("thickness and gap must be > 0")
-        if self.density <= 0.0 or self.stress <= 0.0:
-            raise NonPositiveRate("density and stress must be > 0")
-        if self.xi_par is not None and not (0.0 < self.xi_par <= 1.0):
-            raise NonPositiveRate("xi_par must be in (0, 1]")
+        require(ABOVE_ZERO, radius=self.radius,
+                bottom_radius=self.bottom_radius, thickness=self.thickness,
+                gap=self.gap, stress=self.stress)
+        require(POSITIVE, density=self.density)
+        require(NON_NEGATIVE, youngs_modulus=self.youngs_modulus, q0=self.q0,
+                dilution_a=self.dilution_a, dilution_b=self.dilution_b)
+        if self.xi_par is not None:
+            require(FRACTION, xi_par=self.xi_par)
+        if not self.radius > self.bottom_radius:
+            raise InvalidArgument(f"radius = {self.radius!r}: must be > "
+                                  f"bottom_radius = {self.bottom_radius!r}")
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,9 @@ def dilution_factor(geom: DrumGeometry):
     lambda = (t / 2R) sqrt(Y / 12 sigma).  At lambda -> 0 the bending loss
     vanishes and D_Q diverges; an inf sentinel is returned with a warning.
     A tiny positive lambda whose D_Q or Q_m overflows the double range is
-    not that limit: NonPositiveRate.
+    not that limit: FloatingPointError.
     """
-    if geom.youngs_modulus <= 0.0:
-        raise NonPositiveRate("youngs_modulus must be > 0 for dilution")
+    require(POSITIVE, youngs_modulus=geom.youngs_modulus)
     lam = (geom.thickness / (2.0 * geom.radius)
            * math.sqrt(geom.youngs_modulus / (12.0 * geom.stress)))
     denom = geom.dilution_a * lam + geom.dilution_b * lam**2
@@ -157,8 +161,8 @@ def dilution_factor(geom: DrumGeometry):
     d_q = 1.0 / denom
     q_m = geom.q0 * d_q
     if not (math.isfinite(d_q) and math.isfinite(q_m)):
-        raise NonPositiveRate(f"lambda = {lam!r}: D_Q = {d_q!r} and Q_m = "
-                              f"{q_m!r} overflow the double range")
+        raise FloatingPointError(f"lambda = {lam!r}: D_Q = {d_q!r} and Q_m = "
+                                 f"{q_m!r} overflow the double range")
     return lam, d_q, q_m
 
 
@@ -167,9 +171,10 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
 
     The capacitive coupling is g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
     xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr; MissingParticipation
-    when xi_par is not supplied.  NonPositiveRate when a figure overflows
-    the double range; only d_q and q_m carry an inf sentinel.
+    when xi_par is not supplied.  FloatingPointError when a figure
+    overflows the double range; only d_q and q_m carry an inf sentinel.
     """
+    require(POSITIVE, omega_c=omega_c)
     if geom.xi_par is None:
         raise MissingParticipation(
             "xi_par (capacitor participation ratio) must be supplied")
@@ -185,8 +190,8 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
                    lam=lam)
     for name, value in figures.items():
         if not math.isfinite(value):
-            raise NonPositiveRate(f"{name} = {value!r}: the geometry "
-                                  "overflows the double range")
+            raise FloatingPointError(f"{name} = {value!r}: the geometry "
+                                     "overflows the double range")
     return ModeResult(**figures, d_q=d_q, q_m=q_m)
 
 
@@ -237,11 +242,11 @@ def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
     occupation would bend the log-log slope at the 1e-3 level).
     """
     if axis not in ("radius", "stress", "thickness", "gap"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        raise InvalidArgument(f"unknown sweep axis {axis!r}")
+    require(POSITIVE, kappa=kappa)
     rows = []
     for factor in factors:
-        if factor <= 0.0:
-            raise NonPositiveRate("sweep factors must be > 0")
+        require(POSITIVE, factor=factor)
         changes = {axis: getattr(base, axis) * factor}
         if axis == "radius":
             changes["bottom_radius"] = base.bottom_radius * factor

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import TWO_PI, BathOccupations, DriveSet, SystemParams
-from .errors import InvalidArgument, OverlapWarning, WeakCouplingWarning
+from .errors import (FINITE, NON_NEGATIVE, InvalidArgument, OverlapWarning,
+                     WeakCouplingWarning, require)
 
 #: Gamma_tot/kappa above which the weak-coupling forms start to degrade
 WEAK_COUPLING_LIMIT = 0.01
@@ -34,8 +35,8 @@ class Spectrum:
     freq is a uniform, strictly increasing cyclic grid [Hz] centered on a
     stated reference; values are PSD samples in quanta/(s Hz) when device
     referred (or detector units after chain scaling); rbw is the analyzer
-    resolution bandwidth [Hz] (0 = ideal, unconvolved; finite and >= 0, else
-    InvalidArgument); floor is the flat background beneath the peaks.
+    resolution bandwidth [Hz] (0 = ideal, unconvolved); floor is the flat
+    background beneath the peaks.
     """
 
     freq: np.ndarray
@@ -52,18 +53,16 @@ class Spectrum:
         if freq.ndim != 1 or freq.size < 2:
             raise InvalidArgument("freq must be a 1-d grid with >= 2 points")
         if values.shape != freq.shape:
-            raise ValueError("values must match the freq grid")
+            raise InvalidArgument("values must match the freq grid")
         # a strictly increasing grid with finite end points is finite
         # everywhere, and NaN fails every comparison
-        if not (np.isfinite(freq[0]) and np.isfinite(freq[-1])
-                and np.all(freq[1:] > freq[:-1])):
+        require(FINITE, freq=float(freq[0]))
+        require(FINITE, freq=float(freq[-1]))
+        if not np.all(freq[1:] > freq[:-1]):
             raise InvalidArgument(
                 "freq grid must be finite and strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("PSD values must be finite")
-        if not 0.0 <= self.rbw < np.inf:
-            raise InvalidArgument(
-                f"rbw must be finite and >= 0, got {self.rbw!r}")
+        require(FINITE, values=values, floor=self.floor)
+        require(NON_NEGATIVE, rbw=self.rbw)
 
 
 def cooling_occupation(n_m_th: float, n_c: float, cooperativity: float) -> float:
@@ -72,8 +71,7 @@ def cooling_occupation(n_m_th: float, n_c: float, cooperativity: float) -> float
     n_m = n_m_th / (1 + C) + C/(1 + C) * n_c: cooling against the mechanical
     bath saturates at the cavity occupation in the large-C limit.
     """
-    if n_m_th < 0.0 or n_c < 0.0 or cooperativity < 0.0:
-        raise ValueError("occupations and cooperativity must be >= 0")
+    require(NON_NEGATIVE, n_m_th=n_m_th, n_c=n_c, cooperativity=cooperativity)
     c = cooperativity
     return n_m_th / (1.0 + c) + c / (1.0 + c) * n_c
 
@@ -210,7 +208,8 @@ def output_psd(params: SystemParams, baths: BathOccupations,
         S_c(0)    = 4 eta_kappa n_c    of width kappa.
 
     Sidebands separated by less than 10 Gamma_tot trigger an OverlapWarning:
-    cross terms between them are always neglected.
+    cross terms between them are always neglected.  FloatingPointError when
+    a component overflows the double range.
     """
     _check_weak_coupling(params, drives)
     nu = np.asarray(grid, dtype=float)
@@ -234,9 +233,14 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                     f"{spacing:.3g} Hz < 10 Gamma_tot; neglected cross terms "
                     "may matter", OverlapWarning, stacklevel=2)
 
+    def spectrum(values, label):
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"{label} PSD overflows the double range")
+        return Spectrum(freq=nu, values=values, label=label)
+
     w = 1.0 + 4.0 * nu**2 / params.kappa**2
-    cavity = 4.0 * params.eta_kappa * n_c / w
-    components = {"cavity": Spectrum(freq=nu, values=cavity, label="cavity")}
+    components = {"cavity": spectrum(4.0 * params.eta_kappa * n_c / w,
+                                     "cavity")}
     if not simplified:
         inv_w = 1.0 / w
         nu_over_w = nu * inv_w
@@ -259,7 +263,7 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                 values = _sideband_full_wide(nu, tone.delta, sign,
                                              tone.gamma_opt, params, baths,
                                              drives)
-        components[label] = Spectrum(freq=nu, values=values, label=label)
+        components[label] = spectrum(values, label)
 
     components["floor"] = 0.5
     return components

@@ -1,9 +1,42 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception and warning types shared across the toolkit, and the numeric
+domains of its inputs.
 
 Errors signal contract violations (bad inputs, failed convergence); warnings
 flag physically meaningful but suspicious situations where a value is still
 returned (negative variance estimates, overlapping sidebands, ...).
+
+An input outside its domain raises InvalidArgument (or a subclass), which
+the CLI alone maps to its usage-error exit; a derived value that leaves the
+double range raises FloatingPointError.  Each numeric domain is one (label,
+test) pair below, which `require` checks.  Standard library only.
 """
+
+import math
+
+#: numeric domains as (label, test); NaN fails every test
+FINITE = ("finite", lambda v: -math.inf < v < math.inf)
+POSITIVE = ("finite and > 0", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+#: > 0 with +inf allowed, for a length that a scaling sweep may overflow
+ABOVE_ZERO = ("> 0", lambda v: v > 0.0)
+FRACTION = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+COUNT = ("an integer >= 1", lambda v: v >= 1 and v % 1 == 0)
+
+
+def require(domain, **values):
+    """InvalidArgument naming the first of the name=value inputs that lies
+    outside domain.  An array (anything with min and max) is tested on its
+    two extremes, which are NaN when any element is; an empty array passes.
+    """
+    label, test = domain
+    for name, value in values.items():
+        ends = (value,)
+        if hasattr(value, "min"):
+            ends = (value.min(), value.max()) if value.size else ()
+        for end in ends:
+            if not test(end):
+                end = end.item() if hasattr(end, "item") else end
+                raise InvalidArgument(f"{name} = {end!r}: must be {label}")
 
 
 class CryodrumError(Exception):
@@ -16,26 +49,17 @@ class InvalidArgument(CryodrumError, ValueError):
     """An input outside its documented domain (a usage error)."""
 
 
-class NonPositiveRate(CryodrumError):
-    """A rate or frequency outside its range: zero or negative where it
-    must be > 0, or too large for the arithmetic that scales it."""
-
-
-class NonPositiveFrequency(CryodrumError):
-    """Bose occupation requested for a non-positive frequency."""
-
-
-class LinewidthMismatch(CryodrumError):
+class LinewidthMismatch(InvalidArgument):
     """kappa does not equal kappa_ex + kappa_0 within tolerance."""
 
 
-class UnstableDriveSet(CryodrumError):
+class UnstableDriveSet(InvalidArgument):
     """Total mechanical damping Gamma_tot <= 0 (anti-damping dominates)."""
 
 
 # ---- device geometry ----
 
-class MissingParticipation(CryodrumError):
+class MissingParticipation(InvalidArgument):
     """Capacitive participation ratio xi_par required but not supplied."""
 
 
@@ -54,7 +78,7 @@ class PeakUnresolved(CryodrumError):
 
 
 class DegenerateDesign(CryodrumError):
-    """Regression design matrix is rank deficient (e.g. all x equal)."""
+    """Rank-deficient regression design (all x equal), or a slope <= 0."""
 
 
 # ---- calibration ----
@@ -73,11 +97,11 @@ class BackActionDominated(CryodrumError):
 
 # ---- squeezing / dephasing ----
 
-class UnstableSqueeze(CryodrumError):
+class UnstableSqueeze(InvalidArgument):
     """Blue pump rate >= red pump rate: no Bogoliubov steady state."""
 
 
-class UnphysicalVariances(CryodrumError):
+class UnphysicalVariances(InvalidArgument):
     """Variance pair violates the Heisenberg bound v_sq * v_asq >= 1/4."""
 
 
@@ -91,11 +115,11 @@ class StepRejectionOverflow(CryodrumError):
 
 # ---- datasets / CLI ----
 
-class SchemaMismatch(CryodrumError):
+class SchemaMismatch(InvalidArgument):
     """Dataset file does not match the documented schema."""
 
 
-class ConfigError(CryodrumError):
+class ConfigError(InvalidArgument):
     """Configuration file missing or malformed."""
 
 

@@ -24,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    FitNonConvergence,
-    IllConditioned,
-    InvalidArgument,
-    PeakUnresolved,
-)
+from .errors import (NON_NEGATIVE, POSITIVE, DegenerateDesign,
+                     FitNonConvergence, IllConditioned, InvalidArgument,
+                     PeakUnresolved, require)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: samples above half maximum that integrate_peak needs to call a peak resolved
@@ -76,8 +72,7 @@ def sigma_from_rbw(rbw: float) -> float:
     """Gaussian blur width of an FFT analyzer: sigma = RBW / sqrt(2 pi).
 
     InvalidArgument unless rbw is finite and >= 0."""
-    if not 0.0 <= rbw < math.inf:
-        raise InvalidArgument(f"rbw must be finite and >= 0, got {rbw!r}")
+    require(NON_NEGATIVE, rbw=rbw)
     return rbw / SQRT_2PI
 
 
@@ -95,9 +90,7 @@ def voigt_eval(omega, gamma: float, sigma_rbw: float):
     scipy's wofz); gamma >= 0 keeps every z in Im z >= 0, where it holds.
     InvalidArgument unless gamma and sigma_rbw are finite and >= 0.
     """
-    if not (0.0 <= gamma < math.inf and 0.0 <= sigma_rbw < math.inf):
-        raise InvalidArgument("gamma and sigma_rbw must be finite and >= 0, "
-                              f"got {gamma!r} and {sigma_rbw!r}")
+    require(NON_NEGATIVE, gamma=gamma, sigma_rbw=sigma_rbw)
     x = np.asarray(omega, dtype=float)
     if sigma_rbw == 0.0:
         denom = x**2 + gamma**2
@@ -132,7 +125,6 @@ class PeakFit:
     covariance: np.ndarray
     nfev: int
     condition: float
-    model: str = "lorentzian"
     sigma_rbw: float = 0.0
 
 
@@ -194,7 +186,7 @@ def fit_peak(spec, model: str = "lorentzian") -> PeakFit:
     Jacobian at the solution, scaled by the residual variance.
     """
     if model not in ("lorentzian", "voigt"):
-        raise ValueError(f"unknown model {model!r}")
+        raise InvalidArgument(f"unknown model {model!r}")
     sigma_rbw = sigma_from_rbw(spec.rbw) if model == "voigt" else 0.0
     freq = spec.freq
     values = spec.values
@@ -254,7 +246,7 @@ def fit_peak(spec, model: str = "lorentzian") -> PeakFit:
     height = 2.0 * area / (math.pi * fwhm)
     return PeakFit(center=float(center), width=float(fwhm),
                    height=float(height), area=float(area), floor=float(floor),
-                   covariance=cov, model=model, sigma_rbw=sigma_rbw,
+                   covariance=cov, sigma_rbw=sigma_rbw,
                    nfev=nfev, condition=float(condition))
 
 
@@ -330,8 +322,7 @@ def linear_fit(x, y, sigma_y=None) -> LinearFitResult:
         w = np.ones_like(x)
     else:
         sigma_y = np.asarray(sigma_y, dtype=float)
-        if np.any(sigma_y <= 0.0):
-            raise ValueError("sigma_y must be > 0")
+        require(POSITIVE, sigma_y=sigma_y)
         w = 1.0 / sigma_y**2
 
     s = w.sum()

@@ -22,13 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import TWO_PI
-from .errors import (
-    InvalidArgument,
-    NonPositiveRate,
-    StepRejectionOverflow,
-    TruncationNonConvergence,
-    UnstableSqueeze,
-)
+from .errors import (FINITE, NON_NEGATIVE, POSITIVE, InvalidArgument,
+                     StepRejectionOverflow, TruncationNonConvergence,
+                     UnstableSqueeze, require)
 from .fitting import linear_fit
 from .tomography import GaussianMechState
 
@@ -53,16 +49,16 @@ class SqueezeDrive:
 def squeeze_drive(gamma_r: float, gamma_b: float,
                   kappa: float) -> SqueezeDrive:
     """Build a SqueezeDrive with the derived fields populated, from finite
-    gamma_r > 0 and kappa > 0 and 0 <= gamma_b < gamma_r."""
-    if not (0.0 < gamma_r < math.inf and 0.0 < kappa < math.inf
-            and gamma_b >= 0.0):
-        raise NonPositiveRate("need finite gamma_r, kappa > 0, gamma_b >= 0")
-    if gamma_b >= gamma_r:
-        raise UnstableSqueeze(
-            "gamma_b >= gamma_r: the Bogoliubov mode is not damped")
+    gamma_r > 0 and kappa > 0 and 0 <= gamma_b < gamma_r (UnstableSqueeze
+    otherwise); FloatingPointError when gamma_b / gamma_r underflows."""
+    require(POSITIVE, gamma_r=gamma_r, kappa=kappa)
+    if not gamma_b < gamma_r:
+        raise UnstableSqueeze(f"gamma_b = {gamma_b!r}: must be < gamma_r = "
+                              f"{gamma_r!r} for a damped Bogoliubov mode")
+    require(NON_NEGATIVE, gamma_b=gamma_b)
     if gamma_b > 0.0 and gamma_b / gamma_r == 0.0:
-        raise NonPositiveRate(f"gamma_b / gamma_r = {gamma_b!r} / "
-                              f"{gamma_r!r} underflows to 0")
+        raise FloatingPointError(f"gamma_b / gamma_r = {gamma_b!r} / "
+                                 f"{gamma_r!r} underflows to 0")
     ratio_db = 10.0 * math.log10(gamma_b / gamma_r) if gamma_b > 0 \
         else -math.inf
     r = math.atanh(math.sqrt(gamma_b / gamma_r))
@@ -83,11 +79,14 @@ def squeeze_target(drive: SqueezeDrive):
 
 def squeezing_limit(n_m_th: float, cooperativity: float) -> float:
     """Steady-state squeezing bound 2<X_sq^2> = sqrt((1 + 2 n_m_th)/C), in dB."""
-    if not 0.0 < cooperativity < math.inf:
-        raise NonPositiveRate("cooperativity must be finite and > 0")
-    if n_m_th < 0.0:
-        raise NonPositiveRate("n_m_th must be >= 0")
+    require(POSITIVE, cooperativity=cooperativity)
+    require(NON_NEGATIVE, n_m_th=n_m_th)
     return 10.0 * math.log10(math.sqrt((1.0 + 2.0 * n_m_th) / cooperativity))
+
+
+#: a dephasing-model rate, which the moment equations scale by up to 8 pi
+_RATE = ("finite and >= 0, with 8 pi times it finite",
+         lambda v: 0.0 <= v and 4.0 * TWO_PI * v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,13 @@ class DephasingModel:
     n_m_th: float | None = None
 
     def __post_init__(self):
-        # the moment equations scale the rates by up to 8 pi
-        if not all(0.0 <= rate and math.isfinite(4.0 * TWO_PI * rate)
-                   for rate in (self.gamma_th, self.gamma_phi)):
-            raise NonPositiveRate("rates must be >= 0, and 8 pi times a "
-                                  "rate finite")
+        require(_RATE, gamma_th=self.gamma_th, gamma_phi=self.gamma_phi)
         if (self.gamma_m is None) != (self.n_m_th is None):
-            raise ValueError("the finite-temperature form needs both gamma_m "
-                             "and n_m_th")
+            raise InvalidArgument("the finite-temperature form needs both "
+                                  "gamma_m and n_m_th")
+        if self.gamma_m is not None:
+            require(POSITIVE, gamma_m=self.gamma_m)
+            require(NON_NEGATIVE, n_m_th=self.n_m_th)
 
 
 @dataclass(frozen=True)
@@ -594,13 +592,13 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     start and made again only when the ladder climbs past it.
     The trajectory records the dimensions tried (rungs) and the series
     length of the accepted one (terms); its minimum eigenvalues are
-    computed for the returned rung only.  ValueError unless times is a
-    non-empty, sorted 1-d sequence of finite times >= 0.
+    computed for the returned rung only.  InvalidArgument unless times is
+    a non-empty, sorted 1-d sequence of finite times >= 0.
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and times.size and np.all(0.0 <= times)
             and np.all(times < math.inf) and np.all(np.diff(times) >= 0.0)):
-        raise ValueError("times must be finite, >= 0 and sorted")
+        raise InvalidArgument("times must be finite, >= 0 and sorted")
 
     start, rho = _tail_dimension(model, times)
     for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
@@ -721,14 +719,9 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
     round trip keeps |b2_0|.
     """
     target = float(delta)
-    if not math.isfinite(target):
-        raise InvalidArgument("rate difference must be finite")
-    for name, err in (("delta_err", delta_err), ("n_th_err", n_th_err),
-                      ("r_err", r_err)):
-        if not 0.0 <= err < math.inf:
-            raise InvalidArgument(f"{name} = {err!r}: must be finite, >= 0")
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"tol = {tol!r}: must be finite, > 0")
+    require(FINITE, delta=target)
+    require(NON_NEGATIVE, delta_err=delta_err, n_th_err=n_th_err, r_err=r_err)
+    require(POSITIVE, tol=tol)
     times = np.asarray(times, dtype=float)
 
     phi_probe = max(target, delta_err, 1e-3)

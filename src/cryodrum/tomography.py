@@ -27,14 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI
-from .errors import (
-    DegenerateDesign,
-    InvalidArgument,
-    LowGainWarning,
-    NegativeVarianceEstimate,
-    NonPositiveRate,
-    UnphysicalVariances,
-)
+from .errors import (COUNT, FINITE, FRACTION, NON_NEGATIVE, POSITIVE,
+                     DegenerateDesign, InvalidArgument, LowGainWarning,
+                     NegativeVarianceEstimate, UnphysicalVariances, require)
 from .fitting import LinearFitResult, linear_fit
 
 
@@ -44,8 +39,9 @@ def squeezed_thermal_from_variances(v_sq: float, v_asq: float):
     n_th = sqrt(v_sq v_asq) - 1/2 and r = -ln(v_sq/v_asq)/4; the product
     must satisfy the Heisenberg bound v_sq v_asq >= 1/4.
     """
+    require(FINITE, v_sq=v_sq, v_asq=v_asq)
     if v_sq > v_asq:
-        raise ValueError("expected v_sq <= v_asq")
+        raise InvalidArgument("expected v_sq <= v_asq")
     if v_sq <= 0.0:
         raise UnphysicalVariances("v_sq must be > 0")
     product = v_sq * v_asq
@@ -86,8 +82,8 @@ class GaussianMechState:
         n = n_th cosh(2r) + sinh^2(r); |b2| = (n_th + 1/2) sinh(2r); at
         theta = 0 the squeezed axis is X1 with variance (n_th + 1/2) e^{-2r}.
         """
-        if n_th < 0.0:
-            raise NonPositiveRate("n_th must be >= 0")
+        require(NON_NEGATIVE, n_th=n_th)
+        require(FINITE, r=r, theta=theta)
         n = n_th * math.cosh(2.0 * r) + math.sinh(r) ** 2
         b2 = -(n_th + 0.5) * math.sinh(2.0 * r) * cmath.exp(2j * theta)
         return cls(n=n, b2=b2)
@@ -145,8 +141,11 @@ class AmplifierSpec:
     n_add_opt: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.dt <= 0.0:
-            raise NonPositiveRate("tau and dt must be > 0")
+        require(NON_NEGATIVE, gamma_opt_b=self.gamma_opt_b,
+                n_add_opt=self.n_add_opt)
+        require(FINITE, gamma_amp=self.gamma_amp)
+        require(POSITIVE, tau=self.tau, dt=self.dt, g_opt_uv2=self.g_opt_uv2)
+        require(FRACTION, eta_kappa=self.eta_kappa)
         if self.gamma_amp > 0.0 and self.gain < 1e3:
             warnings.warn(
                 f"amplification gain {self.gain:.3g} < 1e3: large-gain "
@@ -176,11 +175,9 @@ class QuadratureBatch:
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 1:
-            raise ValueError("samples must have shape (N >= 1, 2)")
-        if self.g_opt <= 0.0:
-            raise NonPositiveRate("g_opt must be > 0")
-        if self.n_add_opt < 0.0:
-            raise NonPositiveRate("n_add_opt must be >= 0")
+            raise InvalidArgument("samples must have shape (N >= 1, 2)")
+        require(POSITIVE, g_opt=self.g_opt)
+        require(NON_NEGATIVE, n_add_opt=self.n_add_opt)
 
     @property
     def count(self) -> int:
@@ -194,6 +191,8 @@ def _readout_covariance(var_x1, var_x2, cov_x1x2, g_opt: float,
     g_opt (var + n_add_opt + 1/2) along each axis and g_opt cov_x1x2 across.
     FloatingPointError when an entry is not finite.
     """
+    require(POSITIVE, g_opt=g_opt)
+    require(NON_NEGATIVE, n_add_opt=n_add_opt)
     s11 = g_opt * (var_x1 + n_add_opt + 0.5)
     s22 = g_opt * (var_x2 + n_add_opt + 0.5)
     s12 = g_opt * cov_x1x2
@@ -211,8 +210,7 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     correlation is g_opt Im<b^2>.  Deterministic per seed.
     FloatingPointError when that covariance is not finite.
     """
-    if n_samples < 1:
-        raise InvalidArgument("n_samples must be >= 1")
+    require(COUNT, n_samples=n_samples)
     s11, s22, s12 = _readout_covariance(state.var_x1, state.var_x2,
                                         state.cov_x1x2, g_opt, n_add_opt)
     chol = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]]))
@@ -236,12 +234,10 @@ def _wishart_moments(n, b2, g_opt: float, n_add_opt: float, n_samples: int,
     c2 ~ chi^2_{N-1}, z ~ N(0, 1), drawn in that order from
     default_rng(seeds[i]) (Bartlett 1933; Odell & Feiveson, JASA 61, 199
     (1966)).  Three variates per state instead of 2 N.  The errors are
-    those of sample_quadratures: FloatingPointError for a non-finite Sigma,
-    LinAlgError for one that is not positive definite, NonPositiveRate for
-    g_opt <= 0 or n_add_opt < 0.
+    those of sample_quadratures, and LinAlgError for a Sigma that is not
+    positive definite.
     """
-    if n_samples < 1:
-        raise InvalidArgument("n_samples must be >= 1")
+    require(COUNT, n_samples=n_samples)
     n = np.asarray(n, dtype=float)
     b2 = np.asarray(b2, dtype=complex)
     s11, s22, s12 = _readout_covariance(0.5 + n + b2.real, 0.5 + n - b2.real,
@@ -253,10 +249,6 @@ def _wishart_moments(n, b2, g_opt: float, n_add_opt: float, n_samples: int,
     l22_sq = s22 - l21 * l21
     if not np.all(l22_sq > 0.0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    if g_opt <= 0.0:
-        raise NonPositiveRate("g_opt must be > 0")
-    if n_add_opt < 0.0:
-        raise NonPositiveRate("n_add_opt must be >= 0")
     l22 = np.sqrt(l22_sq)
 
     draws = []
@@ -465,12 +457,9 @@ def variance_interval(second_moment, n_samples: int):
     InvalidArgument for a second moment that is negative or not finite,
     and for an n_samples that is not an integer >= 1.
     """
-    moment = np.asarray(second_moment, dtype=float)
-    if moment.size and not (moment.min() >= 0.0 and moment.max() < math.inf):
-        raise InvalidArgument("second moments must be finite and >= 0")
-    if not (n_samples >= 1 and float(n_samples).is_integer()):
-        raise InvalidArgument(f"n_samples must be an integer >= 1, got "
-                              f"{n_samples!r}")
+    require(NON_NEGATIVE,
+            second_moment=np.asarray(second_moment, dtype=float))
+    require(COUNT, n_samples=n_samples)
     alpha = 0.5 * (1.0 - 0.6827)
     lo = second_moment * n_samples / _chi2_ppf(1.0 - alpha, int(n_samples))
     hi = second_moment * n_samples / _chi2_ppf(alpha, int(n_samples))
@@ -589,6 +578,7 @@ def calibrate_amplifier(points) -> AmplifierCalibration:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise DegenerateDesign("need at least two calibration points")
+    require(FINITE, points=pts)
     n_m, var = pts[:, 0], pts[:, 1]
     span = n_m.max() / max(n_m.min(), 1e-30) if n_m.min() > 0 else math.inf
     if pts.shape[0] >= 3 and span < 10.0:
@@ -710,11 +700,11 @@ def free_evolution_experiment(prep: GaussianMechState, gamma_th: float,
     """
     from .squeezing import DephasingModel, moments_evolve
     times = np.asarray(times, dtype=float)
+    require(NON_NEGATIVE, times=times)
     window = times[times <= linear_window]
-    if not (np.all(np.isfinite(times) & (times >= 0.0))
-            and window.size and window.min() < window.max()):
-        raise InvalidArgument("evolution times must be finite and >= 0, "
-                              "two distinct ones in the linear window")
+    if not (window.size and window.min() < window.max()):
+        raise InvalidArgument("need two distinct evolution times in the "
+                              "linear window")
     traj = moments_evolve(DephasingModel(
         gamma_th=gamma_th, gamma_phi=0.0, initial=prep, gamma_m=gamma_m,
         n_m_th=n_m_th), times)

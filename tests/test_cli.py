@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cryodrum
-from cryodrum import calibration, datasets
+from cryodrum import calibration, config, datasets
 from cryodrum.cli import OPTION_DOMAINS, build_parser, main
 
 CONFIG = """\
@@ -498,6 +498,50 @@ def test_non_finite_config_number_exit(argv, line, value, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+PSD9 = "psd --simplified --points 9"
+
+
+@pytest.mark.parametrize("argv,old,new,code", [
+    (PSD9, "n_m_th = 255", "temperature = -1", 2),
+    (PSD9, "gamma_opt = 12.9\ndelta = 0", "delta = 0", 2),
+    (PSD9, "cooperativity = 6400", "cooperativity = 6400\ngamma_opt = 1", 2),
+    (PSD9, "n_c_th = 0.25", "n_c_th = -1", 2),
+    (PSD9, "kappa = 250k", "kappa = 260k", 2),
+    (PSD9, "gamma_opt = 12.9\ndelta = 10k", "gamma_opt = 500\ndelta = 10k", 2),
+    ("device", "xi_par = 0.8", "", 2),
+    ("squeeze --gamma-r 75 --gamma-b 80", "", "", 2),
+    (PSD9, "n_c_th = 0.25", "n_c_th = 1e308", 3),
+    (PSD9, "n_m_th = 255", "temperature = 1e308", 3),
+    (PSD9, "omega_m = 1.8M", "omega_m = 5e-324", 3),
+    (PSD9, "n_m_th = 255", "temperature = 1e-300", 0),
+    (PSD9, "n_m_th = 255", "temperature = 5e-324", 0),
+], ids=["negative-temperature", "red-probe-without-rate",
+        "inconsistent-cooperativity", "negative-n-c-th", "kappa-mismatch",
+        "unstable-blue-probe", "no-xi-par", "unstable-squeeze",
+        "n-c-overflow", "occupation-overflow", "sideband-param-overflow",
+        "tiny-temperature", "subnormal-temperature"])
+def test_reference_config_edit_exit(argv, old, new, code, tmp_path, capsys):
+    # an input outside its domain is a usage error, a derived value that
+    # overflows a numerical failure, and a tiny temperature an empty bath
+    text = REFERENCE_CFG.read_text()
+    assert old in text
+    path = tmp_path / "edit.cfg"
+    path.write_text(text.replace(old, new, 1))
+    argv = argv.split() + ["--config", str(path), "--out",
+                           str(tmp_path / "o.csv")]
+    if code == 2:
+        assert_usage_error(capsys, argv)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == code
+    if code == 3:
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+    else:
+        assert nonfinite_cells(tmp_path / "o.csv") == []
+        assert nonfinite_cells(tmp_path / "o.json") == []
+
+
 def test_unknown_drive_role_exit(tmp_path, capsys):
     path = tmp_path / "purple.cfg"
     path.write_text(CONFIG + "\n[drives.purple]\ngamma_opt = 1\ndelta = 0\n")
@@ -543,10 +587,16 @@ SWEEP_ROWS = ("0.05,1e-9,1e-6,1e-3,1e-3\n0.1,2e-9,1e-6,1e-3,1e-3\n"
      SWEEP_TEXT + SWEEP_ROWS.replace("0.05,", "nan,")),
     ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
      SWEEP_TEXT + SWEEP_ROWS.replace("0.05,", "-0.1,")),
+    # and powers are > 0
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + SWEEP_ROWS.replace("0.1,2e-9,1e-6", "0.1,2e-9,0")),
+    ("g0fit --config {cfg} --sweep {d}/in.csv --out {d}/o.json",
+     SWEEP_TEXT + SWEEP_ROWS.replace("0.1,2e-9", "0.1,-1e-9")),
 ], ids=["calibrate-short-row", "calibrate-text-cell", "peaks-text-cell",
         "sweep-two-rows", "calibrate-nan", "peaks-inf", "peaks-floor-nan",
         "sweep-inf-power", "sweep-nan-temperature",
-        "sweep-negative-temperature"])
+        "sweep-negative-temperature", "sweep-zero-calibration-power",
+        "sweep-negative-sideband-power"])
 def test_malformed_input_file_exit(argv, text, cfg, tmp_path, capsys):
     (tmp_path / "in.csv").write_text(text)
     assert_usage_error(capsys, argv.format(cfg=cfg, d=tmp_path).split())
@@ -739,9 +789,14 @@ def nonfinite_cells(path):
                 yield f"{key}={node}"
         return list(walk(json.loads(path.read_text())))
     bad = []
-    for row in csv.reader(line for line in path.open()
-                          if not line.startswith("#")):
-        for cell in row:
+    rows = csv.reader(line for line in path.open()
+                      if not line.startswith("#"))
+    header = next(rows)
+    for row in rows:
+        cells = dict(zip(header, row))
+        if cells.get("lambda") == "0.0":    # the lossless-limit sentinel
+            del cells["d_q"], cells["q_m"]
+        for cell in cells.values():
             try:
                 value = float(cell)
             except ValueError:
@@ -773,20 +828,58 @@ def test_numeric_option_fuzz(command, option, cfg, tmp_path, params,
         run.mkdir()
         argv = FUZZ_BASE[command].format(cfg=cfg, d=run, inputs=tmp_path) \
             .split() + [flag, value]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(argv)
-        except Exception as exc:        # a traceback at the command line
-            failures.append(f"{value}: {type(exc).__name__}: {exc}")
-            continue
-        err = capsys.readouterr().err
-        if code not in (0, 2, 3):
-            failures.append(f"{value}: exit {code}")
-        elif code == 2 and "error:" not in err:
-            failures.append(f"{value}: exit 2 without error: {err!r}")
-        elif code == 0:
-            for out in manifest_of(argv[argv.index("--out") + 1])["outputs"]:
-                if bad := nonfinite_cells(out):
-                    failures.append(f"{value}: {out} holds {bad[:3]}")
+        if failure := fuzz_failure(argv, capsys):
+            failures.append(f"{value}: {failure}")
+    assert failures == []
+
+
+def fuzz_failure(argv, capsys):
+    """What went wrong in one fuzzed `main(argv)`, or None: a traceback, an
+    exit code other than 0, 2 or 3, an exit 2 without an error line, or an
+    exit-0 output that holds a value that is not finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    except Exception as exc:        # a traceback at the command line
+        return f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 2, 3):
+        return f"exit {code}"
+    if code == 2 and "error:" not in err:
+        return f"exit 2 without error: {err!r}"
+    if code == 0:
+        for out in manifest_of(argv[argv.index("--out") + 1])["outputs"]:
+            if bad := nonfinite_cells(out):
+                return f"{out} holds {bad[:3]}"
+    return None
+
+
+#: (section, key) of every value in configs/reference.cfg, and the fridge
+#: temperature that may stand in for n_m_th
+CONFIG_KEYS = [(section, key)
+               for section, keys in config.read_config(REFERENCE_CFG).items()
+               for key in keys if section != "DEFAULT"] \
+    + [("baths", "temperature")]
+
+
+@pytest.mark.parametrize("section,key", CONFIG_KEYS,
+                         ids=[f"{s}-{k}" for s, k in CONFIG_KEYS])
+def test_config_value_fuzz(section, key, tmp_path, capsys):
+    # the [geometry] keys feed `device`, all others the drive stack of `psd`
+    command = "device" if section == "geometry" \
+        else "psd --simplified --points 9"
+    failures = []
+    for index, value in enumerate(FUZZ_VALUES):
+        cp = config.read_config(REFERENCE_CFG)
+        cp[section][key] = value
+        if key == "temperature":
+            cp.remove_option("baths", "n_m_th")     # a direct n_m_th wins
+        run = tmp_path / str(index)
+        run.mkdir()
+        with (run / "fuzz.cfg").open("w") as handle:
+            cp.write(handle)
+        argv = f"{command} --config {run}/fuzz.cfg --out {run}/o.csv".split()
+        if failure := fuzz_failure(argv, capsys):
+            failures.append(f"{value}: {failure}")
     assert failures == []

@@ -5,9 +5,8 @@ import pytest
 
 from cryodrum import core
 from cryodrum.errors import (
+    InvalidArgument,
     LinewidthMismatch,
-    NonPositiveFrequency,
-    NonPositiveRate,
     UnstableDriveSet,
 )
 
@@ -45,7 +44,7 @@ def test_validate_params_lossless_limit():
 
 
 def test_validate_params_sign_guard():
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(InvalidArgument):
         core.validate_params(dict(omega_c=5e9, kappa=100e3, kappa_ex=-1.0,
                                   kappa_0=100e3, omega_m=1e6, gamma_m=0.1,
                                   g0=10.0))
@@ -76,7 +75,7 @@ def test_bose_occupation_zero_temperature():
 
 
 def test_bose_occupation_guards():
-    with pytest.raises(NonPositiveFrequency):
+    with pytest.raises(InvalidArgument):
         core.bose_occupation(0.0, 0.01)
     with pytest.raises(ValueError):
         core.bose_occupation(1e6, -0.01)
@@ -158,5 +157,5 @@ def test_drive_set_stability_guard():
 def test_bath_occupations_derivation(params):
     baths = core.bath_occupations(params, n_c_th=0.25, n_m_th=255.0)
     assert baths.n_c == pytest.approx(0.25 * 50e3 / 250e3, rel=1e-12)
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(InvalidArgument):
         core.BathOccupations(n_c_th=-0.1)

@@ -8,7 +8,7 @@ from scipy.constants import hbar
 from scipy.special import j0, j1, jn, jn_zeros
 
 from cryodrum import device
-from cryodrum.errors import MissingParticipation, NonPositiveRate
+from cryodrum.errors import InvalidArgument, MissingParticipation
 
 GEOM = device.DrumGeometry(
     radius=75e-6, bottom_radius=23e-6, thickness=180e-9, gap=180e-9,
@@ -166,7 +166,8 @@ def test_dilution_lossless_limit():
 def test_dilution_overflow_is_flagged(thickness):
     # a tiny positive lambda is not the lossless limit: Q_m = Q0 D_Q
     # (1e-308) or D_Q itself (1e-320) overflows, which is an error
-    with pytest.raises(NonPositiveRate, match="overflow the double range"):
+    with pytest.raises(FloatingPointError,
+                       match="overflow the double range"):
         device.dilution_factor(replace(GEOM, thickness=thickness))
 
 
@@ -201,7 +202,7 @@ def test_scaling_exponent_table(params):
 
 
 def test_sweep_guards(params):
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(InvalidArgument):
         device.scaling_sweep(GEOM, "thickness", [0.0], omega_c=OMEGA_C,
                              kappa=params.kappa)
     # the field names only: no short aliases
@@ -216,13 +217,13 @@ def test_sweep_guards(params):
 @pytest.mark.filterwarnings("ignore:lambda = 0")
 def test_overflowing_geometry_is_flagged(axis, factor, figure, params):
     # flag, never clamp: an infinite figure is an error, not a table cell
-    with pytest.raises(NonPositiveRate, match=f"^{figure} = inf"):
+    with pytest.raises(FloatingPointError, match=f"^{figure} = inf"):
         device.scaling_sweep(GEOM, axis, [factor], omega_c=OMEGA_C,
                              kappa=params.kappa)
 
 
 def test_geometry_validation():
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(InvalidArgument):
         device.DrumGeometry(radius=10e-6, bottom_radius=20e-6,
                             thickness=1e-7, gap=1e-7, density=2700.0,
                             stress=1e8)

@@ -198,6 +198,20 @@ def test_overlap_warning(params):
             dynamics.output_psd(params, baths, drives, grid)
 
 
+@pytest.mark.parametrize("simplified", [True, False])
+def test_overflowing_psd_is_a_numerical_failure(params, simplified):
+    # finite occupations whose cavity emission 4 eta n_c overflows: the
+    # PSD is a derived value, so not an InvalidArgument from Spectrum
+    baths = core.BathOccupations(n_c_th=1e308, n_m_th=255.0, n_c=1e308)
+    drives = drives_for(params, red=12.9)
+    with pytest.raises(FloatingPointError, match="^cavity PSD overflows"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dynamics.output_psd(params, baths, drives,
+                                np.linspace(-500.0, 500.0, 11),
+                                simplified=simplified)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         dynamics.Spectrum(freq=np.array([0.0, 0.0, 1.0]),

@@ -191,6 +191,22 @@ def test_variance_interval_rejects_bad_input(moment, n_samples):
         tomography.variance_interval(moment, n_samples)
 
 
+@pytest.mark.parametrize("g_opt,n_add", [
+    (0.0, 0.8), (-1.13, 0.8), (math.nan, 0.8), (math.inf, 0.8),
+    (1.13, -0.1), (1.13, math.nan), (1.13, math.inf)])
+def test_readout_is_checked_before_any_arithmetic(g_opt, n_add):
+    # g_opt <= 0 made the covariance indefinite, so numpy's LinAlgError
+    # escaped from the Cholesky factor first; a NaN passed every check
+    state = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    name = "g_opt" if n_add == 0.8 else "n_add_opt"
+    with pytest.raises(InvalidArgument, match=f"^{name} = "):
+        tomography.sample_quadratures(state, g_opt, n_add, 10, seed=7)
+    with pytest.raises(InvalidArgument, match=f"^{name} = "):
+        tomography._wishart_moments(np.array([state.n]),
+                                    np.array([state.b2]), g_opt, n_add, 10,
+                                    [[7, 0]])
+
+
 def test_estimate_exact_inversion():
     batch = exact_moment_batch(GaussianMechState.vacuum(), 1.13, 0.80, 2000,
                                seed=1)
