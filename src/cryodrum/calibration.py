@@ -87,8 +87,8 @@ class AsymmetryResult:
     n_m: float
     n_c: float
     g_eta: float
-    n_add: float | None = None          # needs eta_kappa and N_floor
-    background_over_geta: float | None = None   # N_floor / (G eta)
+    n_add: float | None                 # needs eta_kappa and N_floor
+    background_over_geta: float | None  # N_floor / (G eta)
 
 
 def asymmetry_solve(peaks: ScaledPeaks,
@@ -271,7 +271,8 @@ class G0SweepPoint:
 
     Measured powers may be in any consistent unit: only the ratio
     (P_SB_meas / P_MW_src)(P_cal_src / P_cal_meas) enters the fit, which
-    cancels chain gain and input attenuation.
+    cancels chain gain and input attenuation.  InvalidArgument unless the
+    temperature is finite and >= 0 and each power finite and > 0.
     """
 
     temperature: float
@@ -279,6 +280,12 @@ class G0SweepPoint:
     p_cal_meas: float
     p_mw_src: float
     p_cal_src: float
+
+    def __post_init__(self):
+        require(NON_NEGATIVE, temperature=self.temperature)
+        require(POSITIVE, p_sb_meas=self.p_sb_meas,
+                p_cal_meas=self.p_cal_meas, p_mw_src=self.p_mw_src,
+                p_cal_src=self.p_cal_src)
 
     @property
     def calibrated_ratio(self) -> float:
@@ -321,12 +328,12 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     n_th = k_B T / h Omega_m, so a straight-line fit in T yields g0 from
     the slope, independent of chain gain and attenuation.
 
-    InvalidArgument for fewer than 3 points, a temperature that is not
-    finite and >= 0 or a power that is not finite and > 0; DegenerateDesign
-    for a fitted slope that is not positive.  When the source-to-device
-    attenuation is supplied (eta_att_db, positive loss), the pump back-action
-    occupation is evaluated per point and BackActionDominated is raised if
-    it exceeds 10% of the bath occupancy.
+    InvalidArgument for fewer than 3 points (each G0SweepPoint has checked
+    its own values); DegenerateDesign for a fitted slope that is not
+    positive.  When the source-to-device attenuation is supplied
+    (eta_att_db, positive loss), the pump back-action occupation is
+    evaluated per point and BackActionDominated is raised if it exceeds
+    10% of the bath occupancy.
     """
     import numpy as np
 
@@ -337,10 +344,6 @@ def g0_from_sweep(sweep, params: SystemParams, *,
     if len(points) < 3:
         raise InvalidArgument("need at least 3 temperatures")
     temps = np.array([p.temperature for p in points])
-    require(NON_NEGATIVE, temperature=temps)
-    for name in ("p_sb_meas", "p_cal_meas", "p_mw_src", "p_cal_src"):
-        require(POSITIVE,
-                **{name: np.array([getattr(p, name) for p in points])})
     if eta_att_db is not None:
         require(NON_NEGATIVE, eta_att_db=eta_att_db)
     ratios = np.array([p.calibrated_ratio for p in points])

@@ -168,13 +168,12 @@ def cmd_psd(args, cp):
         np.concatenate([comps[label].freq for label in labels]),
         np.concatenate([comps[label].values for label in labels]),
         np.repeat(np.array(labels, dtype="S"), grid.size)])
-    state = dynamics.steady_state(params, baths, drives)
     summary = {
-        "n_m": state.n_m,
+        "n_m": dynamics.steady_state(params, baths, drives),
         "n_c": baths.n_c,
         "gamma_tot_hz": drives.gamma_tot,
         "resolved_sideband_param": params.resolved_sideband_param,
-        "floor": comps["floor"],
+        "floor": dynamics.VACUUM_FLOOR,
         "peak_heights": {label: float(np.max(np.abs(comps[label].values)))
                          for label in labels},
     }

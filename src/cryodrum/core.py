@@ -6,14 +6,15 @@ Whenever an exponent of the form rate*time is taken (amplification gains,
 relaxation exponentials, moment slopes) a single factor of 2*pi is applied at
 that point and nowhere else.  All occupations are dimensionless quanta.
 
-All types here are frozen dataclasses, immutable after validation and safe
-to share across concurrent tasks.
+All types here are frozen dataclasses that check their own fields when
+built, store only their inputs, and are safe to share across concurrent
+tasks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (FINITE, NON_NEGATIVE, POSITIVE, InvalidArgument,
                      LinewidthMismatch, UnstableDriveSet, require)
@@ -29,7 +30,8 @@ DRIVE_ROLES = ("cooling_pump", "red_probe", "blue_probe")
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Measured device constants shared by all physics operations.
+    """Measured device constants shared by all physics operations, checked
+    when the record is built; eta_kappa = kappa_ex / kappa is computed.
 
     Attributes
     ----------
@@ -47,8 +49,14 @@ class SystemParams:
         Bare mechanical damping rate [Hz].
     g0 : float
         Single-photon optomechanical coupling rate [Hz].
-    eta_kappa : float
-        Collection efficiency kappa_ex/kappa, populated on validation.
+
+    Raises
+    ------
+    InvalidArgument
+        kappa_0 is not finite and >= 0 (0 is a lossless cavity), or another
+        value is not finite and > 0.
+    LinewidthMismatch
+        kappa deviates from kappa_ex + kappa_0 beyond 1e-9 relative.
     """
 
     omega_c: float
@@ -58,7 +66,22 @@ class SystemParams:
     omega_m: float
     gamma_m: float
     g0: float
-    eta_kappa: float = field(default=0.0)
+
+    def __post_init__(self):
+        require(NON_NEGATIVE, kappa_0=self.kappa_0)
+        require(POSITIVE, omega_c=self.omega_c, kappa=self.kappa,
+                kappa_ex=self.kappa_ex, omega_m=self.omega_m,
+                gamma_m=self.gamma_m, g0=self.g0)
+        kappa_sum = self.kappa_ex + self.kappa_0
+        if abs(kappa_sum - self.kappa) > 1e-9 * self.kappa:
+            raise LinewidthMismatch(
+                f"kappa = {self.kappa:.6g} Hz but kappa_ex + kappa_0 = "
+                f"{kappa_sum:.6g} Hz")
+
+    @property
+    def eta_kappa(self) -> float:
+        """Collection efficiency kappa_ex / kappa."""
+        return self.kappa_ex / self.kappa
 
     @property
     def resolved_sideband_param(self) -> float:
@@ -76,50 +99,26 @@ def _finite(name, value):
 
 
 def validate_params(raw) -> SystemParams:
-    """Validate a mapping of the SystemParams fields and populate derived
-    fields.
-
-    Checks positivity of all rates, the linewidth sum rule
-    kappa = kappa_ex + kappa_0 (1e-9 relative), and fills eta_kappa.
-
-    Raises
-    ------
-    InvalidArgument
-        Any of the rates/frequencies is not finite and > 0 (kappa_0 = 0 is
-        allowed: lossless cavity).
-    LinewidthMismatch
-        kappa deviates from kappa_ex + kappa_0 beyond 1e-9 relative.
-    """
-    values = {k: float(raw[k]) for k in (
-        "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m", "g0")}
-
-    require(NON_NEGATIVE, kappa_0=values["kappa_0"])
-    require(POSITIVE, **{name: value for name, value in values.items()
-                         if name != "kappa_0"})
-
-    kappa_sum = values["kappa_ex"] + values["kappa_0"]
-    if abs(kappa_sum - values["kappa"]) > 1e-9 * values["kappa"]:
-        raise LinewidthMismatch(
-            f"kappa = {values['kappa']:.6g} Hz but kappa_ex + kappa_0 = "
-            f"{kappa_sum:.6g} Hz")
-
-    eta = values["kappa_ex"] / values["kappa"]
-    return SystemParams(eta_kappa=eta, **values)
+    """SystemParams from a mapping of its seven fields, each taken as a
+    float; the record checks them."""
+    return SystemParams(**{k: float(raw[k]) for k in (
+        "omega_c", "kappa", "kappa_ex", "kappa_0", "omega_m", "gamma_m",
+        "g0")})
 
 
 @dataclass(frozen=True)
 class BathOccupations:
-    """Thermal occupations of the intrinsic baths and the two modes [quanta].
+    """Thermal occupations of the intrinsic baths and of the cavity
+    [quanta].
 
     n_c is tied to the cavity bath through n_c = (kappa_0/kappa) * n_c_th
-    when built with :func:`bath_occupations`; n_m is filled in by the
-    steady-state solver.
+    when built with :func:`bath_occupations`.  The mechanical occupation
+    under drive is what dynamics.steady_state returns.
     """
 
     n_c_th: float = 0.0
     n_m_th: float = 0.0
     n_c: float = 0.0
-    n_m: float = 0.0
 
     def __post_init__(self):
         require(NON_NEGATIVE, **vars(self))
@@ -135,7 +134,7 @@ def bath_occupations(params: SystemParams, n_c_th: float,
     """
     require(NON_NEGATIVE, n_c_th=n_c_th)
     n_c = _finite("n_c", params.kappa_0 * n_c_th / params.kappa)
-    return BathOccupations(n_c_th=n_c_th, n_m_th=n_m_th, n_c=n_c, n_m=n_m_th)
+    return BathOccupations(n_c_th=n_c_th, n_m_th=n_m_th, n_c=n_c)
 
 
 @dataclass(frozen=True)

@@ -145,22 +145,24 @@ def effective_mass_xzpf(geom: DrumGeometry, omega_m: float, mode_shape):
 def dilution_factor(geom: DrumGeometry):
     """Dissipation dilution: lambda, D_Q = 1/(A lam + B lam^2), Q_m = Q_0 D_Q.
 
-    lambda = (t / 2R) sqrt(Y / 12 sigma).  At lambda -> 0 the bending loss
-    vanishes and D_Q diverges; an inf sentinel is returned with a warning.
-    A tiny positive lambda whose D_Q or Q_m overflows the double range is
-    not that limit: FloatingPointError.
+    lambda = (t / 2R) sqrt(Y / 12 sigma), with Y and Q_0 finite and > 0
+    (InvalidArgument otherwise).  At lambda -> 0 the bending loss vanishes
+    and D_Q diverges; an inf sentinel is returned with a warning.  A tiny
+    positive lambda whose D_Q or Q_m overflows the double range is not that
+    limit, and neither is a D_Q or Q_m that underflows to 0:
+    FloatingPointError.
     """
-    require(POSITIVE, youngs_modulus=geom.youngs_modulus)
+    require(POSITIVE, youngs_modulus=geom.youngs_modulus, q0=geom.q0)
     lam = (geom.thickness / (2.0 * geom.radius)
            * math.sqrt(geom.youngs_modulus / (12.0 * geom.stress)))
     denom = geom.dilution_a * lam + geom.dilution_b * lam**2
     if denom == 0.0:
         warnings.warn("lambda = 0: dilution factor diverges (lossless "
                       "bending limit)", RuntimeWarning, stacklevel=2)
-        return lam, math.inf, geom.q0 * math.inf
+        return lam, math.inf, math.inf
     d_q = 1.0 / denom
     q_m = geom.q0 * d_q
-    if not (math.isfinite(d_q) and math.isfinite(q_m)):
+    if not 0.0 < q_m < math.inf:
         raise FloatingPointError(f"lambda = {lam!r}: D_Q = {d_q!r} and Q_m = "
                                  f"{q_m!r} overflow the double range")
     return lam, d_q, q_m
@@ -172,7 +174,8 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
     The capacitive coupling is g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
     xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr; MissingParticipation
     when xi_par is not supplied.  FloatingPointError when a figure
-    overflows the double range; only d_q and q_m carry an inf sentinel.
+    overflows the double range, or underflows to 0 (as g0 does when the
+    gap is infinite); only d_q and q_m carry an inf sentinel.
     """
     require(POSITIVE, omega_c=omega_c)
     if geom.xi_par is None:
@@ -184,15 +187,14 @@ def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
     Rb = geom.bottom_radius
     xi_cap = 2.0 / Rb**2 * _radial_integral(lambda r: r * mode_shape(r), Rb)
     g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
-    lam, d_q, q_m = dilution_factor(geom)
     figures = dict(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,
-                   xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0,
-                   lam=lam)
+                   xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0)
     for name, value in figures.items():
-        if not math.isfinite(value):
+        if not 0.0 < value < math.inf:
             raise FloatingPointError(f"{name} = {value!r}: the geometry "
                                      "overflows the double range")
-    return ModeResult(**figures, d_q=d_q, q_m=q_m)
+    lam, d_q, q_m = dilution_factor(geom)
+    return ModeResult(**figures, lam=lam, d_q=d_q, q_m=q_m)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ and tomography layers, never here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import (FINITE, NON_NEGATIVE, InvalidArgument, OverlapWarning,
 
 #: Gamma_tot/kappa above which the weak-coupling forms start to degrade
 WEAK_COUPLING_LIMIT = 0.01
+
+#: device-referred vacuum background beneath every output spectrum [quanta]
+VACUUM_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,20 @@ def _mechanical_occupation(baths: BathOccupations,
 
 
 def steady_state(params: SystemParams, baths: BathOccupations,
-                 drives: DriveSet) -> BathOccupations:
-    """Steady-state occupations under the three-tone drive.
+                 drives: DriveSet) -> float:
+    """Steady-state phonon occupation n_m under the three-tone drive.
 
     n_m = [G_p n_c + Gamma_m n_m_th + G_r n_c + G_b (n_c + 1)] / Gamma_tot.
     The blue probe contributes G_b/Gamma_tot even at zero bath temperature
     (quantum back-action).  n_c is taken from the supplied baths record
-    (derived from the cavity bath or set directly).
+    (derived from the cavity bath or set directly).  FloatingPointError
+    when n_m overflows the double range.
     """
     _check_weak_coupling(params, drives)
-    return replace(baths, n_m=_mechanical_occupation(baths, drives))
+    n_m = _mechanical_occupation(baths, drives)
+    if not n_m < np.inf:
+        raise FloatingPointError(f"n_m = {n_m!r} overflows the double range")
+    return n_m
 
 
 def _sideband_full(nu, nu_over_w, inv_w, delta, sign, gamma_x, params,
@@ -194,9 +201,9 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                drives: DriveSet, grid, simplified: bool = False) -> dict:
     """Output-field noise PSD components on a common cyclic grid.
 
-    Returns a dict with Spectrum entries "cavity", "pump", "red", "blue"
-    (tones without a drive give identically zero spectra) and a scalar
-    "floor" = 1/2, the device-referred vacuum background.  The cavity
+    Returns a dict of exactly four Spectrum entries "cavity", "pump", "red"
+    and "blue" (tones without a drive give identically zero spectra); the
+    vacuum background beneath them is VACUUM_FLOOR.  The cavity
     emission is S_c = 4 eta_kappa n_c / w with w = 1 + 4 nu^2/kappa^2.  The
     full sideband forms are the real rational functions of nu given in
     _sideband_full, S_x = eta_kappa Gamma_x Gamma_tot (B/w) / |D|^2, which
@@ -264,8 +271,6 @@ def output_psd(params: SystemParams, baths: BathOccupations,
                                              tone.gamma_opt, params, baths,
                                              drives)
         components[label] = spectrum(values, label)
-
-    components["floor"] = 0.5
     return components
 
 

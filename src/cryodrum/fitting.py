@@ -125,7 +125,7 @@ class PeakFit:
     covariance: np.ndarray
     nfev: int
     condition: float
-    sigma_rbw: float = 0.0
+    sigma_rbw: float
 
 
 def _initial_guess(freq, values, sigma_rbw):

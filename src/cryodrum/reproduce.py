@@ -10,14 +10,13 @@ tests/test_acceptance.py.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import calibration, device, dynamics, fitting, squeezing, tomography
 from .core import BathOccupations, DriveSet, drive_tone, validate_params
-from .errors import InvalidArgument, LowGainWarning, WeakCouplingWarning
+from .errors import InvalidArgument
 
 #: characterized reference-device constants (cyclic rates, Hz)
 REFERENCE_SYSTEM = dict(omega_c=5.5e9, kappa=250e3, kappa_ex=200e3,
@@ -72,20 +71,17 @@ def _measured_scaled_peaks(params, baths, drives, gain):
                "red": -drives.tone("red_probe").delta,
                "blue": drives.tone("blue_probe").delta}
     fluxes = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        for label, center in centers.items():
-            grid = _component_grid(center, gamma_tot)
-            comp = dynamics.output_psd(params, baths, drives, grid,
-                                       simplified=True)[label]
-            scaled = dynamics.Spectrum(freq=comp.freq,
-                                       values=gain * comp.values)
-            fluxes[label] = fitting.integrate_peak(scaled)
-        grid_c = _component_grid(0.0, params.kappa)
-        cav = dynamics.output_psd(params, baths, drives, grid_c,
-                                  simplified=True)["cavity"]
-        fluxes["cavity"] = fitting.integrate_peak(
-            dynamics.Spectrum(freq=cav.freq, values=gain * cav.values))
+    for label, center in centers.items():
+        grid = _component_grid(center, gamma_tot)
+        comp = dynamics.output_psd(params, baths, drives, grid,
+                                   simplified=True)[label]
+        scaled = dynamics.Spectrum(freq=comp.freq, values=gain * comp.values)
+        fluxes[label] = fitting.integrate_peak(scaled)
+    grid_c = _component_grid(0.0, params.kappa)
+    cav = dynamics.output_psd(params, baths, drives, grid_c,
+                              simplified=True)["cavity"]
+    fluxes["cavity"] = fitting.integrate_peak(
+        dynamics.Spectrum(freq=cav.freq, values=gain * cav.values))
     return calibration.scaled_peaks_from_fluxes(
         p_b=fluxes["blue"], p_c=fluxes["cavity"], gamma_b=12.9,
         kappa=params.kappa, p_p=fluxes["pump"],
@@ -106,13 +102,11 @@ def criterion_1_cooling():
     drives = _drives(params)
     baths = BathOccupations(n_c_th=0.03 * params.kappa / params.kappa_0,
                             n_m_th=REFERENCE_N_M_TH, n_c=0.03)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        truth = dynamics.steady_state(params, baths, drives)
+    truth = dynamics.steady_state(params, baths, drives)
     gain = 0.21 / params.eta_kappa
     peaks = _measured_scaled_peaks(params, baths, drives, gain)
     solved = calibration.asymmetry_solve(peaks)
-    errs = (abs(solved.n_m - truth.n_m) / truth.n_m,
+    errs = (abs(solved.n_m - truth) / truth,
             abs(solved.n_c - 0.03) / 0.03,
             abs(solved.g_eta - 0.21) / 0.21)
     ok_loop = max(errs) <= 1e-6
@@ -161,10 +155,8 @@ def criterion_3_amplifier():
     ok_cal = (abs(cal.g_opt - g_true) <= 0.04
               and abs(cal.n_add_opt - n_add_true) <= 0.09)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowGainWarning)
-        spec = tomography.AmplifierSpec(gamma_opt_b=85.0, gamma_amp=85.0,
-                                        tau=22e-3, dt=1e-5)
+    spec = tomography.AmplifierSpec(gamma_opt_b=85.0, gamma_amp=85.0,
+                                    tau=22e-3, dt=1e-5)
     gain_db = spec.gain_db
     ok_gain = abs(gain_db - 51.0) <= 0.1
     detail = (f"recovered G_opt = {_fmt(cal.g_opt)} (+/-0.04 of 1.13), "

@@ -645,13 +645,6 @@ def _forward_curve(b2_abs, times):
                                      @ centred) / denom)
 
 
-def _delta_curve(gamma_phi, initial: GaussianMechState, times):
-    """The forward curve of `initial` over `times` at one Gphi or an array
-    of them."""
-    return _forward_curve(abs(initial.b2), times)(
-        np.asarray(gamma_phi)[..., None])
-
-
 def _bisect(below, hi, tol):
     """Midpoint of the bracket [0, hi] bisected to width `tol`, with
     below(x) true left of the point sought and false right of it."""
@@ -666,7 +659,7 @@ def _bisect(below, hi, tol):
 
 
 def _delta_peak(times, hi, tol):
-    """Gphi of the maximum of _delta_curve below `hi`, to `tol`: the
+    """Gphi of the maximum of _forward_curve below `hi`, to `tol`: the
     curve's slope has the sign of sum_i (t_i - tbar) t_i e^{-8 pi Gphi t_i},
     which changes once, from + at 0 to -."""
     weights = (times - times.mean()) * times
@@ -707,7 +700,7 @@ def extract_dephasing(delta: float, initial: GaussianMechState, *,
 
     delta is the rate difference in Hz (cyclic); its error delta_err and
     those of n_th and r are finite and >= 0.  The forward curve over `times`
-    is _delta_curve, from which gamma_th cancels.  It rises to one maximum
+    is _forward_curve, from which gamma_th cancels.  It rises to one maximum
     and falls (its derivative is a sum of exponentials whose coefficients
     (t_i - tbar) t_i change sign once); doubling then bisection returns the
     rising-branch root to `tol` Hz, finite and > 0.  Input errors propagate

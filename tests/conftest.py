@@ -115,3 +115,4 @@ def forked():
     yield run
     server.stdin.close()
     server.wait(timeout=60)
+    server.stdout.close()

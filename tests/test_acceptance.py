@@ -21,6 +21,11 @@ PINNED_DETAILS = {
 }
 
 
+#: a warning that a criterion starts to raise fails it, instead of passing
+#: unseen
+pytestmark = pytest.mark.filterwarnings("error")
+
+
 @pytest.mark.parametrize(
     "criterion", reproduce.CRITERIA,
     ids=[f"criterion_{i}" for i in range(1, len(reproduce.CRITERIA) + 1)])

@@ -510,6 +510,7 @@ PSD9 = "psd --simplified --points 9"
     (PSD9, "gamma_opt = 12.9\ndelta = 10k", "gamma_opt = 500\ndelta = 10k", 2),
     ("device", "xi_par = 0.8", "", 2),
     ("squeeze --gamma-r 75 --gamma-b 80", "", "", 2),
+    ("device --sweep-axis gap", "q0 = 4e5", "q0 = 0", 2),
     (PSD9, "n_c_th = 0.25", "n_c_th = 1e308", 3),
     (PSD9, "n_m_th = 255", "temperature = 1e308", 3),
     (PSD9, "omega_m = 1.8M", "omega_m = 5e-324", 3),
@@ -517,7 +518,7 @@ PSD9 = "psd --simplified --points 9"
     (PSD9, "n_m_th = 255", "temperature = 5e-324", 0),
 ], ids=["negative-temperature", "red-probe-without-rate",
         "inconsistent-cooperativity", "negative-n-c-th", "kappa-mismatch",
-        "unstable-blue-probe", "no-xi-par", "unstable-squeeze",
+        "unstable-blue-probe", "no-xi-par", "unstable-squeeze", "zero-q0",
         "n-c-overflow", "occupation-overflow", "sideband-param-overflow",
         "tiny-temperature", "subnormal-temperature"])
 def test_reference_config_edit_exit(argv, old, new, code, tmp_path, capsys):

@@ -36,6 +36,13 @@ def test_validate_params_populates_eta():
     assert p.resolved_sideband_param == pytest.approx(0.0012, rel=0.01)
 
 
+def test_reference_system_is_a_record_with_eta_kappa():
+    # eta_kappa is computed from the record, never a field left at 0
+    from cryodrum.reproduce import REFERENCE_SYSTEM
+
+    assert core.SystemParams(**REFERENCE_SYSTEM).eta_kappa == 0.8
+
+
 def test_validate_params_lossless_limit():
     p = core.validate_params(dict(omega_c=5e9, kappa=100e3, kappa_ex=100e3,
                                   kappa_0=0.0, omega_m=1e6, gamma_m=0.1,

@@ -171,6 +171,23 @@ def test_dilution_overflow_is_flagged(thickness):
         device.dilution_factor(replace(GEOM, thickness=thickness))
 
 
+@pytest.mark.parametrize("youngs_modulus", [75e9, 5e-324],
+                         ids=["dilute", "lossless-limit"])
+def test_zero_q0_is_outside_the_dilution_domain(youngs_modulus):
+    # Q_m = Q0 D_Q = 0 is no quality factor (a sweep divided Omega_m by
+    # it), and at Y = 5e-324 lambda = 0, where Q0 inf was nan
+    geom = replace(GEOM, youngs_modulus=youngs_modulus, q0=0.0)
+    with pytest.raises(InvalidArgument,
+                       match="^q0 = 0.0: must be finite and > 0"):
+        device.mode_figures(geom, OMEGA_C)
+
+
+def test_infinite_gap_is_flagged():
+    # g0 = omega_c / 2d ... underflows to 0: flag, never clamp
+    with pytest.raises(FloatingPointError, match="^g0 = 0.0: the geometry"):
+        device.mode_figures(replace(GEOM, gap=math.inf), OMEGA_C)
+
+
 def test_scaling_rows_identity_and_examples(params):
     rows = device.scaling_sweep(GEOM, "thickness", [1.0, 2.0],
                                 omega_c=OMEGA_C,

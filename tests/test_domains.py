@@ -36,6 +36,8 @@ STRATEGIES = {
 
 PARAMS = dict(omega_c=5.5e9, kappa=250e3, kappa_ex=200e3, kappa_0=50e3,
               omega_m=1.8e6, gamma_m=0.045, g0=13.4)
+SWEEP_POINT = dict(temperature=0.1, p_sb_meas=2.1e-13, p_cal_meas=9.9e-11,
+                   p_mw_src=1e-6, p_cal_src=1e-9)
 GEOM = dict(radius=75e-6, bottom_radius=23e-6, thickness=180e-9,
             gap=180e-9, density=2700.0, stress=350e6, youngs_modulus=75e9,
             xi_par=0.8, q0=4e5)
@@ -84,7 +86,7 @@ TABLE = [
     *((_validate_params, PARAMS, name, POSITIVE)
       for name in ("omega_c", "omega_m", "gamma_m", "g0")),
     *((core.BathOccupations, {}, name, NON_NEGATIVE)
-      for name in ("n_c_th", "n_m_th", "n_c", "n_m")),
+      for name in ("n_c_th", "n_m_th", "n_c")),
     (core.drive_tone, dict(role="red_probe", gamma_m=0.045, gamma_opt=12.9),
      "delta", FINITE),
     (core.drive_tone, dict(role="red_probe", gamma_m=0.045), "gamma_opt",
@@ -188,3 +190,25 @@ def test_inputs_are_checked_against_their_domain(func, others, name, domain,
     value = data.draw(outside, label="outside")
     with pytest.raises(InvalidArgument, match=f"^{name} = "):
         func(**{**others, name: value})
+
+
+#: every field of the two input records built from measured values; kappa_0
+#: and the temperature may be 0, every other field is a rate or a power
+RECORD_FIELDS = [*((core.SystemParams, PARAMS, name) for name in PARAMS),
+                 *((calibration.G0SweepPoint, SWEEP_POINT, name)
+                   for name in SWEEP_POINT)]
+
+
+@pytest.mark.parametrize("record,fields,name", RECORD_FIELDS,
+                         ids=[f"{row[0].__name__}-{row[2]}"
+                              for row in RECORD_FIELDS])
+def test_input_records_check_their_fields(record, fields, name):
+    # the linewidths are tied by kappa = kappa_ex + kappa_0, so each field
+    # is tested with the others at their reference values
+    record(**fields)
+    outside = (math.nan, math.inf, -1.0)
+    if name not in ("kappa_0", "temperature"):
+        outside += (0.0,)
+    for value in outside:
+        with pytest.raises(InvalidArgument, match=f"^{name} = "):
+            record(**{**fields, name: value})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cryodrum import core, dynamics
+from cryodrum import core, dynamics, reproduce
 from cryodrum.errors import (InvalidArgument, OverlapWarning,
                              WeakCouplingWarning)
 
@@ -39,7 +39,7 @@ def test_steady_state_matches_cooling_equation(params):
         drives = drives_for(params, pump_c=coop)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)
-            n_m = dynamics.steady_state(params, baths, drives).n_m
+            n_m = dynamics.steady_state(params, baths, drives)
         assert n_m == pytest.approx(
             dynamics.cooling_occupation(255.0, 0.03, coop), rel=1e-12)
 
@@ -48,7 +48,7 @@ def test_steady_state_quantum_backaction(params):
     # balanced probes, no pump, zero cavity occupation
     baths = core.BathOccupations(n_c_th=0.0, n_m_th=100.0, n_c=0.0)
     drives = drives_for(params, red=12.9, blue=12.9)
-    n_m = dynamics.steady_state(params, baths, drives).n_m
+    n_m = dynamics.steady_state(params, baths, drives)
     assert n_m == pytest.approx(100.0 + 12.9 / params.gamma_m, rel=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_steady_state_reference_scale(params):
     drives = drives_for(params, pump_c=2000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakCouplingWarning)
-        n_m = dynamics.steady_state(params, baths, drives).n_m
+        n_m = dynamics.steady_state(params, baths, drives)
     assert n_m == pytest.approx(0.177, abs=5e-4)
 
 
@@ -94,7 +94,8 @@ def test_output_psd_cavity_peak():
     comps = dynamics.output_psd(params, baths, drives, grid)
     # eta = 1, n_c = 0.05 -> S_c(0) = 0.2 above the vacuum floor
     assert comps["cavity"].values[5] == pytest.approx(0.2, rel=1e-6)
-    assert comps["floor"] == 0.5
+    assert list(comps) == ["cavity", "pump", "red", "blue"]
+    assert dynamics.VACUUM_FLOOR == 0.5
 
 
 def test_cavity_flux_normalization(params, baths, pump_only):
@@ -129,7 +130,7 @@ def test_simplified_zero_at_dip_threshold(params, pump_only):
     drives = pump_only
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakCouplingWarning)
-        n_m = dynamics.steady_state(params, baths, drives).n_m
+        n_m = dynamics.steady_state(params, baths, drives)
     # build a bath record that puts the steady state exactly at threshold
     # by solving n_m(n_c) = 2 n_c for the pump-only case
     g_p = drives.gamma_opt("cooling_pump")
@@ -141,7 +142,7 @@ def test_simplified_zero_at_dip_threshold(params, pump_only):
         warnings.simplefilter("ignore", WeakCouplingWarning)
         comps = dynamics.output_psd(params, baths, drives, grid,
                                     simplified=True)
-        n_m = dynamics.steady_state(params, baths, drives).n_m
+        n_m = dynamics.steady_state(params, baths, drives)
     assert n_m == pytest.approx(2.0 * n_c_star, rel=1e-12)
     assert np.max(np.abs(comps["pump"].values)) < 1e-15
 
@@ -183,7 +184,7 @@ def test_psd_nonnegative_total(params, rng):
             comps = dynamics.output_psd(params, baths, drives, grid,
                                         simplified=True)
         total = sum(comps[k].values for k in ("cavity", "pump", "red", "blue"))
-        assert np.all(total + comps["floor"] > -1e-12)
+        assert np.all(total + dynamics.VACUUM_FLOOR > -1e-12)
 
 
 def test_overlap_warning(params):
@@ -196,6 +197,15 @@ def test_overlap_warning(params):
             warnings.simplefilter("ignore", WeakCouplingWarning)
             warnings.simplefilter("always", OverlapWarning)
             dynamics.output_psd(params, baths, drives, grid)
+
+
+def test_overflowing_steady_state_is_a_numerical_failure():
+    # n_m is a derived value: an overflow is not an input out of its domain
+    params = reproduce._params()
+    baths = core.BathOccupations(n_c_th=1e308, n_m_th=255.0, n_c=1e308)
+    with pytest.raises(FloatingPointError,
+                       match="^n_m = inf overflows the double range"):
+        dynamics.steady_state(params, baths, reproduce._drives(params))
 
 
 @pytest.mark.parametrize("simplified", [True, False])

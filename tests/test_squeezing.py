@@ -705,8 +705,8 @@ def test_extract_dephasing_bracket_past_the_maximum():
     result = squeezing.extract_dephasing(74.13, initial, gamma_th=17.1,
                                          times=TIMES_5MS)
     assert 16.0 < result.gamma_phi < 23.73
-    assert squeezing._delta_curve(result.gamma_phi, initial, TIMES_5MS) \
-        == pytest.approx(74.13, abs=1e-3)
+    assert squeezing._forward_curve(abs(initial.b2), TIMES_5MS)(
+        result.gamma_phi) == pytest.approx(74.13, abs=1e-3)
     with pytest.raises(InvalidArgument, match="beyond the achievable"):
         squeezing.extract_dephasing(74.9, initial, gamma_th=17.1,
                                     times=TIMES_5MS)
@@ -777,12 +777,12 @@ def test_delta_curve_matches_fitted_moments(case):
         gamma_th=gamma_th, gamma_phi=gamma_phi, initial=initial), times)
     rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
     scale = float(np.max(traj.v_asq)) / (TWO_PI * times[-1])
-    assert squeezing._delta_curve(gamma_phi, initial, times) \
-        == pytest.approx(rates.delta, rel=1e-12, abs=1e-12 * scale)
+    curve = squeezing._forward_curve(abs(initial.b2), times)
+    assert curve(gamma_phi) == pytest.approx(rates.delta, rel=1e-12,
+                                             abs=1e-12 * scale)
 
     # one maximum: rising, then falling, never rising again
-    steps = np.diff(squeezing._delta_curve(
-        np.linspace(0.0, 20.0 / times[-1], 400), initial, times))
+    steps = np.diff(curve(np.linspace(0.0, 20.0 / times[-1], 400)[:, None]))
     falling = np.flatnonzero(steps < 0.0)
     assert falling.size == 0 or np.all(steps[falling[0]:] <= 0.0)
 
@@ -799,8 +799,8 @@ def test_extract_dephasing_roundtrip_property(case):
     n_th, r, gamma_th, gamma_phi, times = case
     assume(gamma_phi >= 1e-3)
     initial = GaussianMechState.squeezed_thermal(n_th, r)
-    assume(squeezing._delta_curve(2.0 * gamma_phi, initial, times)
-           >= squeezing._delta_curve(gamma_phi, initial, times))
+    curve = squeezing._forward_curve(abs(initial.b2), times)
+    assume(curve(2.0 * gamma_phi) >= curve(gamma_phi))
     traj = squeezing.moments_evolve(squeezing.DephasingModel(
         gamma_th=gamma_th, gamma_phi=gamma_phi, initial=initial), times)
     rates = squeezing.decoherence_rates(times, traj.v_sq, traj.v_asq)
@@ -983,7 +983,8 @@ def test_extraction_interval_contains_estimate(n_th, r, gamma_phi, errors):
     # state under the low target gives a smaller root, the soft state under
     # the high target a larger one (each to the bisection's tol)
     initial = GaussianMechState.squeezed_thermal(n_th, r)
-    delta = float(squeezing._delta_curve(gamma_phi, initial, TIMES_5MS))
+    delta = float(squeezing._forward_curve(abs(initial.b2), TIMES_5MS)(
+        gamma_phi))
     tol = 1e-4
     try:
         result = squeezing.extract_dephasing(
