@@ -129,11 +129,16 @@ def bath_occupations(params: SystemParams, n_c_th: float,
     """Build BathOccupations with n_c derived from the cavity bath.
 
     The steady-state cavity occupation is the intrinsic bath occupation
-    diluted by the (zero-temperature) external port: n_c = kappa_0 n_c_th / kappa.
-    FloatingPointError when n_c overflows.
+    diluted by the (zero-temperature) external port:
+    n_c = kappa_0 n_c_th / kappa, taken as n_c_th (kappa_0 / kappa) where
+    the product kappa_0 n_c_th overflows.  FloatingPointError when n_c
+    itself overflows, which needs kappa_0 > kappa (within the 1e-9 sum
+    rule) and an n_c_th within 1e-9 of the double range.
     """
     require(NON_NEGATIVE, n_c_th=n_c_th)
-    n_c = _finite("n_c", params.kappa_0 * n_c_th / params.kappa)
+    n_c = params.kappa_0 * n_c_th / params.kappa
+    if n_c == math.inf:
+        n_c = _finite("n_c", n_c_th * (params.kappa_0 / params.kappa))
     return BathOccupations(n_c_th=n_c_th, n_m_th=n_m_th, n_c=n_c)
 
 

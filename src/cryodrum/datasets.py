@@ -1,25 +1,25 @@
 """CSV/JSON dataset formats shared by the CLI and analysis pipelines.
 
-All datasets are plain CSV with a documented header plus, where needed,
-metadata: spectra carry `# key=value` comment lines (label, rbw_hz, floor)
-before the header, quadrature batches a JSON sidecar `<name>.json` (seed,
-g_opt, n_add_opt, state metadata).
+Every CSV this package writes is a documented header plus rows, and its
+metadata, if any, is a JSON object in the sidecar `<name>.json`: a
+spectrum's label, rbw_hz and floor, a quadrature batch's seed, g_opt,
+n_add_opt and state metadata.
 
-Byte format of every CSV this package writes: the `# key=value` metadata
-lines end in LF, the header and data rows in CRLF (the row ending of
-`csv.writer`), cells are separated by a bare comma and never quoted, and
-floats are written with Python's shortest-roundtrip `repr`, so a
-write/read cycle is lossless.  write_columns computes that text in numpy
+Byte format of every CSV: the header and data rows end in CRLF (the row
+ending of `csv.writer`), cells are separated by a bare comma and never
+quoted, and floats are written with Python's shortest-roundtrip `repr`, so
+a write/read cycle is lossless.  write_columns computes that text in numpy
 (Schubfach's shortest decimal, then repr's notation), byte-equal to
 `repr` for every double.  The readers accept LF or CRLF rows, empty
 lines and double-quoted cells; a numeric cell reads as the double that
 `float()` gives for it.  Every reader raises SchemaMismatch for a wrong
-header, a non-numeric cell, a short or long row, no rows, or metadata
-that does not parse or is out of its domain (an rbw_hz that is not finite
-and >= 0).  Cells read back as written, nan and inf included; the code
-that takes a measurement table's rows (sweep, peaks, line) checks them
-against their domains.  A reader imports the module of the type it builds
-when it is called, so writing a table loads no physics module.
+header, a non-numeric cell, a short or long row, no rows, or a sidecar
+that is missing, does not parse or holds a value out of its domain (an
+rbw_hz that is not finite and >= 0).  Cells read back as written, nan
+and inf included; the code that takes a measurement table's rows (sweep,
+peaks, line) checks them against their domains.  A reader imports the
+module of the type it builds when it is called, so writing a table loads
+no physics module.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgument, SchemaMismatch
+from .errors import SchemaMismatch
 
 SPECTRUM_HEADER = ["freq_hz", "value"]
 QUADRATURE_HEADER = ["I_uV", "Q_uV"]
@@ -56,6 +56,7 @@ _BLOCK = 4096
 # repr writes 5e-324 where Java writes 4.9E-324.
 
 _POW10 = np.array([10 ** i for i in range(19)], dtype=np.uint64)
+_POW10.flags.writeable = False
 _MAG = np.uint64((1 << 63) - 1)
 _INF_BITS = np.uint64(0x7FF << 52)
 _ONE_BITS = np.uint64(0x3FF << 52)
@@ -65,12 +66,14 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 #: 4c - 1 where v is a power of two above the subnormals, whose spacing
 #: below is half that above)
 _ENDS = np.array([[0], [-2], [2]], dtype=np.int64).astype(np.uint64)
+_ENDS.flags.writeable = False
 #: decimal point positions that mark inf and nan cells
 _INF, _NAN = 1000, 1001
 #: slot rows of a cell: sign and "0." with up to three zeros, 18 digit
 #: slots (17 digits and a decimal point), then "e-324"
 _PREFIX, _DIGITS, _CELL = 6, 18, 29
 _SLOT = np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]
+_SLOT.flags.writeable = False
 
 
 def _g(k):
@@ -233,13 +236,12 @@ def _cells(values):
     return out
 
 
-def write_columns(path, header, columns, meta=()):
+def write_columns(path, header, columns):
     """Write a CSV table of equal-length columns.
 
     A column of `S` dtype is written as its bytes, any other as float64
-    text, byte-equal to repr; meta holds `key=value` strings, written
-    first as `# key=value` lines.  The bytes equal those of `csv.writer`
-    for cells that need no quoting, which holds for numbers and the labels
+    text, byte-equal to repr.  The bytes equal those of `csv.writer` for
+    cells that need no quoting, which holds for numbers and the labels
     written here.  Each block of rows is formatted in numpy and written in
     one call.
     """
@@ -253,9 +255,8 @@ def write_columns(path, header, columns, meta=()):
     ends = [np.frombuffer(end, np.uint8)[:, None]
             for end in [b","] * (len(columns) - 1) + [b"\r\n"]]
     with Path(path).open("w", newline="") as fh:
-        # the text layer writes meta and header in the readers' encoding
-        fh.write("".join(f"# {line}\n" for line in meta)
-                 + ",".join(header) + "\r\n")
+        # the text layer writes the header in the readers' encoding
+        fh.write(",".join(header) + "\r\n")
         fh.flush()
         for start in range(0, rows, step):
             stop = min(start + step, rows)
@@ -275,95 +276,31 @@ def write_columns(path, header, columns, meta=()):
                             .translate(None, b"\0"))
 
 
-def _read_rows(fh, path, columns) -> np.ndarray:
-    """The numeric rows left in fh as one (rows, columns) array;
-    SchemaMismatch for no rows, a non-numeric cell or a row of another width.
-    """
-    for first in fh:
-        if first.strip():
-            break
-    else:
-        raise SchemaMismatch(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
-                          quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
-    if data.shape[1] != columns:
-        raise SchemaMismatch(f"{path}: expected {columns} columns, "
+def _read_table(path, header, optional_tail=()) -> np.ndarray:
+    """The rows of a CSV whose first non-blank line is `header`, followed by
+    any of `optional_tail`, as one (rows, columns) array; SchemaMismatch for
+    another header, no rows, a non-numeric cell or a row of another width."""
+    with Path(path).open() as fh:
+        lines = (line for line in fh if line.strip())
+        row = next(csv.reader([next(lines, "")]))
+        if row[:len(header)] != header:
+            raise SchemaMismatch(
+                f"{path}: expected header {header} (got {row})")
+        for col in row[len(header):]:
+            if col not in optional_tail:
+                raise SchemaMismatch(f"{path}: unexpected column {col!r}")
+        first = next(lines, None)
+        if first is None:
+            raise SchemaMismatch(f"{path}: no data rows")
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                              quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from None
+    if data.shape[1] != len(row):
+        raise SchemaMismatch(f"{path}: expected {len(row)} columns, "
                              f"got {data.shape[1]}")
     return data
-
-
-def _require_header(row, expected, path, optional_tail=()):
-    if row is None or row[:len(expected)] != expected:
-        raise SchemaMismatch(
-            f"{path}: expected header {expected} (got {row})")
-    extras = row[len(expected):]
-    for col in extras:
-        if col not in optional_tail:
-            raise SchemaMismatch(f"{path}: unexpected column {col!r}")
-    return extras
-
-
-def _read_table(path, header, optional_tail=()) -> np.ndarray:
-    """The rows of a CSV whose first line is `header`, followed by any of
-    `optional_tail`, as by _read_rows."""
-    with Path(path).open() as fh:
-        extras = _require_header(next(csv.reader([fh.readline()])), header,
-                                 path, optional_tail)
-        return _read_rows(fh, path, len(header) + len(extras))
-
-
-def write_spectrum(path, spec):
-    """A dynamics.Spectrum as a spectrum CSV.  InvalidArgument, before any
-    byte is written, for a label that read_spectrum would not give back:
-    one with a line break, or with whitespace at either end."""
-    if spec.label != spec.label.strip() or "\r" in spec.label \
-            or "\n" in spec.label:
-        raise InvalidArgument(f"spectrum label {spec.label!r} would not "
-                              "read back: line break or outer whitespace")
-    write_columns(path, SPECTRUM_HEADER, [spec.freq, spec.values],
-                  meta=[f"label={spec.label}", f"rbw_hz={float(spec.rbw)!r}",
-                        f"floor={float(spec.floor)!r}"])
-
-
-def read_spectrum(path):
-    """dynamics.Spectrum from a spectrum CSV; metadata lines precede the
-    header."""
-    from .dynamics import Spectrum
-
-    path = Path(path)
-    meta = {}
-    with path.open() as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            header = next(csv.reader([line]))
-            break
-        if header is None:
-            raise SchemaMismatch(f"{path}: no spectrum rows")
-        _require_header(header, SPECTRUM_HEADER, path)
-        data = _read_rows(fh, path, len(SPECTRUM_HEADER))
-    if "rbw_hz" not in meta:
-        raise SchemaMismatch(f"{path}: missing rbw_hz metadata line")
-    try:
-        rbw, floor = float(meta["rbw_hz"]), float(meta.get("floor", 0.0))
-    except ValueError:
-        raise SchemaMismatch(
-            f"{path}: rbw_hz={meta['rbw_hz']!r} and floor="
-            f"{meta.get('floor', '0.0')!r} must be numbers") from None
-    if not 0.0 <= rbw < np.inf:
-        raise SchemaMismatch(
-            f"{path}: rbw_hz={meta['rbw_hz']!r} must be finite and >= 0")
-    return Spectrum(freq=data[:, 0], values=data[:, 1], rbw=rbw,
-                    floor=floor, label=meta.get("label", ""))
 
 
 def _numpy_ints(value):
@@ -376,30 +313,22 @@ def _numpy_ints(value):
                     "serializable")
 
 
-def write_quadratures(path, batch):
-    """A tomography.QuadratureBatch as its CSV and JSON sidecar; the
-    sidecar is serialised first, so a seed JSON cannot hold raises TypeError
-    before any file is made."""
-    path = Path(path)
-    sidecar = json.dumps({
-        "seed": batch.seed,
-        "g_opt_uv2_per_quanta": batch.g_opt,
-        "n_add_opt": batch.n_add_opt,
-        "count": batch.count,
-        "state": batch.state_meta,
-    }, indent=2, default=_numpy_ints) + "\n"
-    write_columns(path, QUADRATURE_HEADER, batch.samples.T)
-    path.with_suffix(path.suffix + ".json").write_text(sidecar)
+def _write_with_sidecar(path, header, columns, meta):
+    """The table at path and meta as JSON in its sidecar; meta is
+    serialised first, so a value JSON cannot hold raises TypeError before
+    any file is made."""
+    text = json.dumps(meta, indent=2, default=_numpy_ints) + "\n"
+    write_columns(path, header, columns)
+    Path(f"{path}.json").write_text(text)
 
 
-def read_quadratures(path):
-    """tomography.QuadratureBatch from a batch CSV and its JSON sidecar;
-    SchemaMismatch for a sidecar that is not a JSON object holding numeric
-    g_opt_uv2_per_quanta and n_add_opt."""
-    from .tomography import QuadratureBatch
-
-    path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+def _read_sidecar(path, numbers):
+    """(sidecar, values): the JSON object in the sidecar of the table at
+    path, and the float of each key of `numbers`, which maps it to its
+    default (None where the key is required); SchemaMismatch for a missing
+    sidecar, one that does not parse or is not an object, a missing key or
+    a value that is not a number."""
+    sidecar_path = Path(f"{path}.json")
     if not sidecar_path.exists():
         raise SchemaMismatch(f"{path}: missing JSON sidecar {sidecar_path}")
     try:
@@ -409,16 +338,69 @@ def read_quadratures(path):
     if not isinstance(sidecar, dict):
         raise SchemaMismatch(f"{sidecar_path}: expected a JSON object, got "
                              f"{type(sidecar).__name__}")
-    numbers = []
-    for key in ("g_opt_uv2_per_quanta", "n_add_opt"):
-        if key not in sidecar:
+    values = []
+    for key, default in numbers.items():
+        if key not in sidecar and default is None:
             raise SchemaMismatch(f"{sidecar_path}: missing key {key!r}")
         try:
-            numbers.append(float(sidecar[key]))
+            values.append(float(sidecar.get(key, default)))
         except (TypeError, ValueError):
             raise SchemaMismatch(f"{sidecar_path}: {key} must be a number, "
                                  f"got {sidecar[key]!r}") from None
-    g_opt, n_add_opt = numbers
+    return sidecar, values
+
+
+def write_spectrum(path, spec):
+    """A dynamics.Spectrum as a spectrum CSV and its JSON sidecar (label,
+    rbw_hz, floor)."""
+    _write_with_sidecar(path, SPECTRUM_HEADER, [spec.freq, spec.values], {
+        "label": spec.label,
+        "rbw_hz": float(spec.rbw),
+        "floor": float(spec.floor),
+    })
+
+
+def read_spectrum(path):
+    """dynamics.Spectrum from a spectrum CSV and its JSON sidecar;
+    SchemaMismatch, as by _read_sidecar, for a missing or non-numeric
+    rbw_hz or a non-numeric floor (0.0 when absent), and for an rbw_hz that
+    is not finite and >= 0 or a label that is not a string."""
+    from .dynamics import Spectrum
+
+    sidecar, (rbw, floor) = _read_sidecar(path, {"rbw_hz": None,
+                                                 "floor": 0.0})
+    if not 0.0 <= rbw < np.inf:
+        raise SchemaMismatch(f"{path}: rbw_hz={rbw!r} must be finite and "
+                             ">= 0")
+    label = sidecar.get("label", "")
+    if not isinstance(label, str):
+        raise SchemaMismatch(f"{path}: label must be a string, got "
+                             f"{label!r}")
+    data = _read_table(path, SPECTRUM_HEADER)
+    return Spectrum(freq=data[:, 0], values=data[:, 1], rbw=rbw,
+                    floor=floor, label=label)
+
+
+def write_quadratures(path, batch):
+    """A tomography.QuadratureBatch as its CSV and JSON sidecar; a seed
+    JSON cannot hold raises TypeError before any file is made."""
+    _write_with_sidecar(path, QUADRATURE_HEADER, batch.samples.T, {
+        "seed": batch.seed,
+        "g_opt_uv2_per_quanta": batch.g_opt,
+        "n_add_opt": batch.n_add_opt,
+        "count": batch.count,
+        "state": batch.state_meta,
+    })
+
+
+def read_quadratures(path):
+    """tomography.QuadratureBatch from a batch CSV and its JSON sidecar;
+    SchemaMismatch, as by _read_sidecar, for a sidecar without numeric
+    g_opt_uv2_per_quanta and n_add_opt."""
+    from .tomography import QuadratureBatch
+
+    sidecar, (g_opt, n_add_opt) = _read_sidecar(
+        path, {"g_opt_uv2_per_quanta": None, "n_add_opt": None})
     samples = _read_table(path, QUADRATURE_HEADER)
     return QuadratureBatch(samples=samples, g_opt=g_opt, n_add_opt=n_add_opt,
                            seed=sidecar.get("seed"),

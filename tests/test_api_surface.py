@@ -8,14 +8,17 @@ no caller in the package itself.  A public method or property of a public
 class counts as read when another top-level statement reads it as an
 attribute, or another member of its own class does; a local variable of the
 same name is not a read.  Members have no exceptions.  No module keeps
-process-global mutable state: no `global` or `nonlocal` statement and no
-functools cache.
+process-global mutable state: no `global` or `nonlocal` statement, no
+functools cache and no writeable module-level numpy array.
 """
 
 import ast
 import functools
+import importlib
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 import cryodrum
 
@@ -159,6 +162,11 @@ def test_no_process_global_state():
                     and node.value.id in aliases:
                 found.append(f"{path.name}:{node.lineno} "
                              f"functools.{node.attr}")
+        module = importlib.import_module(
+            "cryodrum" if path.stem == "__init__" else f"cryodrum.{path.stem}")
+        found += [f"{path.name}: writeable array {name}"
+                  for name, value in vars(module).items()
+                  if isinstance(value, np.ndarray) and value.flags.writeable]
     assert found == []
 
 

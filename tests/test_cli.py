@@ -543,6 +543,17 @@ def test_reference_config_edit_exit(argv, old, new, code, tmp_path, capsys):
         assert nonfinite_cells(tmp_path / "o.json") == []
 
 
+def test_cool_takes_a_cavity_bath_near_the_double_range(tmp_path):
+    # kappa_0 n_c_th overflows, but n_c = 2e306 is a double
+    text = REFERENCE_CFG.read_text()
+    assert "n_c_th = 0.25" in text
+    path = tmp_path / "edit.cfg"
+    path.write_text(text.replace("n_c_th = 0.25", "n_c_th = 1e307", 1))
+    out = tmp_path / "cool.csv"
+    assert main(["cool", "--config", str(path), "--out", str(out)]) == 0
+    assert nonfinite_cells(out) == []
+
+
 def test_unknown_drive_role_exit(tmp_path, capsys):
     path = tmp_path / "purple.cfg"
     path.write_text(CONFIG + "\n[drives.purple]\ngamma_opt = 1\ndelta = 0\n")

@@ -166,3 +166,15 @@ def test_bath_occupations_derivation(params):
     assert baths.n_c == pytest.approx(0.25 * 50e3 / 250e3, rel=1e-12)
     with pytest.raises(InvalidArgument):
         core.BathOccupations(n_c_th=-0.1)
+
+
+def test_bath_occupations_near_the_double_range(params):
+    # kappa_0 n_c_th overflows, n_c does not; only kappa_0 > kappa, which
+    # the 1e-9 sum rule lets through, can take n_c itself past the range
+    baths = core.bath_occupations(params, n_c_th=1e307, n_m_th=0.0)
+    assert baths.n_c == 2e306
+    lossy = dataclasses.replace(params, kappa=1.0, kappa_ex=1e-300,
+                                kappa_0=1.0 + 5e-10)
+    with pytest.raises(FloatingPointError, match="n_c"):
+        core.bath_occupations(lossy, n_c_th=1.7976931348623157e308,
+                              n_m_th=0.0)

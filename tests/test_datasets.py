@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cryodrum import calibration, datasets, tomography
 from cryodrum.cli import main
 from cryodrum.dynamics import Spectrum
-from cryodrum.errors import InvalidArgument, SchemaMismatch
+from cryodrum.errors import SchemaMismatch
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" \
     / "reference.cfg"
@@ -32,17 +32,25 @@ def test_spectrum_roundtrip_lossless(tmp_path):
     assert again.label == "blue"
 
 
+def write_spectrum_text(path, text, sidecar):
+    """A spectrum CSV of the given text, and its sidecar unless None."""
+    path.write_text(text)
+    if sidecar is not None:
+        path.with_name(path.name + ".json").write_text(sidecar)
+
+
 def test_spectrum_missing_rbw(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# label=x\nfreq_hz,value\n0.0,1.0\n1.0,2.0\n")
-    with pytest.raises(SchemaMismatch):
+    write_spectrum_text(path, "freq_hz,value\n0.0,1.0\n1.0,2.0\n",
+                        '{"label": "x"}')
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
         datasets.read_spectrum(path)
 
 
 def test_spectrum_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# rbw_hz=0.0\nfrequency,psd\n0.0,1.0\n")
-    with pytest.raises(SchemaMismatch):
+    write_spectrum_text(path, "frequency,psd\n0.0,1.0\n", '{"rbw_hz": 0.0}')
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
         datasets.read_spectrum(path)
 
 
@@ -86,12 +94,12 @@ def test_quadratures_unserialisable_seed_writes_nothing(tmp_path):
                          ids=["both-ends", "trailing", "leading-tab", "cr",
                               "lf", "inner-cr"])
 def test_spectrum_label_must_round_trip(tmp_path, label):
+    # the sidecar is JSON, which holds any string
     spec = Spectrum(freq=[0.0, 1.0], values=[1.0, 2.0], rbw=1.0,
                     label=label)
     path = tmp_path / "spec.csv"
-    with pytest.raises(InvalidArgument):
-        datasets.write_spectrum(path, spec)
-    assert not path.exists()
+    datasets.write_spectrum(path, spec)
+    assert datasets.read_spectrum(path).label == label
 
 
 def test_spectrum_numpy_scalar_metadata(tmp_path):
@@ -104,13 +112,25 @@ def test_spectrum_numpy_scalar_metadata(tmp_path):
     assert (again.rbw, again.floor) == (1.0 / 3.0, 0.5)
 
 
-@pytest.mark.parametrize("meta", ["# rbw_hz=abc\n",
-                                  "# rbw_hz=1\n# floor=zz\n",
-                                  "# rbw_hz=np.float64(0.5)\n"],
+@pytest.mark.parametrize("sidecar", ['{"rbw_hz": "abc"}',
+                                     '{"rbw_hz": 1, "floor": "zz"}',
+                                     '{"rbw_hz": "np.float64(0.5)"}'],
                          ids=["rbw-text", "floor-text", "rbw-numpy-repr"])
-def test_spectrum_metadata_must_be_numbers(tmp_path, meta):
+def test_spectrum_metadata_must_be_numbers(tmp_path, sidecar):
     path = tmp_path / "bad.csv"
-    path.write_text(meta + "freq_hz,value\n0.0,1.0\n1.0,2.0\n")
+    write_spectrum_text(path, "freq_hz,value\n0.0,1.0\n1.0,2.0\n", sidecar)
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
+        datasets.read_spectrum(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    None, '{"rbw_hz": 1', '[1]', '{"rbw_hz": null}', '{"rbw_hz": Infinity}',
+    '{"rbw_hz": -1}', '{"rbw_hz": 1, "label": 7}',
+], ids=["missing", "truncated", "list", "null-rbw", "inf-rbw",
+        "negative-rbw", "number-label"])
+def test_spectrum_sidecar_errors(tmp_path, sidecar):
+    path = tmp_path / "bad.csv"
+    write_spectrum_text(path, "freq_hz,value\n0.0,1.0\n1.0,2.0\n", sidecar)
     with pytest.raises(SchemaMismatch, match="bad.csv"):
         datasets.read_spectrum(path)
 
@@ -164,11 +184,9 @@ def test_peaks_table(tmp_path):
 
 # ---- byte format: every bulk writer against a csv.writer + repr reference
 
-def csv_reference(header, rows, meta=()):
+def csv_reference(header, rows):
     """Bytes of a table written row by row through csv.writer."""
     out = io.StringIO(newline="")
-    for line in meta:
-        out.write(f"# {line}\n")
     writer = csv.writer(out)
     writer.writerow(header)
     for row in rows:
@@ -199,9 +217,10 @@ def test_spectrum_bytes(tmp_path):
     datasets.write_spectrum(path, spec)
     assert path.read_bytes() == csv_reference(
         ["freq_hz", "value"],
-        [floats(f, v) for f, v in zip(spec.freq, spec.values)],
-        meta=["label=blue", f"rbw_hz={1.0 / 3.0!r}",
-              f"floor={0.5 + 1e-9!r}"])
+        [floats(f, v) for f, v in zip(spec.freq, spec.values)])
+    assert (tmp_path / "spec.csv.json").read_bytes() == (
+        b'{\n  "label": "blue",\n  "rbw_hz": 0.3333333333333333,\n'
+        b'  "floor": 0.500000001\n}\n')
 
 
 def test_quadratures_bytes(tmp_path):
@@ -212,6 +231,21 @@ def test_quadratures_bytes(tmp_path):
     datasets.write_quadratures(path, batch)
     assert path.read_bytes() == csv_reference(
         ["I_uV", "Q_uV"], [floats(i, q) for i, q in samples])
+    assert (tmp_path / "batch.csv.json").read_bytes() == (
+        b'{\n  "seed": 5,\n  "g_opt_uv2_per_quanta": 1.13,\n'
+        b'  "n_add_opt": 0.8,\n  "count": 8,\n  "state": {}\n}\n')
+
+
+def test_amplify_sidecar_bytes(tmp_path):
+    out = tmp_path / "batch.csv"
+    assert main(["amplify", "--out", str(out), "--seed", "7", "--n-th",
+                 "0.4", "--r", "0.6", "--g-opt", "1.13", "--n-add",
+                 "0.8"]) == 0
+    assert (tmp_path / "batch.csv.json").read_bytes() == (
+        b'{\n  "seed": 7,\n  "g_opt_uv2_per_quanta": 1.13,\n'
+        b'  "n_add_opt": 0.8,\n  "count": 12000,\n  "state": {\n'
+        b'    "n": 1.1295900105919372,\n    "b2_re": -1.3585152198709554,\n'
+        b'    "b2_im": 0.0\n  }\n}\n')
 
 
 def test_trajectory_bytes(tmp_path):
@@ -312,12 +346,11 @@ def test_write_columns_across_blocks(tmp_path):
     a, b = rng.standard_normal((2, rows)) * np.logspace(-8, 20, rows)
     labels = np.array(["pump", "red", "blue"] * rows, dtype="S")[:rows]
     path = tmp_path / "t.csv"
-    datasets.write_columns(path, ["a", "label", "b"], [a, labels, b],
-                           meta=["k=v"])
+    datasets.write_columns(path, ["a", "label", "b"], [a, labels, b])
     assert path.read_bytes() == csv_reference(
         ["a", "label", "b"],
         [floats(x) + [label.decode()] + floats(y)
-         for x, label, y in zip(a, labels, b)], meta=["k=v"])
+         for x, label, y in zip(a, labels, b)])
 
 
 # ---- lossless round trips over arbitrary float64
@@ -339,18 +372,21 @@ roundtrip = settings(max_examples=60, deadline=None, suppress_health_check=[
 @given(points=st.lists(
     st.tuples(st.floats(allow_nan=False, allow_infinity=False),
               st.floats(allow_nan=False, allow_infinity=False)),
-    min_size=2, max_size=40, unique_by=lambda point: point[0]))
-@example(points=list(zip(FREQ_EDGES, FINITE_EDGES)))
-def test_spectrum_roundtrip_property(tmp_path, points):
+    min_size=2, max_size=40, unique_by=lambda point: point[0]),
+    label=st.text())
+@example(points=list(zip(FREQ_EDGES, FINITE_EDGES)),
+         label=" r\u00e9d\r\nline\t")
+def test_spectrum_roundtrip_property(tmp_path, points, label):
     freq, values = zip(*sorted(points))
     spec = Spectrum(freq=freq, values=values, rbw=1.0 / 3.0, floor=-0.0,
-                    label="red")
+                    label=label)
     path = tmp_path / "spec.csv"
     datasets.write_spectrum(path, spec)
     again = datasets.read_spectrum(path)
     assert_same_floats(again.freq, spec.freq)
     assert_same_floats(again.values, spec.values)
-    assert (again.rbw, again.floor, again.label) == (1.0 / 3.0, 0.0, "red")
+    assert (again.rbw, again.floor, again.label) == (1.0 / 3.0, 0.0, label)
+    assert math.copysign(1.0, again.floor) == -1.0
 
 
 @roundtrip
@@ -373,8 +409,9 @@ def test_quadratures_roundtrip_property(tmp_path, samples):
 def test_readers_accept_line_endings_and_quotes(tmp_path, newline):
     spec_path = tmp_path / "spec.csv"
     spec_path.write_bytes(newline.join([
-        "# label=x", "", "# rbw_hz=0.5", '"freq_hz","value"', "1.0,-0.0",
-        "", '"2.5","1e-310"', "3.0, 1e300 ", ""]).encode())
+        "", '"freq_hz","value"', "1.0,-0.0", "", '"2.5","1e-310"',
+        "3.0, 1e300 ", ""]).encode())
+    (tmp_path / "spec.csv.json").write_text('{"label": "x", "rbw_hz": 0.5}')
     spec = datasets.read_spectrum(spec_path)
     assert spec.freq.tolist() == [1.0, 2.5, 3.0]
     assert spec.values.tolist() == [-0.0, 1e-310, 1e300]
@@ -392,14 +429,12 @@ def test_readers_accept_line_endings_and_quotes(tmp_path, newline):
 
 
 @pytest.mark.parametrize("text", [
-    "# rbw_hz=1\nfreq_hz,value\n",
-    "# rbw_hz=1\nfreq_hz,value\n\n\r\n",
-    "# rbw_hz=1\n\n",
+    "freq_hz,value\n", "freq_hz,value\n\n\r\n", "\n\n",
 ], ids=["header-only", "blank-body", "no-header"])
 def test_spectrum_schema_errors(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(SchemaMismatch):
+    write_spectrum_text(path, text, '{"rbw_hz": 1}')
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
         datasets.read_spectrum(path)
 
 
@@ -434,3 +469,20 @@ def test_table_schema_errors(tmp_path, reader, header, body):
                                                 tail=",1" * (width - 2)))
     with pytest.raises(SchemaMismatch):
         reader(path)
+
+
+@pytest.mark.parametrize("reader,header,count", [
+    (datasets.read_sweep, "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src", len),
+    (datasets.read_peaks, "N_p,N_b,N_c,r_gamma", len),
+    (datasets.read_line, "n_m,var_uV2", len),
+    (datasets.read_quadratures, "I_uV,Q_uV", lambda batch: len(batch.samples)),
+    (datasets.read_spectrum, "freq_hz,value", lambda spec: len(spec.freq)),
+], ids=["sweep", "peaks", "line", "quadratures", "spectrum"])
+def test_readers_skip_leading_blank_lines(tmp_path, reader, header, count):
+    width = header.count(",") + 1
+    path = tmp_path / "table.csv"
+    path.write_text("\n \r\n" + header + "\n" + ",".join(["0.5"] * width)
+                    + "\n" + ",".join(["1.5"] * width) + "\n")
+    (tmp_path / "table.csv.json").write_text(
+        '{"rbw_hz": 0.5, "g_opt_uv2_per_quanta": 1.13, "n_add_opt": 0.8}')
+    assert count(reader(path)) == 2

@@ -1,6 +1,7 @@
 """The third-party modules that the code imports are the ones that
 pyproject.toml declares: src/ imports only runtime dependencies, and tests/
-only runtime or `test` dependencies."""
+only runtime or `test` dependencies.  The declared numpy floor has every
+numpy function that src/ calls."""
 
 import ast
 import re
@@ -41,3 +42,12 @@ def test_imports_are_declared_dependencies():
     assert runtime == {"numpy"}
     assert _third_party_imports(ROOT / "src") <= runtime
     assert _third_party_imports(ROOT / "tests") <= runtime | test
+
+
+def test_numpy_floor_has_trapezoid():
+    # fitting.integrate_peak calls np.trapezoid, new in NumPy 2.0
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    floors = [re.fullmatch(r"numpy>=(\d+)\.(\d+)", req)
+              for req in project["dependencies"]]
+    assert [tuple(map(int, m.groups())) >= (2, 0)
+            for m in floors if m] == [True]

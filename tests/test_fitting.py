@@ -1,3 +1,4 @@
+import json
 import math
 import pkgutil
 
@@ -50,7 +51,8 @@ def test_voigt_boundary_inputs(value, inside, tmp_path):
              lambda: fitting.voigt_eval(nu, 1.0, value),
              lambda: Spectrum(freq=nu, values=np.ones(11), rbw=value).rbw]
     path = tmp_path / "spec.csv"
-    path.write_text(f"# rbw_hz={value!r}\nfreq_hz,value\n0.0,1.0\n1.0,2.0\n")
+    path.write_text("freq_hz,value\n0.0,1.0\n1.0,2.0\n")
+    (tmp_path / "spec.csv.json").write_text(json.dumps({"rbw_hz": value}))
     for call in calls:
         if inside:
             assert np.all(np.isfinite(call()))
