@@ -370,8 +370,13 @@ def cmd_reproduce(args):
     print(reproduce_mod.format_table(results))
     if args.json:
         _json_out(args.json, [
-            {"index": r.index, "name": r.name, "passed": bool(r.passed),
-             "detail": r.detail} for r in results])
+            {"index": r.index, "name": r.name, "passed": r.passed,
+             "detail": r.detail, "checks": [
+                 {"name": name, "value": float(value),
+                  "target": float(target), "bound": float(bound),
+                  "margin": float(abs(value - target) / bound)}
+                 for name, value, target, bound in r.checks]}
+            for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

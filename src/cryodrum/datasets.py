@@ -364,7 +364,8 @@ def read_spectrum(path):
     """dynamics.Spectrum from a spectrum CSV and its JSON sidecar;
     SchemaMismatch, as by _read_sidecar, for a missing or non-numeric
     rbw_hz or a non-numeric floor (0.0 when absent), and for an rbw_hz that
-    is not finite and >= 0 or a label that is not a string."""
+    is not finite and >= 0, a floor that is not finite or a label that is
+    not a string."""
     from .dynamics import Spectrum
 
     sidecar, (rbw, floor) = _read_sidecar(path, {"rbw_hz": None,
@@ -372,6 +373,8 @@ def read_spectrum(path):
     if not 0.0 <= rbw < np.inf:
         raise SchemaMismatch(f"{path}: rbw_hz={rbw!r} must be finite and "
                              ">= 0")
+    if not -np.inf < floor < np.inf:
+        raise SchemaMismatch(f"{path}: floor={floor!r} must be finite")
     label = sidecar.get("label", "")
     if not isinstance(label, str):
         raise SchemaMismatch(f"{path}: label must be a string, got "

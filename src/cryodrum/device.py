@@ -52,7 +52,7 @@ class DrumGeometry:
     xi_par: float | None = None   # capacitive participation ratio
     q0: float = 0.0               # bulk material quality factor
     dilution_a: float = 2.0       # A in D_Q = 1/(A lam + B lam^2)
-    dilution_b: float = 0.0       # B, negligible at lam ~ 5e-3
+    dilution_b: float = 0.0       # B; exact sweep power laws at B = 0
 
     def __post_init__(self):
         require(ABOVE_ZERO, radius=self.radius,
@@ -239,9 +239,11 @@ def scaling_sweep(base: DrumGeometry, axis: str, factors, *, omega_c: float,
     is shape preserving: the bottom radius follows, keeping xi_cap fixed
     (the scaling laws hold for geometrically similar drums).  Gamma_m is
     derived as Omega_m/Q_m; the thermal decoherence rate uses the *linear*
-    bath occupancy k_B T/h Omega at T = SWEEP_TEMPERATURE so that every
-    column is an exact power law of the sweep factor (the exact Bose
-    occupation would bend the log-log slope at the 1e-3 level).
+    bath occupancy k_B T/h Omega at T = SWEEP_TEMPERATURE so that, at
+    dilution_b = 0, every column is an exact power law of the sweep factor
+    (the exact Bose occupation would bend the log-log slope at the 1e-3
+    level).  dilution_b > 0 bends the columns that go through Q_m: B = 2
+    moves an exponent by 5.4e-3 at the reference geometry.
     """
     if axis not in ("radius", "stress", "thickness", "gap"):
         raise InvalidArgument(f"unknown sweep axis {axis!r}")

@@ -447,8 +447,6 @@ class LindbladTrajectory:
     b2: np.ndarray
     v_sq: np.ndarray
     v_asq: np.ndarray
-    var_x1: np.ndarray
-    var_x2: np.ndarray
     dim: int
     trace_dev: np.ndarray        # |Tr rho - 1| per step
     min_eigenvalue: np.ndarray   # smallest eigenvalue per step
@@ -474,8 +472,7 @@ def _trajectory(stack: np.ndarray, dim: int, times: np.ndarray,
     mag = np.abs(out_b2)
     return LindbladTrajectory(
         times=times, n=out_n, b2=out_b2, v_sq=0.5 + out_n - mag,
-        v_asq=0.5 + out_n + mag, var_x1=0.5 + out_n + np.real(out_b2),
-        var_x2=0.5 + out_n - np.real(out_b2), dim=dim,
+        v_asq=0.5 + out_n + mag, dim=dim,
         trace_dev=np.abs(populations.sum(axis=1) - 1.0), min_eigenvalue=None,
         top_population=populations[:, -1], terms=terms, rungs=(dim,))
 

@@ -5,9 +5,12 @@ behind `cryodrum reproduce`) and prints its PASS/FAIL line; the whole suite
 runs single-threaded in well under five minutes.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from cryodrum import reproduce
+from cryodrum import device, reproduce, squeezing
 
 
 #: detail lines pinned verbatim: the seeded thermalization run and the
@@ -35,6 +38,42 @@ def test_criterion(criterion):
     print(f"[{status}] {result.index}. {result.name}: {result.detail}")
     assert result.passed, result.detail
     assert result.detail == PINNED_DETAILS.get(result.index, result.detail)
+    # one rule decides: every row (name, value, target, bound) within
+    assert all(bound > 0 for _, _, _, bound in result.checks)
+    assert result.passed == all(abs(value - target) <= bound
+                                for _, value, target, bound in result.checks)
+
+
+@pytest.mark.parametrize("field", ["n", "v_sq", "trace_dev",
+                                   "min_eigenvalue"])
+def test_oracle_criterion_fails_on_nan(monkeypatch, field):
+    # a solver that returns NaN fails the criterion instead of dropping out
+    # of the worst value
+    def nan_oracle(model, times):
+        mom = squeezing.moments_evolve(model, times)
+        zeros = np.zeros(len(times))
+        traj = squeezing.LindbladTrajectory(
+            times=mom.times, n=mom.n, b2=mom.b2, v_sq=mom.v_sq,
+            v_asq=mom.v_asq, dim=2, trace_dev=zeros, min_eigenvalue=zeros,
+            top_population=zeros, terms=0, rungs=(2,))
+        return dataclasses.replace(traj, **{field: np.full(len(times),
+                                                          np.nan)})
+
+    monkeypatch.setattr(squeezing, "lindblad_evolve", nan_oracle)
+    result = reproduce.criterion_6_oracle_equivalence()
+    assert not result.passed
+    moments_nan = field in ("n", "v_sq")
+    assert ("worst moment deviation nan" in result.detail) == moments_nan
+    assert ("CPTP invariants FAILED" in result.detail) != moments_nan
+
+
+def test_device_criterion_fails_on_a_nan_exponent(monkeypatch):
+    exponent = device.sweep_exponent
+    monkeypatch.setattr(device, "sweep_exponent", lambda rows, quantity: (
+        np.nan if quantity == "g0" else exponent(rows, quantity)))
+    result = reproduce.criterion_8_device_figures()
+    assert not result.passed
+    assert "worst scaling-exponent deviation nan" in result.detail
 
 
 def test_format_table_reports_all():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryodrum import calibration, core
+from cryodrum.reproduce import REFERENCE_SYSTEM
 from cryodrum.errors import (
     BackActionDominated,
     InconsistentBudget,
@@ -261,6 +262,30 @@ def test_g0_sweep_gain_invariance(params):
                                        p.p_cal_src) for p in rows]
     again = calibration.g0_from_sweep(scaled, params)
     assert again.g0 == pytest.approx(base.g0, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g0=st.floats(1.0, 100.0), lo=st.floats(0.01, 0.2),
+       span=st.floats(2.0, 20.0), count=st.integers(3, 12),
+       noise_rel=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1),
+       gain=st.floats(1e-6, 1e6), source=st.floats(1e-6, 1e6))
+@example(g0=13.4, lo=0.05, span=8.0, count=8, noise_rel=0.03,
+         seed=20260809 + 9, gain=3.1, source=1.0)
+def test_g0_sweep_invariant_under_common_power_rescaling(
+        g0, lo, span, count, noise_rel, seed, gain, source):
+    # criterion 9's invariance over random sweeps: a common factor on the
+    # two measured powers, or on the two source powers, cancels in the
+    # calibrated ratio
+    params = core.validate_params(REFERENCE_SYSTEM)
+    temps = np.linspace(lo, lo * span, count)
+    rows = calibration.synthesize_g0_sweep(params, g0, temps,
+                                           noise_rel=noise_rel, seed=seed)
+    base = calibration.g0_from_sweep(rows, params)
+    rescaled = [calibration.G0SweepPoint(
+        p.temperature, gain * p.p_sb_meas, gain * p.p_cal_meas,
+        source * p.p_mw_src, source * p.p_cal_src) for p in rows]
+    again = calibration.g0_from_sweep(rescaled, params)
+    assert abs(again.g0 - base.g0) <= 1e-9 * base.g0
 
 
 def test_g0_sweep_back_action_guard(params):

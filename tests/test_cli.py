@@ -622,8 +622,19 @@ def test_reproduce_subset(capsys, tmp_path):
     assert "[PASS] 4." in captured.out
     assert "[PASS] 7." in captured.out
     assert "2/2 criteria passed" in captured.out
-    assert [(r["index"], r["passed"]) for r in json.loads(out.read_text())] \
-        == [(4, True), (7, True)]
+    results = json.loads(out.read_text())
+    assert [(r["index"], r["passed"]) for r in results] == [(4, True),
+                                                            (7, True)]
+    # each result carries its checks, with the margin read from the row
+    for result in results:
+        assert result["checks"]
+        for check in result["checks"]:
+            assert set(check) == {"name", "value", "target", "bound",
+                                  "margin"}
+            assert check["margin"] == abs(check["value"] - check["target"]) \
+                / check["bound"]
+        assert result["passed"] == all(check["margin"] <= 1.0
+                                       for check in result["checks"])
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

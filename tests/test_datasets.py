@@ -126,8 +126,9 @@ def test_spectrum_metadata_must_be_numbers(tmp_path, sidecar):
 @pytest.mark.parametrize("sidecar", [
     None, '{"rbw_hz": 1', '[1]', '{"rbw_hz": null}', '{"rbw_hz": Infinity}',
     '{"rbw_hz": -1}', '{"rbw_hz": 1, "label": 7}',
+    '{"rbw_hz": 1, "floor": NaN}', '{"rbw_hz": 1, "floor": -Infinity}',
 ], ids=["missing", "truncated", "list", "null-rbw", "inf-rbw",
-        "negative-rbw", "number-label"])
+        "negative-rbw", "number-label", "nan-floor", "inf-floor"])
 def test_spectrum_sidecar_errors(tmp_path, sidecar):
     path = tmp_path / "bad.csv"
     write_spectrum_text(path, "freq_hz,value\n0.0,1.0\n1.0,2.0\n", sidecar)

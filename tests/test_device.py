@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar
 from scipy.special import j0, j1, jn, jn_zeros
 
@@ -216,6 +218,33 @@ def test_scaling_exponent_table(params):
                 continue
             fitted = device.sweep_exponent(rows, quantity)
             assert fitted == pytest.approx(expected, abs=1e-6), (quantity, ax)
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(10e-6, 200e-6), inner=st.floats(0.1, 0.9),
+       thickness=st.floats(20e-9, 500e-9), gap=st.floats(50e-9, 1e-6),
+       density=st.floats(1e3, 2e4), stress=st.floats(1e7, 1e9),
+       youngs_modulus=st.floats(1e10, 5e11), xi_par=st.floats(0.1, 1.0),
+       q0=st.floats(1e3, 1e7), dilution_a=st.floats(0.5, 5.0),
+       omega_c=st.floats(1e9, 1e10), kappa=st.floats(1e4, 1e7))
+def test_scaling_exponents_hold_over_random_geometries(
+        radius, inner, thickness, gap, density, stress, youngs_modulus,
+        xi_par, q0, dilution_a, omega_c, kappa):
+    # criterion 8's exponents are exact power laws at dilution_b = 0 for
+    # any drum, not only the reference one
+    geom = device.DrumGeometry(
+        radius=radius, bottom_radius=inner * radius, thickness=thickness,
+        gap=gap, density=density, stress=stress,
+        youngs_modulus=youngs_modulus, xi_par=xi_par, q0=q0,
+        dilution_a=dilution_a, dilution_b=0.0)
+    factors = np.geomspace(0.5, 2.0, 7)
+    for axis in ("radius", "stress", "thickness", "gap"):
+        rows = device.scaling_sweep(geom, axis, factors, omega_c=omega_c,
+                                    kappa=kappa)
+        for (quantity, ax), expected in device.SCALING_EXPONENTS.items():
+            if ax == axis:
+                fitted = device.sweep_exponent(rows, quantity)
+                assert abs(fitted - expected) <= 1e-9, (quantity, axis)
 
 
 def test_sweep_guards(params):

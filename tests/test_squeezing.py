@@ -194,8 +194,10 @@ def test_lindblad_initial_state_axes():
     model = squeezing.DephasingModel(gamma_th=5.0, gamma_phi=0.0,
                                      initial=initial)
     traj = squeezing.lindblad_evolve(model, np.array([0.0]))
-    assert traj.var_x1[0] == pytest.approx(initial.var_x1, rel=1e-6)
-    assert traj.var_x2[0] == pytest.approx(initial.var_x2, rel=1e-6)
+    var_x1 = 0.5 + traj.n[0] + traj.b2[0].real
+    var_x2 = 0.5 + traj.n[0] - traj.b2[0].real
+    assert var_x1 == pytest.approx(initial.var_x1, rel=1e-6)
+    assert var_x2 == pytest.approx(initial.var_x2, rel=1e-6)
 
 
 def _propagate_at(model, times, dim):
@@ -744,8 +746,10 @@ def test_lindblad_rotated_initial_state():
     model = squeezing.DephasingModel(gamma_th=5.0, gamma_phi=0.0,
                                      initial=initial)
     traj = squeezing.lindblad_evolve(model, np.array([0.0]))
-    assert traj.var_x1[0] == pytest.approx(initial.var_x1, rel=1e-6)
-    assert traj.var_x2[0] == pytest.approx(initial.var_x2, rel=1e-6)
+    var_x1 = 0.5 + traj.n[0] + traj.b2[0].real
+    var_x2 = 0.5 + traj.n[0] - traj.b2[0].real
+    assert var_x1 == pytest.approx(initial.var_x1, rel=1e-6)
+    assert var_x2 == pytest.approx(initial.var_x2, rel=1e-6)
     assert traj.b2[0].real == pytest.approx(initial.b2.real, rel=1e-6)
     assert traj.b2[0].imag == pytest.approx(initial.b2.imag, rel=1e-6)
 
