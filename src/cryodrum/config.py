@@ -11,7 +11,7 @@ Plain INI files (configparser syntax) with section headers
                         gamma_opt / cooperativity
     [geometry]          drum geometry for the device figures (radius,
                         bottom_radius, thickness, gap, density, stress,
-                        youngs_modulus, xi_par, q0, dilution_a, dilution_b)
+                        youngs_modulus, xi_par, q0; dilution_a/b optional)
 
 Numbers are SI values with an optional k/M/G suffix (2.5k == 2500.0);
 scientific notation is accepted as well.

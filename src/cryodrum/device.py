@@ -6,10 +6,11 @@ symmetric u(r) = J0(j01 r / R) at cyclic frequency
 Omega_m = (j01 / R) sqrt(sigma/rho) / 2pi, with j01 the first root of J0.
 From it follow the effective mass, zero-point fluctuation, the capacitive
 coupling g0 = (omega_c / 2d) xi_cap xi_par x_zpf of a vacuum-gap capacitor,
-and the dissipation-dilution enhancement of the quality factor.  J0 is
-evaluated on [0, j01] by its power series, so this module needs no scipy,
-and the two radial mode integrals (effective mass, xi_cap) have polynomial
-integrands that one fixed 64-node Gauss-Legendre rule integrates exactly.
+and the dissipation-dilution enhancement Q_m = Q_0 D_Q of the quality
+factor, so every geometry carries Y, xi_par and Q_0.  J0 is evaluated on
+[0, j01] by its power series, so this module needs no scipy, and the two
+radial mode integrals (effective mass, xi_cap) have polynomial integrands
+that one fixed 64-node Gauss-Legendre rule integrates exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import PLANCK_H, TWO_PI, bose_occupation_linear
 from .errors import (ABOVE_ZERO, FRACTION, NON_NEGATIVE, POSITIVE,
-                     InvalidArgument, MissingParticipation, require)
+                     InvalidArgument, require)
 
 HBAR = PLANCK_H / TWO_PI      # reduced Planck constant [J s]
 
@@ -40,6 +41,7 @@ class DrumGeometry:
     dilution_a/dilution_b come from external electromagnetic/elastic
     simulation and are plain inputs here.  R > R_b, and a scaling sweep
     may overflow a length or the stress to +inf (see errors.ABOVE_ZERO).
+    Y and Q_0 are finite and > 0, since every figure set has a Q_m.
     """
 
     radius: float                 # R, drumhead radius
@@ -48,9 +50,9 @@ class DrumGeometry:
     gap: float                    # d, vacuum gap
     density: float                # rho
     stress: float                 # sigma_m, tensile
-    youngs_modulus: float = 0.0   # Y, only needed for dilution
-    xi_par: float | None = None   # capacitive participation ratio
-    q0: float = 0.0               # bulk material quality factor
+    youngs_modulus: float         # Y, sets the dilution parameter lambda
+    xi_par: float                 # capacitive participation ratio
+    q0: float                     # bulk material quality factor
     dilution_a: float = 2.0       # A in D_Q = 1/(A lam + B lam^2)
     dilution_b: float = 0.0       # B; exact sweep power laws at B = 0
 
@@ -58,11 +60,11 @@ class DrumGeometry:
         require(ABOVE_ZERO, radius=self.radius,
                 bottom_radius=self.bottom_radius, thickness=self.thickness,
                 gap=self.gap, stress=self.stress)
-        require(POSITIVE, density=self.density)
-        require(NON_NEGATIVE, youngs_modulus=self.youngs_modulus, q0=self.q0,
-                dilution_a=self.dilution_a, dilution_b=self.dilution_b)
-        if self.xi_par is not None:
-            require(FRACTION, xi_par=self.xi_par)
+        require(POSITIVE, density=self.density,
+                youngs_modulus=self.youngs_modulus, q0=self.q0)
+        require(NON_NEGATIVE, dilution_a=self.dilution_a,
+                dilution_b=self.dilution_b)
+        require(FRACTION, xi_par=self.xi_par)
         if not self.radius > self.bottom_radius:
             raise InvalidArgument(f"radius = {self.radius!r}: must be > "
                                   f"bottom_radius = {self.bottom_radius!r}")
@@ -84,31 +86,16 @@ class ModeResult:
     q_m: float            # mechanical quality factor
 
 
-def drum_mode(geom: DrumGeometry):
-    """Frequency and radial shape of the fundamental drum mode.
-
-    Returns
-    -------
-    omega_m : float
-        Cyclic mode frequency [Hz]: (j01 / R) sqrt(sigma/rho) / 2pi.
-    mode_shape : callable
-        u(r) = J0(j01 r / R) for 0 <= r <= R, with u(0) = 1.  J0(x) is the
-        power series sum_k (-x^2/4)^k / (k!)^2 summed in ascending order of
-        k; its 24 terms (the last below 1e-41 on [0, j01]) stay within ~3e-16
-        of scipy.special.jn(0, x).
-    """
-    omega_m = J01 / geom.radius * math.sqrt(geom.stress / geom.density) / TWO_PI
-
-    def mode_shape(r):
-        x = J01 * np.asarray(r, dtype=float) / geom.radius
-        step = -0.25 * x * x
-        term = total = np.ones_like(x)
-        for k in range(1, 24):
-            term = term * step / (k * k)
-            total = total + term
-        return total
-
-    return omega_m, mode_shape
+def _j0(x):
+    """J0(x) on [0, j01] by its power series sum_k (-x^2/4)^k / (k!)^2,
+    summed in ascending order of k; its 24 terms (the last below 1e-41)
+    stay within ~3e-16 of scipy.special.jn(0, x)."""
+    step = -0.25 * x * x
+    term = total = np.ones_like(x)
+    for k in range(1, 24):
+        term = term * step / (k * k)
+        total = total + term
+    return total
 
 
 #: 64-node Gauss-Legendre rule on [-1, 1], built once at import and read
@@ -119,40 +106,23 @@ _NODES.flags.writeable = False
 _WEIGHTS.flags.writeable = False
 
 
-def _radial_integral(func, upper: float) -> float:
-    """integral_0^upper func(r) dr by the 64-node Gauss-Legendre rule."""
+def _mode_integral(radius: float, upper: float, power: int) -> float:
+    """integral_0^upper r u(r)^power dr of the fundamental mode
+    u(r) = J0(j01 r / radius), by the 64-node Gauss-Legendre rule."""
     r = 0.5 * upper * (_NODES + 1.0)
-    return 0.5 * upper * float(np.sum(_WEIGHTS * func(r)))
-
-
-def effective_mass_xzpf(geom: DrumGeometry, omega_m: float, mode_shape):
-    """Effective mass, physical mass, mass ratio and x_zpf of the mode of
-    frequency omega_m and radial shape mode_shape (drum_mode's pair).
-
-    xi_mass = (2/R^2) integral_0^R r |u(r)|^2 dr, exact by _radial_integral;
-    m_phys = rho pi R^2 t; x_zpf = sqrt(hbar / (2 m_eff * 2pi Omega_m)).
-    """
-    R = geom.radius
-    integral = _radial_integral(
-        lambda r: r * np.abs(mode_shape(r)) ** 2, R)
-    xi_mass = 2.0 / R**2 * integral
-    m_phys = geom.density * math.pi * R**2 * geom.thickness
-    m_eff = xi_mass * m_phys
-    x_zpf = math.sqrt(HBAR / (2.0 * m_eff * TWO_PI * omega_m))
-    return m_eff, m_phys, xi_mass, x_zpf
+    u = _j0(J01 * r / radius)
+    return 0.5 * upper * float(np.sum(_WEIGHTS * (r * u ** power)))
 
 
 def dilution_factor(geom: DrumGeometry):
     """Dissipation dilution: lambda, D_Q = 1/(A lam + B lam^2), Q_m = Q_0 D_Q.
 
-    lambda = (t / 2R) sqrt(Y / 12 sigma), with Y and Q_0 finite and > 0
-    (InvalidArgument otherwise).  At lambda -> 0 the bending loss vanishes
-    and D_Q diverges; an inf sentinel is returned with a warning.  A tiny
-    positive lambda whose D_Q or Q_m overflows the double range is not that
-    limit, and neither is a D_Q or Q_m that underflows to 0:
+    lambda = (t / 2R) sqrt(Y / 12 sigma).  At lambda -> 0 the bending loss
+    vanishes and D_Q diverges; an inf sentinel is returned with a warning.
+    A tiny positive lambda whose D_Q or Q_m overflows the double range is
+    not that limit, and neither is a D_Q or Q_m that underflows to 0:
     FloatingPointError.
     """
-    require(POSITIVE, youngs_modulus=geom.youngs_modulus, q0=geom.q0)
     lam = (geom.thickness / (2.0 * geom.radius)
            * math.sqrt(geom.youngs_modulus / (12.0 * geom.stress)))
     denom = geom.dilution_a * lam + geom.dilution_b * lam**2
@@ -171,21 +141,21 @@ def dilution_factor(geom: DrumGeometry):
 def mode_figures(geom: DrumGeometry, omega_c: float) -> ModeResult:
     """All fundamental-mode figures of merit in one record.
 
-    The capacitive coupling is g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
-    xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr; MissingParticipation
-    when xi_par is not supplied.  FloatingPointError when a figure
-    overflows the double range, or underflows to 0 (as g0 does when the
-    gap is infinite); only d_q and q_m carry an inf sentinel.
+    xi_mass = (2/R^2) integral_0^R r u(r)^2 dr = m_eff / (rho pi R^2 t),
+    x_zpf = sqrt(hbar / (2 m_eff * 2pi Omega_m)) and the capacitive coupling
+    g0 = (omega_c / 2d) xi_cap xi_par x_zpf with
+    xi_cap = (2/R_b^2) integral_0^{R_b} r u(r) dr.  FloatingPointError when
+    a figure overflows the double range, or underflows to 0 (as g0 does
+    when the gap is infinite); only d_q and q_m carry an inf sentinel.
     """
     require(POSITIVE, omega_c=omega_c)
-    if geom.xi_par is None:
-        raise MissingParticipation(
-            "xi_par (capacitor participation ratio) must be supplied")
-    omega_m, mode_shape = drum_mode(geom)
-    m_eff, m_phys, xi_mass, x_zpf = effective_mass_xzpf(geom, omega_m,
-                                                        mode_shape)
-    Rb = geom.bottom_radius
-    xi_cap = 2.0 / Rb**2 * _radial_integral(lambda r: r * mode_shape(r), Rb)
+    R, Rb = geom.radius, geom.bottom_radius
+    omega_m = J01 / R * math.sqrt(geom.stress / geom.density) / TWO_PI
+    xi_mass = 2.0 / R**2 * _mode_integral(R, R, 2)
+    m_phys = geom.density * math.pi * R**2 * geom.thickness
+    m_eff = xi_mass * m_phys
+    x_zpf = math.sqrt(HBAR / (2.0 * m_eff * TWO_PI * omega_m))
+    xi_cap = 2.0 / Rb**2 * _mode_integral(R, Rb, 1)
     g0 = omega_c / (2.0 * geom.gap) * xi_cap * geom.xi_par * x_zpf
     figures = dict(omega_m=omega_m, m_eff=m_eff, m_phys=m_phys,
                    xi_mass=xi_mass, x_zpf=x_zpf, xi_cap=xi_cap, g0=g0)

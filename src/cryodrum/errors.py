@@ -57,12 +57,6 @@ class UnstableDriveSet(InvalidArgument):
     """Total mechanical damping Gamma_tot <= 0 (anti-damping dominates)."""
 
 
-# ---- device geometry ----
-
-class MissingParticipation(InvalidArgument):
-    """Capacitive participation ratio xi_par required but not supplied."""
-
-
 # ---- fitting ----
 
 class FitNonConvergence(CryodrumError):

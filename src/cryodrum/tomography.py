@@ -201,22 +201,32 @@ def _readout_covariance(var_x1, var_x2, cov_x1x2, g_opt: float,
     return s11, s22, s12
 
 
+#: rows of the sampler's in-place transform per matmul call.  A one-row
+#: block would take numpy's vector-matrix path, whose rounding differs from
+#: the matrix product's, so a one-row remainder joins the block before it.
+_SAMPLE_BLOCK = 4096
+
+
 def sample_quadratures(state: GaussianMechState, g_opt: float,
                        n_add_opt: float, n_samples: int,
                        seed) -> QuadratureBatch:
     """Draw N zero-mean (I, Q) pairs for a state seen through the amplifier.
 
     <I^2> = g_opt (var_x1 + n_add_opt + 1/2), same for Q/X2, and the I-Q
-    correlation is g_opt Im<b^2>.  Deterministic per seed.
+    correlation is g_opt Im<b^2>.  Deterministic per seed: the draws z of
+    default_rng(seed) become z @ L.T in place, L the Cholesky factor.
     FloatingPointError when that covariance is not finite.
     """
     require(COUNT, n_samples=n_samples)
     s11, s22, s12 = _readout_covariance(state.var_x1, state.var_x2,
                                         state.cov_x1x2, g_opt, n_add_opt)
-    chol = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]]))
+    chol_t = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]])).T
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, 2))
-    samples = z @ chol.T
+    n_samples = int(n_samples)
+    samples = rng.standard_normal((n_samples, 2))
+    for block in np.split(samples, range(_SAMPLE_BLOCK, n_samples - 1,
+                                         _SAMPLE_BLOCK)):
+        np.matmul(block, chol_t, out=block)
     return QuadratureBatch(samples=samples, g_opt=g_opt,
                            n_add_opt=n_add_opt, seed=seed,
                            state_meta={"n": state.n, "b2_re": state.b2.real,

@@ -111,7 +111,7 @@ def test_oracles_exist_and_have_no_caller():
 
 #: defaulted parameters plus defaulted dataclass fields in src/cryodrum; a
 #: change that adds one has to raise this number, where review sees it
-MAX_DEFAULTS = 53
+MAX_DEFAULTS = 48
 
 
 def _is_dataclass(cls):

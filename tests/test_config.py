@@ -121,13 +121,33 @@ def test_geometry_missing_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["youngs_modulus", "xi_par", "q0"])
+def test_geometry_missing_material_key(key, tmp_path, capsys):
+    # Y, xi_par and Q_0 have no default: every device figure set needs them
+    from cryodrum.cli import main
+
+    path = tmp_path / "s.cfg"
+    line = next(line for line in SAMPLE.splitlines()
+                if line.startswith(key + " ="))
+    path.write_text(SAMPLE.replace(line + "\n", ""))
+    with pytest.raises(ConfigError,
+                       match=rf"^\[geometry\] missing key '{key}'$"):
+        config.load_geometry(config.read_config(path))
+    assert main(["device", "--config", str(path), "--out",
+                 str(tmp_path / "figures.csv")]) == 2
+    assert f"[geometry] missing key '{key}'" in capsys.readouterr().err
+
+
 def test_geometry_omitted_optional_key_takes_the_field_default(tmp_path):
     from cryodrum.device import DrumGeometry
 
-    # q0 omitted, an unknown key ignored: the dataclass holds the default
+    # dilution_a and dilution_b omitted, an unknown key ignored: the
+    # dataclass holds the defaults
     path = tmp_path / "s.cfg"
-    path.write_text(SAMPLE.replace("q0 = 4e5\n", "colour = 1\n"))
+    path.write_text(SAMPLE + "colour = 1\n")
     geom = config.load_geometry(config.read_config(path))
     assert geom == DrumGeometry(
         radius=75e-6, bottom_radius=23e-6, thickness=180e-9, gap=180e-9,
-        density=2700.0, stress=350e6, youngs_modulus=75e9, xi_par=0.8)
+        density=2700.0, stress=350e6, youngs_modulus=75e9, xi_par=0.8,
+        q0=4e5)
+    assert (geom.dilution_a, geom.dilution_b) == (2.0, 0.0)

@@ -10,7 +10,7 @@ from scipy.constants import hbar
 from scipy.special import j0, j1, jn, jn_zeros
 
 from cryodrum import device
-from cryodrum.errors import InvalidArgument, MissingParticipation
+from cryodrum.errors import InvalidArgument
 
 GEOM = device.DrumGeometry(
     radius=75e-6, bottom_radius=23e-6, thickness=180e-9, gap=180e-9,
@@ -44,31 +44,30 @@ def test_j01_is_scipys_double():
 
 def test_mode_shape_is_scipys_j0():
     # the J0 power series over the whole drum, 200 001 radii
-    _, shape = device.drum_mode(GEOM)
     r = np.linspace(0.0, GEOM.radius, 200_001)
     x = device.J01 * r / GEOM.radius
-    assert np.max(np.abs(shape(r) - jn(0, x))) <= 4e-16
+    assert np.max(np.abs(device._j0(x) - jn(0, x))) <= 4e-16
 
 
 def test_fundamental_frequency():
-    omega_m, shape = device.drum_mode(GEOM)
+    omega_m = device.mode_figures(GEOM, OMEGA_C).omega_m
     assert omega_m == pytest.approx(1.8e6, rel=0.03)
-    assert shape(0.0) == pytest.approx(1.0, abs=1e-14)
+    assert device._j0(np.zeros(1))[0] == 1.0
     # frozen from the closed form (alpha/R) sqrt(sigma/rho) / 2pi
     assert omega_m == pytest.approx(1.8373614e6, rel=1e-6)
 
 
 def test_frequency_stress_scaling():
-    omega_1, _ = device.drum_mode(GEOM)
-    omega_4, _ = device.drum_mode(replace(GEOM, stress=4.0 * GEOM.stress))
+    omega_1 = device.mode_figures(GEOM, OMEGA_C).omega_m
+    omega_4 = device.mode_figures(replace(GEOM, stress=4.0 * GEOM.stress),
+                                  OMEGA_C).omega_m
     assert omega_4 == pytest.approx(2.0 * omega_1, rel=1e-14)
 
 
 def test_xi_mass_analytic_oracle():
     # 2 int_0^1 x J0(a x)^2 dx = J1(a)^2 at a Bessel root
     alpha = device.J01
-    _, _, xi_mass, _ = device.effective_mass_xzpf(GEOM,
-                                                  *device.drum_mode(GEOM))
+    xi_mass = device.mode_figures(GEOM, OMEGA_C).xi_mass
     assert xi_mass == pytest.approx(j1(alpha) ** 2, rel=1e-10)
     assert xi_mass == pytest.approx(0.27, rel=0.01)
 
@@ -78,27 +77,17 @@ def test_xi_mass_riemann_oracle():
     r = (np.arange(1_000_000) + 0.5) / 1_000_000 * GEOM.radius
     riemann = 2.0 / GEOM.radius**2 * np.sum(
         r * j0(alpha * r / GEOM.radius) ** 2) * (GEOM.radius / 1_000_000)
-    _, _, xi_mass, _ = device.effective_mass_xzpf(GEOM,
-                                                  *device.drum_mode(GEOM))
+    xi_mass = device.mode_figures(GEOM, OMEGA_C).xi_mass
     assert xi_mass == pytest.approx(riemann, rel=1e-8)
 
 
-def test_rigid_piston_mass_ratio():
-    omega_m, _ = device.drum_mode(GEOM)
-    _, _, xi_mass, _ = device.effective_mass_xzpf(
-        GEOM, omega_m, lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    assert xi_mass == pytest.approx(1.0, rel=1e-12)
-
-
 def test_mass_and_zero_point():
-    m_eff, m_phys, xi_mass, x_zpf = device.effective_mass_xzpf(
-        GEOM, *device.drum_mode(GEOM))
-    assert m_eff == pytest.approx(2.3e-12, rel=0.03)
-    assert x_zpf == pytest.approx(1.4e-15, rel=0.05)
-    assert m_eff == pytest.approx(xi_mass * m_phys, rel=1e-14)
+    res = device.mode_figures(GEOM, OMEGA_C)
+    assert res.m_eff == pytest.approx(2.3e-12, rel=0.03)
+    assert res.x_zpf == pytest.approx(1.4e-15, rel=0.05)
+    assert res.m_eff == pytest.approx(res.xi_mass * res.m_phys, rel=1e-14)
     # hbar = 2 m_eff (2 pi Omega) x_zpf^2 identically
-    omega_m, _ = device.drum_mode(GEOM)
-    assert 2.0 * m_eff * 2.0 * math.pi * omega_m * x_zpf**2 \
+    assert 2.0 * res.m_eff * 2.0 * math.pi * res.omega_m * res.x_zpf**2 \
         == pytest.approx(hbar, rel=1e-12)
 
 
@@ -133,19 +122,25 @@ def test_g0_gap_scaling():
 
 
 def test_mode_figures_evaluates_the_mode_once(monkeypatch):
+    # one mass integral and one capacitance integral, nothing else
     calls = Counter()
-    for name in ("drum_mode", "_radial_integral"):
-        def counted(*args, _name=name, _func=getattr(device, name)):
-            calls[_name] += 1
-            return _func(*args)
-        monkeypatch.setattr(device, name, counted)
+    mode_integral = device._mode_integral
+
+    def counted(radius, upper, power):
+        calls[power] += 1
+        return mode_integral(radius, upper, power)
+
+    monkeypatch.setattr(device, "_mode_integral", counted)
     device.mode_figures(GEOM, OMEGA_C)
-    assert calls == {"drum_mode": 1, "_radial_integral": 2}
+    assert calls == {2: 1, 1: 1}
 
 
 def test_g0_requires_participation():
-    with pytest.raises(MissingParticipation):
-        device.mode_figures(replace(GEOM, xi_par=None), OMEGA_C)
+    # xi_par, Y and Q_0 have no default: every geometry has all figures
+    for name in ("xi_par", "youngs_modulus", "q0"):
+        with pytest.raises(TypeError, match=name):
+            device.DrumGeometry(**{k: v for k, v in vars(GEOM).items()
+                                   if k != name})
 
 
 def test_dilution_factor():
@@ -178,10 +173,9 @@ def test_dilution_overflow_is_flagged(thickness):
 def test_zero_q0_is_outside_the_dilution_domain(youngs_modulus):
     # Q_m = Q0 D_Q = 0 is no quality factor (a sweep divided Omega_m by
     # it), and at Y = 5e-324 lambda = 0, where Q0 inf was nan
-    geom = replace(GEOM, youngs_modulus=youngs_modulus, q0=0.0)
     with pytest.raises(InvalidArgument,
                        match="^q0 = 0.0: must be finite and > 0"):
-        device.mode_figures(geom, OMEGA_C)
+        replace(GEOM, youngs_modulus=youngs_modulus, q0=0.0)
 
 
 def test_infinite_gap_is_flagged():
@@ -272,7 +266,8 @@ def test_geometry_validation():
     with pytest.raises(InvalidArgument):
         device.DrumGeometry(radius=10e-6, bottom_radius=20e-6,
                             thickness=1e-7, gap=1e-7, density=2700.0,
-                            stress=1e8)
+                            stress=1e8, youngs_modulus=75e9, xi_par=0.8,
+                            q0=4e5)
 
 
 @pytest.mark.parametrize("npts", [32, 64, 128])
@@ -286,12 +281,12 @@ def test_gauss_legendre_table_is_leggauss_and_read_only(npts):
         device._NODES[0] = 0.0
     with pytest.raises(ValueError):
         device._WEIGHTS[0] = 0.0
-    _, mode_shape = device.drum_mode(GEOM)
     R = GEOM.radius
     nodes, weights = np.polynomial.legendre.leggauss(npts)
     r = 0.5 * R * (nodes + 1.0)
-    ref = 0.5 * R * float(np.sum(weights * r * mode_shape(r) ** 2))
-    fixed = device._radial_integral(lambda r: r * mode_shape(r) ** 2, R)
+    ref = 0.5 * R * float(np.sum(weights * r
+                                 * device._j0(device.J01 * r / R) ** 2))
+    fixed = device._mode_integral(R, R, 2)
     assert fixed == pytest.approx(ref, rel=1e-12)
 
 
@@ -311,7 +306,7 @@ def test_scaling_sweep_builds_each_rule_once(monkeypatch):
     assert calls == []
 
 
-def _doubling_quadrature(func, upper):
+def _doubling_quadrature(radius, upper, power):
     """The adaptive rule the fixed one replaced: Gauss-Legendre from 32
     nodes, doubling until two rules agree to 1e-10, returning the finer."""
     previous = None
@@ -319,7 +314,8 @@ def _doubling_quadrature(func, upper):
     while npts <= 1024:
         x, w = np.polynomial.legendre.leggauss(npts)
         r = 0.5 * upper * (x + 1.0)
-        value = 0.5 * upper * float(np.sum(w * func(r)))
+        u = device._j0(device.J01 * r / radius)
+        value = 0.5 * upper * float(np.sum(w * (r * u ** power)))
         if previous is not None:
             scale = max(abs(value), abs(previous), 1e-300)
             if abs(value - previous) <= 1e-10 * scale:
@@ -343,7 +339,7 @@ def test_fixed_rule_matches_the_doubling_result(monkeypatch):
             thickness=10.0 ** rng.uniform(-9.0, -6.0),
             stress=10.0 ** rng.uniform(6.0, 10.0)))
     fixed = [device.mode_figures(geom, OMEGA_C) for geom in geoms]
-    monkeypatch.setattr(device, "_radial_integral", _doubling_quadrature)
+    monkeypatch.setattr(device, "_mode_integral", _doubling_quadrature)
     for geom, res in zip(geoms, fixed):
         ref = device.mode_figures(geom, OMEGA_C)
         assert (res.xi_mass, res.xi_cap, res.m_eff, res.x_zpf, res.g0) \

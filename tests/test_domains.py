@@ -129,9 +129,8 @@ TABLE = [
     (_phase_noise, dict(n_m_th=255.0), "n_min", POSITIVE),
     *((device.DrumGeometry, GEOM, name, ABOVE_ZERO)
       for name in ("thickness", "gap", "stress")),
-    (device.DrumGeometry, GEOM, "density", POSITIVE),
-    *((device.DrumGeometry, GEOM, name, NON_NEGATIVE)
-      for name in ("youngs_modulus", "q0")),
+    *((device.DrumGeometry, GEOM, name, POSITIVE)
+      for name in ("density", "youngs_modulus", "q0")),
     (device.DrumGeometry, GEOM, "xi_par", FRACTION),
     (_mode_figures, {}, "omega_c", POSITIVE),
     (squeezing.squeeze_drive, dict(gamma_b=0.0, kappa=250e3), "gamma_r",

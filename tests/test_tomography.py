@@ -112,6 +112,31 @@ def test_sampling_determinism():
     assert np.array_equal(b1.samples, b2.samples)
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 4098, 12000])
+@pytest.mark.parametrize("state", [
+    GaussianMechState.squeezed_thermal(0.4, 0.6),
+    GaussianMechState.squeezed_thermal(3.0, 0.9, theta=1.1)],
+    ids=["axis", "rotated"])
+def test_sampling_is_one_transform_of_the_normal_draws(n, state):
+    # the in-place blocks give the bits of one whole-array product, across
+    # block edges and a one-row remainder
+    batch = tomography.sample_quadratures(state, 1.13, 0.8, n, seed=11)
+    s11, s22, s12 = tomography._readout_covariance(
+        state.var_x1, state.var_x2, state.cov_x1x2, 1.13, 0.8)
+    chol = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]]))
+    expected = np.random.default_rng(11).standard_normal((n, 2)) @ chol.T
+    assert batch.samples.tobytes() == expected.tobytes()
+
+
+def test_sampling_takes_an_integral_float_count():
+    # 12000.0 passes the count check, so it draws the 12000 rows
+    state = GaussianMechState.squeezed_thermal(0.4, 0.6)
+    whole = tomography.sample_quadratures(state, 1.13, 0.8, 12000, seed=3)
+    batch = tomography.sample_quadratures(state, 1.13, 0.8, 12000.0, seed=3)
+    assert batch.samples.shape == (12000, 2)
+    assert batch.samples.tobytes() == whole.samples.tobytes()
+
+
 def test_sampling_vacuum_variance():
     batch = tomography.sample_quadratures(GaussianMechState.vacuum(), 1.0,
                                           0.0, 40000, seed=9)
