@@ -94,12 +94,11 @@ OPTION_DOMAINS = {
     "points": (">= 2", lambda v: v >= 2),
     "eta_kappa": FRACTION,
     **dict.fromkeys(("samples", "branches"), COUNT),
-    **dict.fromkeys(("factors", "span_widths", "cmin", "cmax", "g_opt", "tau",
-                     "tmax", "gamma_r", "n_min"), POSITIVE),
-    **dict.fromkeys(("seed", "n_th", "n_add", "gamma_amp", "gamma_b",
-                     "gamma_th", "gamma_phi", "delta", "delta_err",
-                     "eta_att_db", "n_add_h", "eta_t_db", "eta_db"),
-                    NON_NEGATIVE),
+    **dict.fromkeys(("factors", "span_widths", "cmin", "cmax", "g_opt", "tmax",
+                     "gamma_r", "n_min"), POSITIVE),
+    **dict.fromkeys(("seed", "n_th", "n_add", "gamma_b", "gamma_th",
+                     "gamma_phi", "delta", "delta_err", "eta_att_db",
+                     "n_add_h", "eta_t_db", "eta_db"), NON_NEGATIVE),
     **dict.fromkeys(("r", "snri_db", "delta_phi", "delta_att_db"), FINITE),
 }
 
@@ -242,9 +241,8 @@ def cmd_thermalize(args, cp):
 
     params, baths, _ = _load_stack(cp)
     readout = tomography.AmplifierSpec(
-        gamma_opt_b=args.gamma_amp + params.gamma_m, gamma_amp=args.gamma_amp,
-        tau=args.tau, dt=args.tau / 2048.0, eta_kappa=params.eta_kappa,
-        g_opt_uv2=args.g_opt, n_add_opt=args.n_add)
+        gamma_opt_b=85.0 + params.gamma_m, gamma_amp=85.0, tau=22e-3,
+        dt=22e-3 / 2048.0, g_opt_uv2=args.g_opt, n_add_opt=args.n_add)
     times = np.linspace(0.0, args.tmax, args.points)
     gamma_th = core.thermal_decoherence_rate(baths.n_m_th, params.gamma_m)
     result = tomography.free_evolution_experiment(
@@ -439,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=12000)
     p.add_argument("--tmax", type=float, default=12e-3)
     p.add_argument("--points", type=int, default=49)
-    p.add_argument("--gamma-amp", type=float, default=85.0)
-    p.add_argument("--tau", type=float, default=22e-3)
     p.add_argument("--g-opt", type=float, default=1.0)
     p.add_argument("--n-add", type=float, default=0.0)
     p.set_defaults(func=cmd_thermalize)

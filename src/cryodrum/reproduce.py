@@ -131,7 +131,7 @@ def criterion_2_thermalization():
     gamma_m = gamma_th / (n_m_th + 1.0)
     readout = tomography.AmplifierSpec(
         gamma_opt_b=85.0 + gamma_m, gamma_amp=85.0, tau=22e-3, dt=1e-5,
-        eta_kappa=0.8, g_opt_uv2=1.13, n_add_opt=0.80)
+        g_opt_uv2=1.13, n_add_opt=0.80)
     times = np.concatenate([np.linspace(0.0, 2e-3, 161),
                             np.linspace(2.5e-3, 12e-3, 25)])
     result = tomography.free_evolution_experiment(

@@ -263,10 +263,6 @@ def _top_populations(n_th: float, r: float, dim: int) -> np.ndarray:
         for parity in ((dim - 2) % 2, (dim - 1) % 2)])
 
 
-def _initial_rho(model: DephasingModel, dim: int) -> np.ndarray:
-    return _squeezed_thermal_rho(*model.initial.squeezed_thermal_params, dim)
-
-
 def _offset_blocks(dim: int):
     """Fock indices (j, l) of the entries x_m = rho_{m+k, m} of the
     even-offset blocks k = 0, 2, 4, ... < dim, stored block after block
@@ -484,23 +480,23 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
     same pass: (trajectory, stack, reference trajectory), the stack holding
     the blocks of rho at every time.
 
-    rho is the real state with its squeezed axis on X1 (_initial_rho).  A
-    turn by theta multiplies block k by e^{i theta k}, and the generator
-    keeps that: its thermal rates depend on (j, l) only and its dephasing
-    on k only.  So the real state is propagated and _trajectory turns
-    <b^2>.  The state has only even offsets k = j - l, and the master
-    equation keeps each offset, so the k >= 0 even blocks carry the whole
-    state (k < 0 are their transposes): about dim^2 / 4 entries.  The
-    thermal part acts on them through the tridiagonal generator of
-    _block_generator, and every output time comes from one pass of
-    _thermal_series: Chebyshev in the high-temperature form, where
-    down == up makes every block symmetric, and uniformization in the
-    finite-temperature form, where the blocks are symmetric only up to a
-    diagonal similarity of condition number (down/up)^{dim/2}, which can
-    cost a Chebyshev series all its digits.  Pure dephasing acts as the
-    scalar -2 pi Gphi k^2 on block k; it commutes with the thermal part and is
-    applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates out
-    of the series.  The reference blocks, those of the top-left
+    rho is the real state with its squeezed axis on X1
+    (_squeezed_thermal_rho).  A turn by theta multiplies block k by
+    e^{i theta k}, and the generator keeps that: its thermal rates depend
+    on (j, l) only and its dephasing on k only.  So the real state is
+    propagated and _trajectory turns <b^2>.  The state has only even
+    offsets k = j - l, and the master equation keeps each offset, so the
+    k >= 0 even blocks carry the whole state (k < 0 are their transposes):
+    about dim^2 / 4 entries.  The thermal part acts on them through the
+    tridiagonal generator of _block_generator, and every output time comes
+    from one pass of _thermal_series: Chebyshev in the high-temperature
+    form, where down == up makes every block symmetric, and uniformization
+    in the finite-temperature form, where the blocks are symmetric only up
+    to a diagonal similarity of condition number (down/up)^{dim/2}, which
+    can cost a Chebyshev series all its digits.  Pure dephasing acts as the
+    scalar -2 pi Gphi k^2 on block k; it commutes with the thermal part and
+    is applied as exp(-2 pi Gphi k^2 t), which keeps the stiff k^2 rates
+    out of the series.  The reference blocks, those of the top-left
     reference x reference state, follow the whole stack under their own
     dimension's generator; the larger dimension sets the scale, which
     bounds both spectra, so the trajectory and the stack are the same bit
@@ -528,10 +524,8 @@ def _propagate(model: DephasingModel, times: np.ndarray, rho: np.ndarray,
             _trajectory(stack[:, size:], reference, times, terms, theta))
 
 
-def _tail_dimension(model: DephasingModel, times: np.ndarray):
-    """First rung of the dimension ladder and the initial state built one
-    rung above it: (dim, rho), rho at min(dim + LADDER_STEP, MAX_DIM)
-    levels, whose top-left block is the state at every rung up to there.
+def _tail_dimension(model: DephasingModel, times: np.ndarray) -> int:
+    """First rung of the dimension ladder.
 
     It starts at eight times the largest anti-squeezed variance along the
     moment trajectory (the initial state included), rounded up to a
@@ -556,7 +550,7 @@ def _tail_dimension(model: DephasingModel, times: np.ndarray):
     n_th, r = model.initial.squeezed_thermal_params
     while dim <= MAX_DIM:
         if np.all(_top_populations(n_th, r, dim) < 1e-10):
-            return dim, _initial_rho(model, min(dim + LADDER_STEP, MAX_DIM))
+            return dim
         dim += LADDER_STEP
     raise TruncationNonConvergence(
         f"initial-state tail not below 1e-10 within the dimension cap "
@@ -583,10 +577,8 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
     stays below 1e-8 along the whole trajectory and its moments agree with
     rung i - 1 to 1e-4 relative.  Every pass has one shape: rung i's whole
     stack, with the moment blocks of rung i - 1 riding along under rung
-    i's scale, so rung 0 is never propagated alone or returned.  Every
-    rung takes its initial state as the top-left block of one build
-    (_squeezed_thermal_rho), made by _tail_dimension one rung above the
-    start and made again only when the ladder climbs past it.
+    i's scale, so rung 0 is never propagated alone or returned.  Each pass
+    builds its initial state at its own dimension (_squeezed_thermal_rho).
     The trajectory records the dimensions tried (rungs) and the series
     length of the accepted one (terms); its minimum eigenvalues are
     computed for the returned rung only.  InvalidArgument unless times is
@@ -597,12 +589,12 @@ def lindblad_evolve(model: DephasingModel, times) -> LindbladTrajectory:
             and np.all(times < math.inf) and np.all(np.diff(times) >= 0.0)):
         raise InvalidArgument("times must be finite, >= 0 and sorted")
 
-    start, rho = _tail_dimension(model, times)
+    start = _tail_dimension(model, times)
+    n_th, r = model.initial.squeezed_thermal_params
     for dim in range(start + LADDER_STEP, MAX_DIM + 1, LADDER_STEP):
-        if dim > rho.shape[0]:
-            rho = _initial_rho(model, dim)
-        traj, stack, reference = _propagate(model, times, rho[:dim, :dim],
-                                            dim - LADDER_STEP)
+        traj, stack, reference = _propagate(
+            model, times, _squeezed_thermal_rho(n_th, r, dim),
+            dim - LADDER_STEP)
         if (traj.top_population.max() < 1e-8
                 and _moment_drift(traj, reference) < 1e-4):
             return replace(traj, rungs=tuple(range(start, dim + 1,

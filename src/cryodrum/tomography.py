@@ -215,9 +215,15 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     <I^2> = g_opt (var_x1 + n_add_opt + 1/2), same for Q/X2, and the I-Q
     correlation is g_opt Im<b^2>.  Deterministic per seed: the draws z of
     default_rng(seed) become z @ L.T in place, L the Cholesky factor.
-    FloatingPointError when that covariance is not finite.
+    FloatingPointError when that covariance is not finite, and
+    InvalidArgument, before anything is allocated, for an n_samples whose
+    (N, 2) float64 array exceeds numpy's largest array.
     """
     require(COUNT, n_samples=n_samples)
+    if 16 * int(n_samples) > np.iinfo(np.intp).max:
+        raise InvalidArgument(f"n_samples = {int(n_samples)}: an (N, 2) "
+                              "float64 array this long exceeds numpy's "
+                              "largest array")
     s11, s22, s12 = _readout_covariance(state.var_x1, state.var_x2,
                                         state.cov_x1x2, g_opt, n_add_opt)
     chol_t = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]])).T
@@ -314,11 +320,9 @@ _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
 
 
 def _log1pmx(t: float) -> float:
-    """log(1 + t) - t, accurate at small |t| too: with u = t / (2 + t),
-    log(1 + t) = 2 atanh(u), so log(1 + t) - t = -t u + 2 (u^3/3 + u^5/5
-    + ...)."""
-    if not -0.5 <= t <= 0.5:
-        return math.log1p(t) - t
+    """log(1 + t) - t at |t| <= _TEMME_SPAN, accurate at small |t| too:
+    with u = t / (2 + t), log(1 + t) = 2 atanh(u), so log(1 + t) - t =
+    -t u + 2 (u^3/3 + u^5/5 + ...)."""
     u = t / (2.0 + t)
     u2 = u * u
     total, power, k = 0.0, u * u2, 3.0
@@ -354,28 +358,12 @@ def _temme_excess(a: float, mu: float, q: float) -> float:
     return (1.0 - q) - (0.5 * math.erfc(y) + tail)
 
 
-def _series_sum(a, x, front, tol):
-    """front sum_k x^k / ((a + 1) ... (a + k)), in floats or in Decimals."""
-    total = term = front
-    k = a
-    while term > tol * total:
-        k += 1
-        term = term * x / k
-        total += term
-    return total
-
-
-def _series_excess(dof: int, x: float, q: float, exact: bool) -> float:
+def _series_excess(dof: int, x: float, q: float) -> float:
     """P(dof/2, x) - q from the series P(a, x) = x^a e^-x / Gamma(a + 1)
-    sum_k x^k / ((a + 1) ... (a + k)): in floats, with the prefactor from
-    lgamma (about 1e-14 relative), or, when exact, in 40-digit decimal
-    arithmetic.  There, for an even dof, x^a is a power and Gamma(a + 1) a
-    factorial; for an odd one both gain a square root: x^a = x^(a - 1/2)
-    sqrt(x) and Gamma(a + 1) = sqrt(pi) (1/2)(3/2)...(a)."""
-    if not exact:
-        a = 0.5 * dof
-        front = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
-        return _series_sum(a, x, front, 1e-17) - q
+    sum_k x^k / ((a + 1) ... (a + k)) in 40-digit decimal arithmetic.  For
+    an even dof, x^a is a power and Gamma(a + 1) a factorial; for an odd
+    one both gain a square root: x^a = x^(a - 1/2) sqrt(x) and
+    Gamma(a + 1) = sqrt(pi) (1/2)(3/2)...(a)."""
     from decimal import Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = 40
@@ -388,7 +376,12 @@ def _series_excess(dof: int, x: float, q: float, exact: bool) -> float:
                 front /= Decimal(2 * j + 1) / 2
         else:
             front /= math.factorial(half)
-        total = _series_sum(Decimal(dof) / 2, x, front, Decimal("1e-42"))
+        total = term = front
+        k = Decimal(dof) / 2
+        while term > Decimal("1e-42") * total:
+            k += 1
+            term = term * x / k
+            total += term
         return float(total - Decimal(q))
 
 
@@ -412,9 +405,8 @@ def _chi2_ppf(q: float, dof: int) -> float:
     Segura & Temme, SIAM J. Sci. Comput. 34, A2965 (2012)) from the
     Wilson-Hilferty start, or from x = (q / c)^(1/a) for a = dof/2 <= 1.
     P - q comes from Temme's uniform expansion (_temme_excess) for
-    a >= _TEMME_MIN_A near the centre, else from the series
-    (_series_excess): in floats until the steps converge, then once more
-    in 40-digit decimals.  The steps stop once Halley's cubic error
+    a >= _TEMME_MIN_A near the centre, else from the series in 40-digit
+    decimals (_series_excess).  The steps stop once Halley's cubic error
     |f'''/6f' - (f''/2f')^2| step^3 is below 1e-18 x: Temme's form is
     evaluated once at the one-sigma q for dof >= 2000, twice down to dof
     40.  At the one-sigma q and 74 dof from 1 to 3e6 the quantiles were
@@ -430,15 +422,12 @@ def _chi2_ppf(q: float, dof: int) -> float:
         x = ((q / cut) ** (1.0 / a) if q < cut
              else 1.0 - math.log1p(-(q - cut) / (1.0 - cut)))
     log_gamma = math.lgamma(a)
-    # at large dof the series only serves the far tails, where its float
-    # prefactor would underflow: decimals from the first step
-    exact = a >= _TEMME_MIN_A
     for _ in range(40):
         mu = (x - a) / a
         if a >= _TEMME_MIN_A and abs(mu) <= _TEMME_SPAN:
             excess = _temme_excess(a, mu, q)
         else:
-            excess = _series_excess(dof, x, q, exact)
+            excess = _series_excess(dof, x, q)
         newton = excess / math.exp((a - 1.0) * math.log(x) - x - log_gamma)
         bend = (a - 1.0) / x - 1.0          # P'' / P'
         step = newton / (1.0 - 0.5 * min(1.0, newton * bend))
@@ -447,9 +436,7 @@ def _chi2_ppf(q: float, dof: int) -> float:
             x = 0.5 * (x + step)
         elif ((bend * bend / 12.0 + abs(a - 1.0) / (6.0 * x * x))
               * abs(step) ** 3 <= 1e-18 * x):
-            if exact:
-                break
-            exact = True
+            break
     return 2.0 * x
 
 

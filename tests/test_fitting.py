@@ -14,7 +14,8 @@ import cryodrum
 from cryodrum import datasets, fitting
 from cryodrum.dynamics import Spectrum
 from cryodrum.errors import (DegenerateDesign, FitNonConvergence,
-                             InvalidArgument, PeakUnresolved, SchemaMismatch)
+                             IllConditioned, InvalidArgument, PeakUnresolved,
+                             SchemaMismatch)
 
 
 def lorentzian(nu, center, fwhm, area, floor=0.0):
@@ -223,6 +224,14 @@ def test_fit_peak_records_evaluations_and_condition():
     fit = fitting.fit_peak(spec)
     assert 1 <= fit.nfev <= 400
     assert 1.0 <= fit.condition < 1e12
+
+
+def test_fit_peak_of_a_flat_spectrum_is_ill_conditioned():
+    # a flat line pins neither the centre nor the width: the Jacobian's
+    # condition number is about 1e301
+    nu = np.linspace(-50.0, 50.0, 101)
+    with pytest.raises(IllConditioned, match="condition number 1e"):
+        fitting.fit_peak(Spectrum(freq=nu, values=np.ones(nu.size)))
 
 
 def trf_reference(spec, model):

@@ -14,6 +14,7 @@ from cryodrum import squeezing, tomography
 from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     InvalidArgument,
+    StepRejectionOverflow,
     TruncationNonConvergence,
     UnphysicalVariances,
     UnstableSqueeze,
@@ -203,8 +204,9 @@ def test_lindblad_initial_state_axes():
 def _propagate_at(model, times, dim):
     """The solver at a fixed dimension, with the rung of half that
     dimension riding along: (trajectory, minimum eigenvalues)."""
-    traj, stack, _ = squeezing._propagate(
-        model, times, squeezing._initial_rho(model, dim), dim // 2)
+    rho = squeezing._squeezed_thermal_rho(
+        *model.initial.squeezed_thermal_params, dim)
+    traj, stack, _ = squeezing._propagate(model, times, rho, dim // 2)
     return traj, squeezing._min_eigenvalues(stack, dim)
 
 
@@ -354,8 +356,9 @@ def _kron_reference(model, times, dim):
     liouvillian = (down * dissipator(lower)
                    + up * dissipator(lower.T.tocsr())
                    + 2.0 * TWO_PI * model.gamma_phi * dissipator(number))
-    rho0 = _rotated(squeezing._initial_rho(model, dim),
-                    model.initial.squeezed_axis_angle)
+    rho0 = _rotated(squeezing._squeezed_thermal_rho(
+        *model.initial.squeezed_thermal_params, dim),
+        model.initial.squeezed_axis_angle)
     liouvillian = liouvillian.tocsc()
     state, elapsed, stack = rho0.reshape(-1), 0.0, []
     for t in times:
@@ -436,9 +439,10 @@ def test_lindblad_records_rungs_and_terms():
     traj = squeezing.lindblad_evolve(model, times)
     assert len(traj.rungs) >= 2 and traj.rungs[-1] == traj.dim
     assert np.all(np.diff(traj.rungs) == squeezing.LADDER_STEP)
+    rho = squeezing._squeezed_thermal_rho(
+        *model.initial.squeezed_thermal_params, traj.dim)
     assert traj.terms == squeezing._propagate(
-        model, times, squeezing._initial_rho(model, traj.dim),
-        traj.dim - squeezing.LADDER_STEP)[0].terms > 1
+        model, times, rho, traj.dim - squeezing.LADDER_STEP)[0].terms > 1
     # a zero-rate generator needs the initial state only
     frozen = squeezing.lindblad_evolve(squeezing.DephasingModel(
         gamma_th=0.0, gamma_phi=0.0, initial=initial), times)
@@ -466,7 +470,8 @@ def test_reference_rung_rides_in_one_series_pass(dim, kwargs, state):
     # in it, and rung 0's (dim) moments differ from its own pass by rounding
     model = squeezing.DephasingModel(
         initial=GaussianMechState.squeezed_thermal(*state), **kwargs)
-    rho = squeezing._initial_rho(model, dim + squeezing.LADDER_STEP)
+    rho = squeezing._squeezed_thermal_rho(
+        *model.initial.squeezed_thermal_params, dim + squeezing.LADDER_STEP)
     times = np.linspace(0.0, 5e-3, 6)
     fused, fused_stack, reference = squeezing._propagate(model, times, rho,
                                                          dim)
@@ -520,8 +525,9 @@ def test_ladder_climb_carries_the_rung_below():
     assert traj.trace_dev.max() < 1e-10
     assert traj.min_eigenvalue.min() >= -1e-8
 
-    last, stack, _ = squeezing._propagate(
-        model, times, squeezing._initial_rho(model, 128), 96)
+    rho = squeezing._squeezed_thermal_rho(
+        *model.initial.squeezed_thermal_params, 128)
+    last, stack, _ = squeezing._propagate(model, times, rho, 96)
     assert np.array_equal(traj.min_eigenvalue,
                           squeezing._min_eigenvalues(stack, 128))
     for field in last.__dataclass_fields__:
@@ -610,6 +616,25 @@ def test_lindblad_ladder_stops_where_converged(n_th, r, gamma_th):
     for a, b in ((lind.n, mom.n), (lind.v_sq, mom.v_sq),
                  (lind.v_asq, mom.v_asq)):
         assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)) < 1e-3
+
+
+def test_non_finite_series_raises_step_rejection_overflow(monkeypatch):
+    # the error names the first time whose state is not finite and the
+    # dimension of the pass
+    def overflowing(generator, state, times, symmetric):
+        series = np.ones((times.size, state.size))
+        series[2:] = np.inf
+        return series, 1
+
+    monkeypatch.setattr(squeezing, "_thermal_series", overflowing)
+    model = squeezing.DephasingModel(
+        gamma_th=17.1, gamma_phi=0.09,
+        initial=GaussianMechState.squeezed_thermal(0.4, 0.6))
+    times = np.linspace(0.0, 5e-3, 6)
+    dim = squeezing._tail_dimension(model, times) + squeezing.LADDER_STEP
+    with pytest.raises(StepRejectionOverflow,
+                       match=rf"at t = 0\.002 s \(dim {dim}\)$"):
+        squeezing.lindblad_evolve(model, times)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -13,6 +13,7 @@ from cryodrum.core import TWO_PI
 from cryodrum.errors import (
     DegenerateDesign,
     InvalidArgument,
+    LowGainWarning,
     NegativeVarianceEstimate,
     UnphysicalVariances,
 )
@@ -77,6 +78,14 @@ def test_amplification_gain_db():
     spec = make_spec()
     assert spec.gain == math.exp(TWO_PI * 85.0 * 22e-3)
     assert spec.gain_db == pytest.approx(51.03, abs=0.01)
+
+
+def test_low_gain_warns():
+    # 1 Hz for 1 ms is a power gain of 1.006, far below the 1e3 that the
+    # large-gain approximations need
+    with pytest.warns(LowGainWarning, match=r"gain 1\.01 < 1e3"):
+        spec = make_spec(gamma_opt_b=1.0, gamma_amp=1.0, tau=1e-3)
+    assert spec.gain == pytest.approx(1.006, abs=5e-4)
 
 
 def test_matched_filter_snr_optimality():
