@@ -14,12 +14,15 @@ modules of the command it runs: `import cryodrum.cli` loads `config`,
 of its domain, a missing --seed, an unreadable config, `budget` or
 `limits`.  No command loads scipy: the package depends on numpy alone.
 
-OPTION_DOMAINS gives every numeric option a domain from `errors`, and `main`
-checks each against it once, before the config is read.
+COMMANDS declares each command and option once.  An option's role is its
+domain from `errors`, which `main` checks before the config is read, INPUT
+(a path the manifest lists) or OUTPUT (a path that $CRYODRUM_OUTDIR
+resolves).  A command that declares --seed is stochastic.
 
 Exit codes: 0 success, 1 reproduction-suite failure, 2 usage error (an input
-outside its domain raises InvalidArgument, or a file is missing), 3 numerical
-failure (a derived value leaves the double range, or a solve or fit fails).
+outside its domain raises InvalidArgument, or a file cannot be read or
+written), 3 numerical failure (a derived value leaves the double range, or
+a solve or fit fails).
 """
 
 from __future__ import annotations
@@ -41,26 +44,40 @@ DEVICE_COLUMNS = ["axis", "factor", "omega_m_hz", "m_eff_kg", "m_phys_kg",
                   "xi_mass", "x_zpf_m", "xi_cap", "g0_hz", "lambda", "d_q",
                   "q_m"]
 
-#: options naming input files, in the order a manifest lists them
-INPUT_OPTIONS = ("config", "sweep", "peaks", "calibrate")
-_STOCHASTIC = {"amplify", "thermalize"}
+INPUT = "input"     #: role of a path that the manifest lists under inputs
+OUTPUT = "output"   #: role of a path that $CRYODRUM_OUTDIR resolves
+
+#: option rows shared by several commands: (flag, role, add_argument
+#: keywords), the role a domain from `errors`, INPUT, OUTPUT or None
+_CONFIG = ("--config", INPUT, dict(required=True))
+_OUT = ("--out", OUTPUT, dict(required=True))
+_SEED = ("--seed", NON_NEGATIVE, dict(type=int))
+_SAMPLES = ("--samples", COUNT, dict(type=int, default=12000))
+_G_OPT = ("--g-opt", POSITIVE, dict(type=float, default=1.0))
+_N_ADD = ("--n-add", NON_NEGATIVE, dict(type=float, default=0.0))
+_POINTS = (">= 2", lambda v: v >= 2)
+
+
+def _options(args):
+    """(flag, dest, value, role) of each option of args.command, in order."""
+    for flag, role, _ in COMMANDS[args.command][2]:
+        dest = flag[2:].replace("-", "_")
+        yield flag, dest, getattr(args, dest), role
 
 
 def _sampling(args) -> bool:
     """A stochastic command that draws samples (not a --calibrate fit)."""
-    return args.command in _STOCHASTIC and not getattr(args, "calibrate",
-                                                       None)
+    return hasattr(args, "seed") and not getattr(args, "calibrate", None)
 
 
 def _write_manifest(args, outputs, cp):
-    options = {key: value for key, value in vars(args).items()
-               if key != "func" and not callable(value)}
+    options = vars(args)
     manifest = {
         "command": args.command,
         "options": options,
         "config": options.get("config"),
-        "inputs": [str(options[key]) for key in INPUT_OPTIONS
-                   if options.get(key)],
+        "inputs": [str(value) for _, _, value, role in _options(args)
+                   if role == INPUT and value],
         "outputs": [str(p) for p in outputs],
         "seed": args.seed if _sampling(args) else None,
         "tool_version": __version__,
@@ -89,31 +106,23 @@ def _numbers(text, kind, option):
                               f"got {text!r}") from None
 
 
-#: option -> domain; a list option (--factors) tests each number
-OPTION_DOMAINS = {
-    "points": (">= 2", lambda v: v >= 2),
-    "eta_kappa": FRACTION,
-    **dict.fromkeys(("samples", "branches"), COUNT),
-    **dict.fromkeys(("factors", "span_widths", "cmin", "cmax", "g_opt", "tmax",
-                     "gamma_r", "n_min"), POSITIVE),
-    **dict.fromkeys(("seed", "n_th", "n_add", "gamma_b", "gamma_th",
-                     "gamma_phi", "delta", "delta_err", "eta_att_db",
-                     "n_add_h", "eta_t_db", "eta_db"), NON_NEGATIVE),
-    **dict.fromkeys(("r", "snri_db", "delta_phi", "delta_att_db"), FINITE),
-}
-
-
-def _check_options(args):
-    """InvalidArgument, a usage error, unless every numeric option that is
-    set lies in its domain."""
-    for option, domain in OPTION_DOMAINS.items():
-        value = getattr(args, option, None)
-        if value is None:
-            continue
-        flag = "--" + option.replace("_", "-")
+def _resolve_options(args):
+    """Each set option of args.command by its role: a relative OUTPUT path
+    goes under $CRYODRUM_OUTDIR when set; a value outside its domain (each
+    number of a list option) or a stochastic command without --seed raises
+    InvalidArgument, a usage error."""
+    if _sampling(args) and args.seed is None:
+        raise InvalidArgument("--seed is required for stochastic commands")
+    outdir = os.environ.get("CRYODRUM_OUTDIR")
+    for flag, dest, value, role in _options(args):
+        if role == OUTPUT and outdir and value \
+                and not Path(value).is_absolute():
+            setattr(args, dest, str(Path(outdir) / value))
+        if not isinstance(role, tuple) or value is None:
+            continue        # a domain is a (label, test) pair
         for number in _numbers(value, float, flag) \
                 if isinstance(value, str) else [value]:
-            require(domain, **{flag: number})
+            require(role, **{flag: number})
 
 
 def _json_out(path, payload):
@@ -364,6 +373,13 @@ def cmd_reproduce(args):
     indices = None
     if args.criteria:
         indices = set(_numbers(args.criteria, int, "--criteria"))
+    if args.json:
+        # a path that cannot be written is a usage error before the suite
+        # runs; a file made only to test the path goes again
+        new = not os.path.lexists(args.json)
+        open(args.json, "a").close()
+        if new:
+            os.remove(args.json)
     results = reproduce_mod.run_criteria(indices)
     print(reproduce_mod.format_table(results))
     if args.json:
@@ -378,157 +394,119 @@ def cmd_reproduce(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+#: command -> (function, help, option rows); see _CONFIG for a row
+COMMANDS = {
+    "device": (cmd_device, "drum figures of merit / scaling sweep", [
+        _CONFIG,
+        _OUT,
+        ("--sweep-axis", None, dict(
+            choices=["radius", "stress", "thickness", "gap"])),
+        ("--factors", POSITIVE, dict(default="0.5,1.0,2.0"))]),
+    "psd": (cmd_psd, "output noise PSD components", [
+        _CONFIG,
+        _OUT,
+        ("--summary", OUTPUT, {}),
+        ("--simplified", None, dict(action="store_true")),
+        ("--span-widths", POSITIVE, dict(
+            type=float, default=50.0, help="half span in units of Gamma_tot")),
+        ("--points", _POINTS, dict(type=int, default=2001))]),
+    "cool": (cmd_cool, "cooling curve n_m vs cooperativity", [
+        _CONFIG,
+        _OUT,
+        ("--cmin", POSITIVE, dict(type=float, default=1.0)),
+        ("--cmax", POSITIVE, dict(type=float, default=1e4)),
+        ("--points", _POINTS, dict(type=int, default=41))]),
+    "asymmetry": (cmd_asymmetry, "solve scaled peaks for occupations", [
+        ("--peaks", INPUT, dict(required=True)),
+        _OUT,
+        ("--eta-kappa", FRACTION, dict(type=float))]),
+    "amplify": (cmd_amplify, "quadrature batch generation / calibration fit", [
+        _OUT,
+        ("--calibrate", INPUT, dict(
+            help="CSV of (n_m, var_uV2) points to fit instead")),
+        _SEED,
+        _SAMPLES,
+        ("--n-th", NON_NEGATIVE, dict(type=float, default=0.0)),
+        ("--r", FINITE, dict(type=float, default=0.0)),
+        _G_OPT,
+        _N_ADD]),
+    "thermalize": (cmd_thermalize, "free-evolution heating run", [
+        _CONFIG,
+        _OUT,
+        _SEED,
+        _SAMPLES,
+        ("--tmax", POSITIVE, dict(type=float, default=12e-3)),
+        ("--points", _POINTS, dict(type=int, default=49)),
+        _G_OPT,
+        _N_ADD]),
+    "squeeze": (cmd_squeeze, "dissipative squeezing targets", [
+        _CONFIG,
+        _OUT,
+        ("--gamma-r", POSITIVE, dict(type=float, required=True)),
+        ("--gamma-b", NON_NEGATIVE, dict(type=float, required=True))]),
+    "dephase": (cmd_dephase, "dephasing trajectory / extraction", [
+        _OUT,
+        ("--gamma-th", NON_NEGATIVE, dict(type=float, required=True)),
+        ("--n-th", NON_NEGATIVE, dict(type=float, required=True)),
+        ("--r", FINITE, dict(type=float, required=True)),
+        ("--gamma-phi", NON_NEGATIVE, dict(type=float)),
+        ("--delta", NON_NEGATIVE, dict(
+            type=float, help="measured rate difference [Hz] to invert")),
+        ("--delta-err", NON_NEGATIVE, dict(type=float, default=0.0)),
+        ("--tmax", POSITIVE, dict(type=float, default=5e-3)),
+        ("--points", _POINTS, dict(type=int, default=11))]),
+    "g0fit": (cmd_g0fit, "coupling rate from temperature sweep", [
+        _CONFIG,
+        ("--sweep", INPUT, dict(required=True)),
+        _OUT,
+        ("--eta-att-db", NON_NEGATIVE, dict(type=float))]),
+    "budget": (cmd_budget, "chain noise budget", [
+        _OUT,
+        ("--snri-db", FINITE, dict(type=float, required=True)),
+        ("--n-add-h", NON_NEGATIVE, dict(type=float, required=True)),
+        ("--eta-t-db", NON_NEGATIVE, dict(type=float, required=True)),
+        ("--eta-db", NON_NEGATIVE, dict(type=float, required=True))]),
+    "limits": (cmd_limits, "cancellation floor and phase-noise ceiling", [
+        _CONFIG,
+        _OUT,
+        ("--n-min", POSITIVE, dict(type=float, default=0.1)),
+        ("--delta-phi", FINITE, dict(type=float, default=math.pi / 360.0)),
+        ("--delta-att-db", FINITE, dict(type=float, default=0.125)),
+        ("--branches", COUNT, dict(type=int, default=1))]),
+    "reproduce": (cmd_reproduce, "run the acceptance criteria table", [
+        ("--criteria", None, dict(help="comma-separated subset, e.g. 1,4,7")),
+        ("--json", OUTPUT, {})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryodrum",
         description="simulation and calibration toolkit for drumhead "
                     "microwave optomechanics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("device", help="drum figures of merit / scaling sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sweep-axis", default=None,
-                   choices=["radius", "stress", "thickness", "gap"])
-    p.add_argument("--factors", default="0.5,1.0,2.0")
-    p.set_defaults(func=cmd_device)
-
-    p = sub.add_parser("psd", help="output noise PSD components")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--summary", default=None)
-    p.add_argument("--simplified", action="store_true")
-    p.add_argument("--span-widths", type=float, default=50.0,
-                   help="half span in units of Gamma_tot")
-    p.add_argument("--points", type=int, default=2001)
-    p.set_defaults(func=cmd_psd)
-
-    p = sub.add_parser("cool", help="cooling curve n_m vs cooperativity")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--cmin", type=float, default=1.0)
-    p.add_argument("--cmax", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=41)
-    p.set_defaults(func=cmd_cool)
-
-    p = sub.add_parser("asymmetry", help="solve scaled peaks for occupations")
-    p.add_argument("--peaks", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--eta-kappa", type=float, default=None)
-    p.set_defaults(func=cmd_asymmetry)
-
-    p = sub.add_parser("amplify",
-                       help="quadrature batch generation / calibration fit")
-    p.add_argument("--out", required=True)
-    p.add_argument("--calibrate", default=None,
-                   help="CSV of (n_m, var_uV2) points to fit instead")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=12000)
-    p.add_argument("--n-th", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--g-opt", type=float, default=1.0)
-    p.add_argument("--n-add", type=float, default=0.0)
-    p.set_defaults(func=cmd_amplify)
-
-    p = sub.add_parser("thermalize", help="free-evolution heating run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=12000)
-    p.add_argument("--tmax", type=float, default=12e-3)
-    p.add_argument("--points", type=int, default=49)
-    p.add_argument("--g-opt", type=float, default=1.0)
-    p.add_argument("--n-add", type=float, default=0.0)
-    p.set_defaults(func=cmd_thermalize)
-
-    p = sub.add_parser("squeeze", help="dissipative squeezing targets")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--gamma-r", type=float, required=True)
-    p.add_argument("--gamma-b", type=float, required=True)
-    p.set_defaults(func=cmd_squeeze)
-
-    p = sub.add_parser("dephase", help="dephasing trajectory / extraction")
-    p.add_argument("--out", required=True)
-    p.add_argument("--gamma-th", type=float, required=True)
-    p.add_argument("--n-th", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--gamma-phi", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None,
-                   help="measured rate difference [Hz] to invert")
-    p.add_argument("--delta-err", type=float, default=0.0)
-    p.add_argument("--tmax", type=float, default=5e-3)
-    p.add_argument("--points", type=int, default=11)
-    p.set_defaults(func=cmd_dephase)
-
-    p = sub.add_parser("g0fit", help="coupling rate from temperature sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--sweep", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--eta-att-db", type=float, default=None)
-    p.set_defaults(func=cmd_g0fit)
-
-    p = sub.add_parser("budget", help="chain noise budget")
-    p.add_argument("--out", required=True)
-    p.add_argument("--snri-db", type=float, required=True)
-    p.add_argument("--n-add-h", type=float, required=True)
-    p.add_argument("--eta-t-db", type=float, required=True)
-    p.add_argument("--eta-db", type=float, required=True)
-    p.set_defaults(func=cmd_budget)
-
-    p = sub.add_parser("limits", help="cancellation floor and phase-noise "
-                                      "ceiling")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-min", type=float, default=0.1)
-    p.add_argument("--delta-phi", type=float, default=math.pi / 360.0)
-    p.add_argument("--delta-att-db", type=float, default=0.125)
-    p.add_argument("--branches", type=int, default=1)
-    p.set_defaults(func=cmd_limits)
-
-    p = sub.add_parser("reproduce", help="run the acceptance criteria table")
-    p.add_argument("--criteria", default=None,
-                   help="comma-separated subset, e.g. 1,4,7")
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_reproduce)
-
+    for command, (_, help_text, rows) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, _, keywords in rows:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-#: relative output paths resolve under this directory when set
-OUTDIR_ENV = "CRYODRUM_OUTDIR"
-
-
-def _apply_outdir(args):
-    outdir = os.environ.get(OUTDIR_ENV)
-    if not outdir:
-        return
-    for attr in ("out", "summary", "json"):
-        value = getattr(args, attr, None)
-        if value and not Path(value).is_absolute():
-            setattr(args, attr, str(Path(outdir) / value))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if _sampling(args) and args.seed is None:
-        print("error: --seed is required for stochastic commands",
-              file=sys.stderr)
-        return 2
-    _apply_outdir(args)
+    func = COMMANDS[args.command][0]
     try:
-        _check_options(args)
+        _resolve_options(args)
         if args.command == "reproduce":
-            return args.func(args)
+            return func(args)
         cp = config_mod.read_config(args.config) \
             if getattr(args, "config", None) else None
-        _write_manifest(args, args.func(args, cp), cp)
+        _write_manifest(args, func(args, cp), cp)
         return 0
-    except (InvalidArgument, FileNotFoundError) as exc:
+    except (InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CryodrumError, ArithmeticError) as exc:

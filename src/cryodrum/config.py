@@ -65,11 +65,19 @@ def _section_numbers(cp: configparser.ConfigParser, name: str) -> dict:
 
 
 def read_config(path) -> configparser.ConfigParser:
+    """The INI file at path, every value interpolated once; ConfigError
+    naming the path for a file that is missing or cannot be read as text,
+    and for malformed INI (no section header, a duplicate section or key, a
+    bare % in a value)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    cp.read(path)
+    try:
+        with path.open() as handle:
+            cp.read_file(handle)
+        for section in cp.sections():
+            cp.items(section)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     return cp
 
 

@@ -279,24 +279,28 @@ def write_columns(path, header, columns):
 def _read_table(path, header, optional_tail=()) -> np.ndarray:
     """The rows of a CSV whose first non-blank line is `header`, followed by
     any of `optional_tail`, as one (rows, columns) array; SchemaMismatch for
-    another header, no rows, a non-numeric cell or a row of another width."""
-    with Path(path).open() as fh:
-        lines = (line for line in fh if line.strip())
-        row = next(csv.reader([next(lines, "")]))
-        if row[:len(header)] != header:
-            raise SchemaMismatch(
-                f"{path}: expected header {header} (got {row})")
-        for col in row[len(header):]:
-            if col not in optional_tail:
-                raise SchemaMismatch(f"{path}: unexpected column {col!r}")
-        first = next(lines, None)
-        if first is None:
-            raise SchemaMismatch(f"{path}: no data rows")
-        try:
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
-                              quotechar='"', comments=None, ndmin=2)
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: {exc}") from None
+    another header, no rows, a non-numeric cell, a row of another width or
+    bytes that do not decode."""
+    try:
+        with Path(path).open() as fh:
+            lines = (line for line in fh if line.strip())
+            row = next(csv.reader([next(lines, "")]))
+            if row[:len(header)] != header:
+                raise SchemaMismatch(
+                    f"{path}: expected header {header} (got {row})")
+            for col in row[len(header):]:
+                if col not in optional_tail:
+                    raise SchemaMismatch(f"{path}: unexpected column {col!r}")
+            first = next(lines, None)
+            if first is None:
+                raise SchemaMismatch(f"{path}: no data rows")
+            try:
+                data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                                  quotechar='"', comments=None, ndmin=2)
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
     if data.shape[1] != len(row):
         raise SchemaMismatch(f"{path}: expected {len(row)} columns, "
                              f"got {data.shape[1]}")

@@ -216,8 +216,8 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     correlation is g_opt Im<b^2>.  Deterministic per seed: the draws z of
     default_rng(seed) become z @ L.T in place, L the Cholesky factor.
     FloatingPointError when that covariance is not finite, and
-    InvalidArgument, before anything is allocated, for an n_samples whose
-    (N, 2) float64 array exceeds numpy's largest array.
+    InvalidArgument for an n_samples whose (N, 2) float64 array exceeds
+    numpy's largest array (before anything is allocated) or memory.
     """
     require(COUNT, n_samples=n_samples)
     if 16 * int(n_samples) > np.iinfo(np.intp).max:
@@ -229,7 +229,12 @@ def sample_quadratures(state: GaussianMechState, g_opt: float,
     chol_t = np.linalg.cholesky(np.array([[s11, s12], [s12, s22]])).T
     rng = np.random.default_rng(seed)
     n_samples = int(n_samples)
-    samples = rng.standard_normal((n_samples, 2))
+    try:
+        samples = rng.standard_normal((n_samples, 2))
+    except MemoryError:
+        raise InvalidArgument(
+            f"n_samples = {n_samples}: an (N, 2) float64 array this long "
+            "does not fit in memory") from None
     for block in np.split(samples, range(_SAMPLE_BLOCK, n_samples - 1,
                                          _SAMPLE_BLOCK)):
         np.matmul(block, chol_t, out=block)

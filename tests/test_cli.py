@@ -15,7 +15,7 @@ import pytest
 
 import cryodrum
 from cryodrum import calibration, config, datasets
-from cryodrum.cli import OPTION_DOMAINS, build_parser, main
+from cryodrum.cli import COMMANDS, INPUT, OUTPUT, build_parser, main
 
 CONFIG = """\
 [system]
@@ -206,6 +206,20 @@ def test_lindblad_solve_loads_no_scipy(forked):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command", ["cryodrum", *COMMANDS])
+def test_help_is_golden(command, monkeypatch, capsys):
+    # the files were recorded from the hand-written parser that the command
+    # table replaced; argparse wraps at $COLUMNS - 2, so the width is fixed,
+    # and colours help when FORCE_COLOR is set (Python 3.14), so it is off
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("FORCE_COLOR", raising=False)
+    monkeypatch.setenv("NO_COLOR", "1")
+    argv = ["--help"] if command == "cryodrum" else [command, "--help"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out \
+        == (GOLDEN / f"help_{command}.txt").read_text()
 
 
 def test_device_command(cfg, tmp_path):
@@ -637,6 +651,28 @@ def test_reproduce_subset(capsys, tmp_path):
                                        for check in result["checks"])
 
 
+def test_reproduce_unwritable_json_runs_no_criterion(tmp_path, capsys,
+                                                     monkeypatch):
+    # the suite ran all nine criteria before its --json write failed, and
+    # exited 1, the code of a failed criterion
+    from cryodrum import reproduce
+
+    def run_criteria(indices):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(reproduce, "run_criteria", run_criteria)
+    assert_usage_error(capsys, ["reproduce", "--json", str(tmp_path)])
+
+
+def test_reproduce_json_check_leaves_no_file(tmp_path, capsys):
+    # the writability check removes the file it made when the run then
+    # stops on a usage error
+    out = tmp_path / "criteria.json"
+    assert_usage_error(capsys, ["reproduce", "--criteria", "10", "--json",
+                                str(out)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outdir_environment_variable(tmp_path, monkeypatch):
     outdir = tmp_path / "results"
     outdir.mkdir()
@@ -772,6 +808,28 @@ def test_amplify_beyond_the_largest_array_is_a_usage_error(samples, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_amplify_beyond_memory_is_a_usage_error(tmp_path, capsys,
+                                                monkeypatch):
+    # 10^13 pairs pass numpy's array limit but not memory: numpy's
+    # _ArrayMemoryError exited 1 with a traceback.  The allocation is
+    # stubbed to fail instead of asking the machine for 146 TiB
+    class NoMemory:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            raise MemoryError(f"cannot allocate {shape}")
+
+    monkeypatch.setattr(np.random, "default_rng", NoMemory)
+    argv = AMPLIFY.format(d=tmp_path).split() + ["--samples", str(10**13)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(10**13) in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 #: small base command line of every command with numeric options; the
 #: peaks file carries an N_floor column so that --eta-kappa is used
 FUZZ_BASE = {
@@ -797,14 +855,21 @@ FUZZ_VALUES = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "1e-300",
 SENTINELS = {"t_one_quantum_s", "ratio_db"}
 
 
+def table_options():
+    """(command, flag, role, add_argument keywords) of every option row of
+    the command table."""
+    return [(command, flag, role, keywords)
+            for command, (_, _, rows) in COMMANDS.items()
+            for flag, role, keywords in rows]
+
+
 def numeric_options():
     """(command, option dest) of every option that takes a number or a
-    list of numbers, found by walking the parser."""
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return [(command, action.dest) for command, p in sub.choices.items()
-            for action in p._actions
-            if action.type in (int, float) or action.dest in OPTION_DOMAINS]
+    list of numbers: an int or float type, or a numeric domain."""
+    return [(command, flag[2:].replace("-", "_"))
+            for command, flag, role, keywords in table_options()
+            if keywords.get("type") in (int, float)
+            or isinstance(role, tuple)]
 
 
 def nonfinite_cells(path):
@@ -843,18 +908,26 @@ def nonfinite_cells(path):
 def test_every_numeric_option_has_a_domain():
     pairs = numeric_options()
     assert len(pairs) >= 38
-    assert [pair for pair in pairs if pair[1] not in OPTION_DOMAINS] == []
+    assert [(command, flag) for command, flag, role, keywords
+            in table_options() if keywords.get("type") in (int, float)
+            and not isinstance(role, tuple)] == []
 
 
-@pytest.mark.parametrize("command,option", numeric_options(),
-                         ids=lambda value: value)
-def test_numeric_option_fuzz(command, option, cfg, tmp_path, params,
-                             capsys):
+@pytest.fixture
+def fuzz_inputs(tmp_path, params):
+    """The peaks and sweep files that FUZZ_BASE reads from {inputs}, the
+    test's tmp_path."""
     (tmp_path / "floor.csv").write_text(
         "N_p,N_b,N_c,r_gamma,N_floor\n0.021,0.273,0.0105,1.0,0.6\n")
     datasets.write_sweep(tmp_path / "sweep.csv",
                          calibration.synthesize_g0_sweep(
                              params, 13.4, np.linspace(0.05, 0.4, 6)))
+
+
+@pytest.mark.parametrize("command,option", numeric_options(),
+                         ids=lambda value: value)
+@pytest.mark.usefixtures("fuzz_inputs")
+def test_numeric_option_fuzz(command, option, cfg, tmp_path, capsys):
     flag = "--" + option.replace("_", "-")
     failures = []
     for index, value in enumerate(FUZZ_VALUES):
@@ -867,10 +940,10 @@ def test_numeric_option_fuzz(command, option, cfg, tmp_path, params,
     assert failures == []
 
 
-def fuzz_failure(argv, capsys):
+def fuzz_failure(argv, capsys, codes=(0, 2, 3)):
     """What went wrong in one fuzzed `main(argv)`, or None: a traceback, an
-    exit code other than 0, 2 or 3, an exit 2 without an error line, or an
-    exit-0 output that holds a value that is not finite."""
+    exit code not in codes, an exit 2 without an error line, or an exit-0
+    output that holds a value that is not finite."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -878,7 +951,7 @@ def fuzz_failure(argv, capsys):
     except Exception as exc:        # a traceback at the command line
         return f"{type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
-    if code not in (0, 2, 3):
+    if code not in codes:
         return f"exit {code}"
     if code == 2 and "error:" not in err:
         return f"exit 2 without error: {err!r}"
@@ -917,3 +990,47 @@ def test_config_value_fuzz(section, key, tmp_path, capsys):
         if failure := fuzz_failure(argv, capsys):
             failures.append(f"{value}: {failure}")
     assert failures == []
+
+
+#: file faults of path options: each INPUT and OUTPUT path names a
+#: directory, each INPUT holds bytes that do not decode, and --config also
+#: holds malformed INI
+PATH_FAULTS = {INPUT: ["directory", "non-utf8"], OUTPUT: ["directory"]}
+CONFIG_FAULTS = {
+    "duplicate-section": CONFIG + "\n[baths]\nn_c_th = 0.25\n",
+    "duplicate-key": CONFIG.replace("[baths]\n", "[baths]\nn_m_th = 1\n"),
+    "no-section-header": "g0 = 13.4\n" + CONFIG,
+    "bare-percent": CONFIG.replace("g0 = 13.4", "g0 = 13.4%"),
+}
+PATH_BASE = {**FUZZ_BASE, "reproduce": "reproduce --criteria 4"}
+
+
+def path_faults():
+    """(command, flag, fault) of every path option of the command table
+    crossed with the faults of its role."""
+    return [(command, flag, fault)
+            for command, flag, role, _ in table_options()
+            for fault in PATH_FAULTS.get(role, [])
+            + (list(CONFIG_FAULTS) if flag == "--config" else [])]
+
+
+@pytest.mark.parametrize("command,flag,fault", path_faults(),
+                         ids=[f"{command}{flag}-{fault}"
+                              for command, flag, fault in path_faults()])
+@pytest.mark.usefixtures("fuzz_inputs")
+def test_path_fault_exit(command, flag, fault, cfg, tmp_path, capsys):
+    # a directory, undecodable bytes or a malformed INI file exited 1 with
+    # a traceback (IsADirectoryError, UnicodeDecodeError, configparser's
+    # errors), or 2 with a misleading "missing [system] section"
+    path = tmp_path / "fault"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "non-utf8":
+        path.write_bytes(b"\xff\xfe\n")
+    else:
+        path.write_text(CONFIG_FAULTS[fault])
+    run = tmp_path / "run"
+    run.mkdir()
+    argv = PATH_BASE[command].format(cfg=cfg, d=run, inputs=tmp_path) \
+        .split() + [flag, str(path)]
+    assert fuzz_failure(argv, capsys, codes=(2,)) is None

@@ -99,6 +99,26 @@ def test_missing_file_and_section(tmp_path):
         config.load_system(cp)
 
 
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe\n", SAMPLE + "\n[baths]\nn_c_th = 0\n",
+    SAMPLE.replace("[baths]\n", "[baths]\nn_m_th = 1\n"),
+    "g0 = 13.4\n" + SAMPLE, SAMPLE.replace("g0 = 13.4", "g0 = 13.4%"),
+], ids=["directory", "non-utf8", "duplicate-section", "duplicate-key",
+        "no-section-header", "bare-percent"])
+def test_unreadable_config_names_its_path(tmp_path, content):
+    # each raised an OSError, UnicodeDecodeError or configparser error, or
+    # for a directory read as empty: "missing [system] section" later
+    path = tmp_path / "bad.cfg"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        config.read_config(path)
+
+
 def test_kappa_sum_fallback(tmp_path):
     text = SAMPLE.replace("kappa = 250k\n", "")
     path = tmp_path / "s.cfg"

@@ -451,6 +451,17 @@ def test_quadratures_schema_errors(tmp_path, text):
         datasets.read_quadratures(path)
 
 
+@pytest.mark.parametrize("at", [0, 20000], ids=["header", "later-read"])
+def test_table_that_does_not_decode(tmp_path, at):
+    # a byte that is not UTF-8 raised UnicodeDecodeError, a traceback at the
+    # command line, wherever in the file it sat
+    data = ("n_m,var_uV2\n" + "0.5,1.0\n" * 3000).encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(SchemaMismatch, match="bad.csv"):
+        datasets.read_line(path)
+
+
 @pytest.mark.parametrize("reader,header", [
     (datasets.read_sweep, "T_K,P_SB_meas,P_cal_meas,P_MW_src,P_cal_src"),
     (datasets.read_peaks, "N_p,N_b,N_c,r_gamma"),
